@@ -12,9 +12,10 @@ receive halves lives here too (:func:`split_word`).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .syntax import (
     END,
@@ -200,6 +201,42 @@ Edge = tuple[GlobalType, Optional[SyncEvent], GlobalType]
 #: A transition of a per-role view; label ``None`` is silent.
 LocalEdge = tuple[GlobalType, Optional[AsyncEvent], GlobalType]
 
+_Node = TypeVar("_Node", bound=Hashable)
+
+
+def _shortest_path(
+    start: _Node,
+    successors: Callable[[_Node], Iterable[tuple[Edge, _Node]]],
+    is_goal: Callable[[_Node], bool],
+) -> Optional[tuple[Edge, ...]]:
+    """Breadth-first search from ``start`` for a node satisfying ``is_goal``.
+
+    ``successors(node)`` yields ``(edge, next_node)`` pairs.  Returns the
+    edges of a shortest path (the first one found in successor order):
+    ``()`` when ``start`` is a goal, ``None`` when no goal is reachable.
+    """
+    if is_goal(start):
+        return ()
+    parents: dict[_Node, Optional[tuple[_Node, Edge]]] = {start: None}
+    queue = deque((start,))
+    while queue:
+        node = queue.popleft()
+        for edge, nxt in successors(node):
+            if nxt in parents:
+                continue
+            parents[nxt] = (node, edge)
+            if is_goal(nxt):
+                path: list[Edge] = []
+                step = parents[nxt]
+                while step is not None:
+                    nxt, e = step
+                    path.append(e)
+                    step = parents[nxt]
+                path.reverse()
+                return tuple(path)
+            queue.append(nxt)
+    return None
+
 
 def _sync_label_key(label: Optional[SyncEvent]) -> tuple[str, str, str]:
     if label is None:
@@ -365,38 +402,37 @@ def _state_label(state: GlobalType, limit: int = 40) -> str:
 
 def _machine_dot(
     name: str,
-    states: tuple[GlobalType, ...],
-    initial: GlobalType,
-    finals: frozenset[GlobalType],
-    edges: Iterable[tuple[GlobalType, str, GlobalType]],
-) -> Iterator[str]:
+    states: Iterable[Hashable],
+    initial: Hashable,
+    finals: frozenset,
+    edges: Iterable[tuple[Hashable, object, Hashable]],
+    state_label: Callable[[Hashable], str] = _state_label,
+) -> str:
+    """The one Graphviz writer: states numbered in order, edge labels
+    rendered with ``str`` (``None`` as ε)."""
     index = {s: i for i, s in enumerate(states)}
-    yield f"digraph {_quote(name)} {{"
-    yield "  rankdir=LR;"
-    yield '  __start [shape=point, label=""];'
-    yield f"  __start -> n{index[initial]};"
+    lines = [
+        f"digraph {_quote(name)} {{",
+        "  rankdir=LR;",
+        '  __start [shape=point, label=""];',
+        f"  __start -> n{index[initial]};",
+    ]
     for s, i in index.items():
         shape = "doublecircle" if s in finals else "circle"
-        yield f"  n{i} [shape={shape}, label={_quote(_state_label(s))}];"
+        lines.append(f"  n{i} [shape={shape}, label={_quote(state_label(s))}];")
     for src, label, tgt in edges:
-        yield f"  n{index[src]} -> n{index[tgt]} [label={_quote(label)}];"
-    yield "}"
+        text = "ε" if label is None else str(label)
+        lines.append(f"  n{index[src]} -> n{index[tgt]} [label={_quote(text)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def sync_to_dot(a: SyncAutomaton, name: str = "protocol") -> str:
     """Graphviz rendering of a synchronous automaton; silent edges show ε."""
-    edges = (
-        (src, "ε" if label is None else str(label), tgt)
-        for (src, label, tgt) in a.transitions
-    )
-    return "\n".join(_machine_dot(name, a.states, a.initial, a.finals, edges)) + "\n"
+    return _machine_dot(name, a.states, a.initial, a.finals, a.transitions)
 
 
 def nfa_to_dot(n: LocalNfa, name: Optional[str] = None) -> str:
     """Graphviz rendering of one role's view; silent edges show ε."""
-    edges = (
-        (src, "ε" if label is None else str(label), tgt)
-        for (src, label, tgt) in n.transitions
-    )
     title = name if name is not None else f"view_{n.role}"
-    return "\n".join(_machine_dot(title, n.states, n.initial, n.finals, edges)) + "\n"
+    return _machine_dot(title, n.states, n.initial, n.finals, n.transitions)

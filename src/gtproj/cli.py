@@ -10,7 +10,8 @@ Commands::
 
 ``SOURCE`` is a file path or ``-`` for stdin.  Exit codes: 0 success (for
 ``check``: implementable), 1 not implementable, 2 usage, parse, or
-well-formedness error.
+well-formedness error, 3 internal error (a bug or a recursion limit, never
+a verdict).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Optional
 
 import click
 
-from . import corpus
+from . import __version__, corpus
 from .automata import format_trace
 from .csm import Csm, explore
 from .oracle import generate_gk
@@ -40,6 +41,7 @@ from .syntax import (
     validate_well_formedness,
 )
 from .validity import (
+    InternalError,
     ReceiveViolationDetails,
     SendViolationDetails,
     ValidityViolation,
@@ -363,7 +365,8 @@ def run_command(cfg: RunConfig) -> int:
 
     Exit codes: 0 success (``check``: implementable), 1 ``check`` on a
     protocol that is not implementable, 2 unreadable/malformed/ill-formed
-    input or bad usage.
+    input or bad usage, 3 internal error (:class:`InternalError` or
+    ``RecursionError``), reported in one line without a traceback.
     """
     handler = _COMMANDS.get(cfg.command)
     if handler is None:
@@ -382,6 +385,9 @@ def run_command(cfg: RunConfig) -> int:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    except (InternalError, RecursionError) as exc:
+        click.echo(f"error: internal error: {exc}", err=True)
+        return 3
 
 
 # --------------------------------------------------------------------------- #
@@ -390,7 +396,7 @@ def run_command(cfg: RunConfig) -> int:
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(package_name="gtproj")
+@click.version_option(version=__version__)
 def main() -> None:
     """Decide implementability of multiparty protocols and emit per-role
     machines."""

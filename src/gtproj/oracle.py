@@ -18,19 +18,28 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .automata import (
     AsyncEvent,
     Edge,
     SyncAutomaton,
+    _shortest_path,
     build_gaut,
     project_word,
     receive,
     send,
     split_event,
 )
-from .csm import Csm, NotEnabled, csm_step, enabled_events, explore, initial_configuration
+from .csm import (
+    Csm,
+    CsmConfiguration,
+    NotEnabled,
+    csm_step,
+    enabled_events,
+    explore,
+    initial_configuration,
+)
 from .syntax import (
     END,
     Branch,
@@ -185,50 +194,29 @@ def intersection_witness(
     index = {r: i for i, r in enumerate(roles)}
     targets = tuple(project_word(w, r) for r in roles)
     goal = tuple(len(t) for t in targets)
-    start = (a.initial, (0,) * len(roles))
-    if goal == start[1]:
-        return RunPrefix(a.initial, ())
-    parents: dict[tuple, tuple[tuple, Edge]] = {}
-    seen = {start}
-    queue = deque((start,))
 
-    def rebuild(node: tuple) -> RunPrefix:
-        edges: list[Edge] = []
-        while node in parents:
-            node, edge = parents[node]
-            edges.append(edge)
-        edges.reverse()
-        return RunPrefix(a.initial, tuple(edges))
-
-    while queue:
-        node = queue.popleft()
+    def successors(node: tuple) -> Iterator[tuple[Edge, tuple]]:
         state, counts = node
         for edge in a.out(state):
-            _, label, tgt = edge
+            label = edge[1]
             if label is None:
-                successor = (tgt, counts)
-            else:
-                nxt = list(counts)
-                ok = True
-                for event in split_event(label):
-                    i = index[event.active]
-                    want = targets[i]
-                    if nxt[i] < len(want):
-                        if want[nxt[i]] != event:
-                            ok = False
-                            break
-                        nxt[i] += 1
-                if not ok:
-                    continue
-                successor = (tgt, tuple(nxt))
-            if successor in seen:
+                yield edge, (edge[2], counts)
                 continue
-            seen.add(successor)
-            parents[successor] = (node, edge)
-            if successor[1] == goal:
-                return rebuild(successor)
-            queue.append(successor)
-    return None
+            nxt = list(counts)
+            for event in split_event(label):
+                i = index[event.active]
+                want = targets[i]
+                if nxt[i] < len(want):
+                    if want[nxt[i]] != event:
+                        break
+                    nxt[i] += 1
+            else:
+                yield edge, (edge[2], tuple(nxt))
+
+    edges = _shortest_path(
+        (a.initial, (0,) * len(roles)), successors, lambda node: node[1] == goal
+    )
+    return None if edges is None else RunPrefix(a.initial, edges)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ from .automata import (
     AsyncEvent,
     LocalNfa,
     SyncAutomaton,
+    _machine_dot,
     build_gaut,
     erase,
 )
@@ -251,20 +252,6 @@ def bounded_local_language_check(g: GlobalType, p: Role, depth: int = 10) -> boo
 
 def machine_to_dot(m: SubsetMachine, name: Optional[str] = None) -> str:
     """Graphviz rendering; states are labeled with their member subterm ids."""
-    from .automata import _quote  # shared quoting rules
-
     title = name if name is not None else f"machine_{m.role}"
-    lines = [f"digraph {_quote(title)} {{", "  rankdir=LR;"]
-    lines.append('  __start [shape=point, label=""];')
-    lines.append(f"  __start -> n{m.state_number(m.initial)};")
-    for i, s in enumerate(m.states):
-        shape = "doublecircle" if s in m.finals else "circle"
-        lines.append(f"  n{i} [shape={shape}, label={_quote(str(s))}];")
-    for s in m.states:
-        for event, tgt in m.out(s):
-            lines.append(
-                f"  n{m.state_number(s)} -> n{m.state_number(tgt)} "
-                f"[label={_quote(str(event))}];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ((s, event, tgt) for s in m.states for event, tgt in m.out(s))
+    return _machine_dot(title, m.states, m.initial, m.finals, edges, state_label=str)

@@ -302,21 +302,12 @@ def binders(g: GlobalType) -> dict[str, Rec]:
     parser never produces this; hand-built ASTs must avoid it too, since a
     shadowed name would make the variable-to-binder edges ambiguous).
     """
-    seen_nodes: set[int] = set()
     out: dict[str, Rec] = {}
-
-    def walk(node: GlobalType) -> None:
-        if node.intern_id in seen_nodes:
-            return
-        seen_nodes.add(node.intern_id)
+    for node in subterms(g):
         if isinstance(node, Rec):
-            if node.var in out and out[node.var].intern_id != node.intern_id:
+            if node.var in out:
                 raise ValueError(f"duplicate binder for recursion variable {node.var!r}")
             out[node.var] = node
-        for c in children(node):
-            walk(c)
-
-    walk(g)
     return out
 
 

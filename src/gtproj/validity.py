@@ -24,7 +24,6 @@ returned.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Optional
@@ -36,6 +35,8 @@ from .automata import (
     LocalNfa,
     SyncAutomaton,
     SyncEvent,
+    _shortest_path,
+    erase_label,
     receive,
     send,
     split_word,
@@ -121,21 +122,29 @@ def transition_origins_destinations(
     s, x, s2 = t
     if m.step(s, x) != s2:
         raise ValueError(f"{s} --{x}--> {s2} is not a transition of the machine")
-    origins: list[GlobalType] = []
+    origins: set[GlobalType] = set()
     landing: set[GlobalType] = set()
-    for member in s:
-        hit = False
-        for node in nfa.eps_closure_of(member):
-            for _, label, tgt in nfa.out(node):
-                if label == x:
-                    hit = True
-                    landing.add(tgt)
-        if hit:
-            origins.append(member)
+    for member, _, tgt in _member_steps(nfa, s, x):
+        origins.add(member)
+        landing.add(tgt)
     destinations: set[GlobalType] = set()
     for node in landing:
         destinations.update(nfa.eps_closure_of(node))
     return frozenset(origins), frozenset(destinations)
+
+
+def _member_steps(
+    nfa: LocalNfa, s: SubsetState, x: AsyncEvent
+) -> Iterator[tuple[GlobalType, GlobalType, GlobalType]]:
+    """Every way a member of ``s`` performs ``x``: ``(member, node,
+    target)`` for each ``x``-labeled edge ``node -> target`` out of the
+    member's silent closure.  Members come in state order, closure nodes by
+    ascending intern id."""
+    for member in s:
+        for node in sorted(nfa.eps_closure_of(member), key=lambda n: n.intern_id):
+            for _, label, tgt in nfa.out(node):
+                if label == x:
+                    yield member, node, tgt
 
 
 # --------------------------------------------------------------------------- #
@@ -483,72 +492,45 @@ def _product_search(
 ) -> tuple[Edge, ...]:
     """Shortest protocol path from the root to a node in ``goal_nodes``
     along which the role's machine lands exactly in ``goal_state``."""
-    from .automata import erase_label
 
-    start = (a.initial, m.initial)
-    if a.initial in goal_nodes and m.initial == goal_state:
-        return ()
-    parents: dict[tuple, tuple[tuple, Edge]] = {}
-    seen = {start}
-    queue = deque((start,))
-    while queue:
-        node = queue.popleft()
+    def successors(node: tuple) -> Iterator[tuple[Edge, tuple]]:
         g_state, m_state = node
         for edge in a.out(g_state):
-            _, label, tgt = edge
-            if label is None:
-                nxt_m = m_state
-            else:
-                local = erase_label(label, m.role)
-                if local is None:
-                    nxt_m = m_state
-                else:
-                    stepped = m.step(m_state, local)
-                    if stepped is None:
-                        continue
-                    nxt_m = stepped
-            successor = (tgt, nxt_m)
-            if successor in seen:
+            label = edge[1]
+            local = None if label is None else erase_label(label, m.role)
+            if local is None:
+                yield edge, (edge[2], m_state)
                 continue
-            seen.add(successor)
-            parents[successor] = (node, edge)
-            if tgt in goal_nodes and nxt_m == goal_state:
-                edges: list[Edge] = []
-                at = successor
-                while at in parents:
-                    at, e = parents[at]
-                    edges.append(e)
-                edges.reverse()
-                return tuple(edges)
-            queue.append(successor)
-    raise InternalError("no protocol path realizes the violating state")
+            stepped = m.step(m_state, local)
+            if stepped is not None:
+                yield edge, (edge[2], stepped)
+
+    path = _shortest_path(
+        (a.initial, m.initial),
+        successors,
+        lambda node: node[0] in goal_nodes and node[1] == goal_state,
+    )
+    if path is None:
+        raise InternalError("no protocol path realizes the violating state")
+    return path
 
 
-def _silent_path(nfa: LocalNfa, source: GlobalType, target: GlobalType) -> tuple[Edge, ...]:
-    """Shortest path of role-silent transitions from ``source`` to
-    ``target`` (empty when equal), with the original exchange labels."""
-    if source == target:
-        return ()
-    parents: dict[GlobalType, tuple[GlobalType, Edge]] = {}
-    seen = {source}
-    queue = deque((source,))
-    while queue:
-        node = queue.popleft()
-        for src, local, tgt in nfa.out(node):
-            if local is not None or tgt in seen:
-                continue
-            seen.add(tgt)
-            parents[tgt] = (node, (src, local, tgt))
-            if tgt == target:
-                edges: list[Edge] = []
-                at = tgt
-                while at in parents:
-                    at, e = parents[at]
-                    edges.append(e)
-                edges.reverse()
-                return tuple(edges)
-            queue.append(tgt)
-    raise InternalError("witness subterm is not silently reachable")
+def _silent_path(
+    a: SyncAutomaton, role: Role, source: GlobalType, target: GlobalType
+) -> tuple[Edge, ...]:
+    """Shortest path of ``role``-silent protocol transitions from ``source``
+    to ``target`` (empty when equal), with their exchange labels."""
+
+    def successors(node: GlobalType) -> Iterator[tuple[Edge, GlobalType]]:
+        for edge in a.out(node):
+            label = edge[1]
+            if label is None or erase_label(label, role) is None:
+                yield edge, edge[2]
+
+    path = _shortest_path(source, successors, lambda node: node == target)
+    if path is None:
+        raise InternalError("witness subterm is not silently reachable")
+    return path
 
 
 def build_counterexample(
@@ -588,31 +570,16 @@ def build_counterexample(
         _, first, _ = d.transition_one
         _, second, _ = d.transition_two
         wanted = SyncEvent(second.peer, v.role, second.message)
-        origin = landing = None
-        for member in state:
-            closure = sorted(nfa.eps_closure_of(member), key=lambda n: n.intern_id)
-            for node in closure:
-                for _, label, tgt in nfa.out(node):
-                    if label == second and d.witness_subterm in nfa.eps_closure_of(tgt):
-                        origin, landing = node, tgt
-                        break
-                if origin is not None:
-                    break
-            if origin is not None:
+        for _, origin, landing in _member_steps(nfa, state, second):
+            if d.witness_subterm in nfa.eps_closure_of(landing):
                 break
-        if origin is None:
+        else:
             raise InternalError("second receive has no matching protocol exchange")
         alpha = _product_search(a, machine, frozenset((origin,)), state)
         events: list[AsyncEvent] = list(split_word(e[1] for e in alpha if e[1] is not None))
         events.append(send(wanted.sender, wanted.receiver, wanted.message))
-        for _, label, _ in _silent_path(nfa, landing, d.witness_subterm):
-            if label is not None:
-                events.extend(
-                    (
-                        send(label.sender, label.receiver, label.message),
-                        receive(label.receiver, label.sender, label.message),
-                    )
-                )
+        silent = _silent_path(a, v.role, landing, d.witness_subterm)
+        events.extend(split_word(e[1] for e in silent if e[1] is not None))
         # Replay the witness suffix, dropping steps of roles frozen behind
         # the role under test: a frozen sender's exchange freezes its
         # receiver too; a frozen receiver still lets the send go out.

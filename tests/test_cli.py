@@ -6,7 +6,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from gtproj.cli import main
+from gtproj import cli
+from gtproj.cli import RunConfig, main, run_command
 from gtproj.corpus import names, text
 
 runner = CliRunner()
@@ -116,6 +117,27 @@ def test_missing_file_exits_2(tmp_path):
     result = runner.invoke(main, ["check", str(tmp_path / "absent.gt")])
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys):
+    chain = " . ".join(f"p->q:m{i}" for i in range(500)) + " . 0\n"
+    path = tmp_path / "chain.gt"
+    path.write_text(chain)
+    assert run_command(RunConfig(command="check", source=str(path))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise cli.InternalError("invariant broken")
+
+    monkeypatch.setattr(cli, "check_implementability", broken)
+    code = run_command(RunConfig(command="check", source=corpus_path("g_s", tmp_path)))
+    assert code == 3
+    assert capsys.readouterr().err == "error: internal error: invariant broken\n"
 
 
 def test_check_out_writes_a_file(tmp_path):

@@ -21,6 +21,7 @@ from gtproj import (
     check_no_mixed_choice,
     check_receive_validity,
     check_send_validity,
+    format_trace,
     intersection_witness,
     parse_global_type,
     parse_trace,
@@ -30,6 +31,7 @@ from gtproj import (
     subset_construction,
     subterms,
     transition_origins_destinations,
+    validate_well_formedness,
 )
 from gtproj.corpus import entries, load
 
@@ -303,6 +305,30 @@ def _counterexample_is_verified(g):
 def test_counterexamples_replay_but_are_not_protocol_behaviour():
     for name in ("g_s", "g_r"):
         _counterexample_is_verified(load(name))
+
+
+def test_receive_counterexample_keeps_the_exchanges_of_its_silent_path():
+    # q's receive from s lands in a subterm from which r's still-available
+    # message is reached only through s->q:b and the loop; that exchange must
+    # appear in the counterexample, or the trace does not execute.
+    g = parse_global_type(
+        "mu t1 . + { q->r:a . + { s->r:c . 0, s->p:d . 0, s->q:b . t1 }, q->r:d . 0 }"
+    )
+    verdict = check_implementability(g)
+    assert verdict.violation.kind is ViolationKind.RECEIVE_VALIDITY
+    assert "s>q!b.q<s?b" in format_trace(verdict.counterexample)
+    _counterexample_is_verified(g)
+
+
+def test_random_protocols_never_crash_the_checker():
+    rng = Random(7)
+    for draw in range(1000):
+        g = random_global_type(rng, max_size=25)
+        assert validate_well_formedness(g).ok, draw
+        try:
+            check_implementability(g)
+        except InternalError as exc:
+            pytest.fail(f"draw {draw}: {exc}")
 
 
 def test_all_violations_extends_the_first():
