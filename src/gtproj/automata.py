@@ -15,6 +15,9 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from .syntax import (
@@ -251,9 +254,13 @@ class SyncAutomaton:
     together with the terminated protocol, which is the single final state;
     ``transitions`` are stored sorted by (source id, label, target id).
     Every non-final state has at least one outgoing transition.
+
+    The dense index numbers the states by ascending intern id: ``nodes[i]``
+    is the state of bit ``i`` in a state mask, and ``bit`` maps back, so
+    reading a mask's bits in ascending order lists its states by intern id.
     """
 
-    __slots__ = ("states", "transitions", "initial", "finals", "_out")
+    __slots__ = ("states", "transitions", "initial", "finals", "nodes", "bit", "_out")
 
     def __init__(
         self,
@@ -271,6 +278,8 @@ class SyncAutomaton:
         )
         self.initial = initial
         self.finals = finals
+        self.nodes = tuple(sorted(self.states, key=lambda s: s.intern_id))
+        self.bit = {s: i for i, s in enumerate(self.nodes)}
         out: dict[GlobalType, list[Edge]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t[0]].append(t)
@@ -319,56 +328,72 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
 # --------------------------------------------------------------------------- #
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask_bits(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest bit first, each 0 or 1: the
+    selector with which :func:`itertools.compress` picks, from a sequence
+    indexed by bit, the entries of the bits set in ``mask``."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+
+
 class LocalNfa:
     """One role's (nondeterministic) view of a synchronous automaton.
 
-    States, initial state, and final states are exactly those of the source
-    automaton; each transition is the erasure image of exactly one source
-    transition, in the same order.  Single-state silent closures are cached.
+    States, initial state, final states and the dense index are exactly
+    those of the source automaton; each transition is the erasure image of
+    exactly one source transition, in the same order.  ``closures[i]`` is
+    the mask of the states reachable from ``nodes[i]`` by silent steps.
     """
 
-    __slots__ = ("role", "states", "transitions", "initial", "finals", "_out", "_eps")
+    __slots__ = (
+        "role", "states", "transitions", "initial", "finals", "nodes", "bit",
+        "closures", "_out",
+    )
 
     def __init__(
-        self,
-        role: Role,
-        states: tuple[GlobalType, ...],
-        transitions: tuple[LocalEdge, ...],
-        initial: GlobalType,
-        finals: frozenset[GlobalType],
+        self, role: Role, a: SyncAutomaton, transitions: tuple[LocalEdge, ...]
     ) -> None:
         self.role = role
-        self.states = states
+        self.states = a.states
         self.transitions = transitions
-        self.initial = initial
-        self.finals = finals
-        out: dict[GlobalType, list[LocalEdge]] = {s: [] for s in states}
+        self.initial = a.initial
+        self.finals = a.finals
+        self.nodes = a.nodes
+        self.bit = bit = a.bit
+        out: dict[GlobalType, list[LocalEdge]] = {s: [] for s in self.states}
+        silent = [0] * len(self.nodes)
         for t in transitions:
             out[t[0]].append(t)
+            if t[1] is None:
+                silent[bit[t[0]]] |= 1 << bit[t[2]]
         self._out = {s: tuple(es) for s, es in out.items()}
-        self._eps: dict[GlobalType, frozenset[GlobalType]] = {}
+        closures = []
+        for i in range(len(self.nodes)):
+            seen = frontier = 1 << i
+            while frontier:
+                frontier = reduce(or_, compress(silent, _mask_bits(frontier))) & ~seen
+                seen |= frontier
+            closures.append(seen)
+        self.closures: tuple[int, ...] = tuple(closures)
 
     def out(self, state: GlobalType) -> tuple[LocalEdge, ...]:
         """Outgoing transitions of ``state``."""
         return self._out[state]
 
-    def eps_closure_of(self, state: GlobalType) -> frozenset[GlobalType]:
+    def members(self, mask: int) -> tuple[GlobalType, ...]:
+        """The states of ``mask``, by ascending intern id."""
+        return tuple(compress(self.nodes, _mask_bits(mask)))
+
+    def closure_nodes(self, state: GlobalType) -> tuple[GlobalType, ...]:
         """States reachable from ``state`` through silent transitions only
-        (including ``state`` itself); cached."""
-        cached = self._eps.get(state)
-        if cached is not None:
-            return cached
-        seen = {state}
-        stack = [state]
-        while stack:
-            node = stack.pop()
-            for _, label, tgt in self._out[node]:
-                if label is None and tgt not in seen:
-                    seen.add(tgt)
-                    stack.append(tgt)
-        closure = frozenset(seen)
-        self._eps[state] = closure
-        return closure
+        (including ``state`` itself), by ascending intern id."""
+        return self.members(self.closures[self.bit[state]])
+
+    def eps_closure_of(self, state: GlobalType) -> frozenset[GlobalType]:
+        """The set of :meth:`closure_nodes`."""
+        return frozenset(self.closure_nodes(state))
 
 
 def erase(a: SyncAutomaton, p: Role) -> LocalNfa:
@@ -381,7 +406,7 @@ def erase(a: SyncAutomaton, p: Role) -> LocalNfa:
         (src, erase_label(label, p) if label is not None else None, tgt)
         for (src, label, tgt) in a.transitions
     )
-    return LocalNfa(p, a.states, transitions, a.initial, a.finals)
+    return LocalNfa(p, a, transitions)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,9 @@ of the protocol each member belongs to.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import (
@@ -19,6 +21,7 @@ from .automata import (
     LocalNfa,
     SyncAutomaton,
     _machine_dot,
+    _mask_bits,
     build_gaut,
     erase,
 )
@@ -27,7 +30,6 @@ from .syntax import GlobalType, Role, roles_of
 __all__ = [
     "SubsetState",
     "SubsetMachine",
-    "epsilon_closure",
     "determinize",
     "subset_construction",
     "build_projections",
@@ -36,27 +38,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+_intern_id = attrgetter("intern_id")
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class SubsetState:
     """A deterministic state: a non-empty, silent-closed set of subterms.
 
     Members are kept sorted by intern id so equal sets are one value.
+    Equality and hashing read ``ids`` and a hash of it, both computed once.
     """
 
     members: tuple[GlobalType, ...]
+    ids: tuple[int, ...] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("subset state must be non-empty")
+        ids = tuple(map(_intern_id, self.members))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_hash", hash(ids))
 
     @staticmethod
     def of(members: Iterable[GlobalType]) -> "SubsetState":
         unique = {m.intern_id: m for m in members}
         return SubsetState(tuple(unique[i] for i in sorted(unique)))
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(m.intern_id for m in self.members)
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SubsetState):
+            return NotImplemented
+        return self._hash == other._hash and self.ids == other.ids
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __iter__(self) -> Iterator[GlobalType]:
         return iter(self.members)
@@ -126,17 +143,6 @@ class SubsetMachine:
         return len(self.states)
 
 
-def epsilon_closure(
-    nfa: LocalNfa, seed: Iterable[GlobalType]
-) -> frozenset[GlobalType]:
-    """All states reachable from ``seed`` through silent transitions only,
-    including the seed itself."""
-    closure: set[GlobalType] = set()
-    for state in seed:
-        closure.update(nfa.eps_closure_of(state))
-    return frozenset(closure)
-
-
 def determinize(nfa: LocalNfa) -> SubsetMachine:
     """Subset construction over a role's local view.
 
@@ -144,27 +150,41 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     steps; the initial state is the silent closure of the view's initial
     state.  Empty sets are never created (a label is only followed where
     some member enables it), and every reachable state is kept.
+
+    The search runs on state masks over the view's dense index: a member's
+    steps are (label rank, target closure mask) pairs, a successor is the
+    union of the target closures under one label, and one
+    :class:`SubsetState` is made per discovered mask at the end.
     """
-    initial = SubsetState.of(epsilon_closure(nfa, (nfa.initial,)))
-    order: dict[SubsetState, int] = {initial: 0}
-    transitions: dict[tuple[SubsetState, AsyncEvent], SubsetState] = {}
-    queue: deque[SubsetState] = deque((initial,))
-    while queue:
-        state = queue.popleft()
-        moves: dict[AsyncEvent, set[GlobalType]] = {}
-        for member in state:
-            for _, label, tgt in nfa.out(member):
-                if label is not None:
-                    moves.setdefault(label, set()).add(tgt)
-        for label in sorted(moves, key=_label_key):
-            successor = SubsetState.of(epsilon_closure(nfa, moves[label]))
-            transitions[(state, label)] = successor
-            if successor not in order:
-                order[successor] = len(order)
-                queue.append(successor)
-    states = tuple(order)
-    finals = frozenset(s for s in states if any(m in nfa.finals for m in s))
-    return SubsetMachine(nfa.role, states, transitions, initial, finals)
+    bit, closures = nfa.bit, nfa.closures
+    events = sorted(
+        {label for _, label, _ in nfa.transitions if label is not None}, key=_label_key
+    )
+    rank = {e: r for r, e in enumerate(events)}
+    steps: list[list[tuple[int, int]]] = [[] for _ in nfa.nodes]
+    for src, label, tgt in nfa.transitions:
+        if label is not None:
+            steps[bit[src]].append((rank[label], closures[bit[tgt]]))
+    masks = [closures[bit[nfa.initial]]]
+    order = {masks[0]: 0}
+    arcs: list[tuple[int, int, int]] = []
+    for number, mask in enumerate(masks):  # grows while it is read: a BFS queue
+        moves: dict[int, int] = {}
+        for member_steps in compress(steps, _mask_bits(mask)):
+            for r, target in member_steps:
+                moves[r] = moves.get(r, 0) | target
+        for r in sorted(moves):
+            union = moves[r]
+            successor = order.get(union)
+            if successor is None:
+                successor = order[union] = len(masks)
+                masks.append(union)
+            arcs.append((number, r, successor))
+    final_mask = sum(1 << bit[f] for f in nfa.finals)
+    states = tuple(SubsetState(nfa.members(mask)) for mask in masks)
+    transitions = {(states[s], events[r]): states[t] for s, r, t in arcs}
+    finals = frozenset(s for s, mask in zip(states, masks) if mask & final_mask)
+    return SubsetMachine(nfa.role, states, transitions, states[0], finals)
 
 
 def subset_construction(g: GlobalType, p: Role) -> SubsetMachine:

@@ -141,7 +141,7 @@ def _member_steps(
     member's silent closure.  Members come in state order, closure nodes by
     ascending intern id."""
     for member in s:
-        for node in sorted(nfa.eps_closure_of(member), key=lambda n: n.intern_id):
+        for node in nfa.closure_nodes(member):
             for _, label, tgt in nfa.out(node):
                 if label == x:
                     yield member, node, tgt

@@ -100,18 +100,18 @@ def test_bounded_fidelity_confirms_implementable_corpus():
 
 
 # Criterion 5 — the generated family is well-formed and implementable for
-# k = 1..8, the receiver machine reaches 2**k states, and the k = 8 pipeline
-# finishes in under 60 s.
+# k = 1..8, the receiver machine has exactly 2**(k+1) + 2 states, and the
+# k = 8 pipeline finishes in under 60 s.
 def test_state_blowup_family_scales():
     for k in range(1, 8):
         g = generate_gk(k)
         assert validate_well_formedness(g).ok
-        assert len(subset_construction(g, Q)) >= 2**k
+        assert len(subset_construction(g, Q)) == 2 ** (k + 1) + 2
         assert check_implementability(g).implementable
     start = time.perf_counter()
     g = generate_gk(8)
     assert validate_well_formedness(g).ok
-    assert len(subset_construction(g, Q)) >= 2**8
+    assert len(subset_construction(g, Q)) == 2**9 + 2
     assert check_implementability(g).implementable
     assert time.perf_counter() - start < 60.0
 

@@ -268,9 +268,16 @@ def test_family_members_are_well_formed_and_implementable():
         assert check_implementability(g).implementable
 
 
+#: Summed member counts of q's machine states for k = 1..10.
+GK_MEMBERS = (19, 47, 111, 255, 575, 1279, 2815, 6143, 13311, 28671)
+
+
 def test_family_blows_up_the_receiver_machine():
-    for k in range(1, 6):
-        assert len(subset_construction(generate_gk(k), Q)) >= 2**k
+    for k, members in enumerate(GK_MEMBERS, start=1):
+        m = subset_construction(generate_gk(k), Q)
+        assert len(m.states) == 2 ** (k + 1) + 2, k
+        assert len(m.transitions) == 5 * 2**k, k
+        assert sum(map(len, m.states)) == members, k
 
 
 def test_family_choices_are_directed_at_one_receiver():

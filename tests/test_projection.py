@@ -1,6 +1,7 @@
 """Subset construction: per-role deterministic machines."""
 from __future__ import annotations
 
+from collections import deque
 from random import Random
 
 import pytest
@@ -14,8 +15,8 @@ from gtproj import (
     bounded_local_language_check,
     build_gaut,
     build_projections,
-    epsilon_closure,
     erase,
+    generate_gk,
     machine_to_dot,
     parse_global_type,
     receive,
@@ -69,7 +70,7 @@ def test_epsilon_closure_collects_silently_reachable_states():
     nfa = erase(build_gaut(g), R)  # p->q edges are silent for r
     top_o = parse_global_type("r->q:o . 0")
     top_m = parse_global_type("r->q:m . 0")
-    assert epsilon_closure(nfa, (g,)) == frozenset((g, top_o, top_m))
+    assert nfa.eps_closure_of(g) == frozenset((g, top_o, top_m))
 
 
 def test_machine_of_sender_after_silent_prefix():
@@ -121,6 +122,19 @@ def test_machine_of_terminated_protocol():
 def test_step_returns_none_for_missing_transition():
     m = subset_construction(load("g_s"), R)
     assert m.step(m.initial, receive(R, Q, O)) is None
+
+
+def test_subset_state_built_by_hand_is_the_discovered_state():
+    m = subset_construction(load("g_s"), Q)
+    for state in m.states:
+        twin = SubsetState.of(reversed(state.members))
+        assert twin is not state
+        assert twin == state and hash(twin) == hash(state)
+        assert m.state_number(twin) == m.state_number(state)
+        for event, target in m.out(state):
+            assert m.step(twin, event) is target
+            assert m.transitions[(twin, event)] is target
+    assert SubsetState.of(m.initial.members[:1] + (END,)) != m.initial
 
 
 def test_state_numbers_follow_discovery_order():
@@ -207,3 +221,79 @@ def test_machine_to_dot_shape():
     assert 'digraph "machine_r"' in text
     assert "doublecircle" in text
     assert "r>q!o" in text
+
+
+# --------------------------------------------------------------------------- #
+# The mask construction against the set-based one
+# --------------------------------------------------------------------------- #
+
+
+def _reference_closure(nfa, seed):
+    """Silently reachable states of ``seed``, walked over ``nfa.out``."""
+    seen = set(seed)
+    stack = list(seed)
+    while stack:
+        for _, label, tgt in nfa.out(stack.pop()):
+            if label is None and tgt not in seen:
+                seen.add(tgt)
+                stack.append(tgt)
+    return seen
+
+
+def _label_key(e):
+    return (e.peer.name, e.message.label, e.direction.value)
+
+
+def _reference_determinize(nfa):
+    """The textbook subset construction over sets of subterms, as a
+    reference for :func:`determinize`: (states, transitions, initial,
+    finals) with transitions keyed by (state, event), each state's in
+    label order."""
+    initial = SubsetState.of(_reference_closure(nfa, (nfa.initial,)))
+    order = {initial: 0}
+    transitions = {}
+    queue = deque((initial,))
+    while queue:
+        state = queue.popleft()
+        moves = {}
+        for member in state:
+            for _, label, tgt in nfa.out(member):
+                if label is not None:
+                    moves.setdefault(label, set()).add(tgt)
+        for label in sorted(moves, key=_label_key):
+            successor = SubsetState.of(_reference_closure(nfa, moves[label]))
+            transitions[(state, label)] = successor
+            if successor not in order:
+                order[successor] = len(order)
+                queue.append(successor)
+    states = tuple(order)
+    finals = frozenset(s for s in states if any(m in nfa.finals for m in s))
+    return states, transitions, initial, finals
+
+
+def _reference_inputs():
+    for entry in entries():
+        yield entry.name, entry.load()
+    for k in range(1, 7):
+        yield f"gk({k})", generate_gk(k)
+    rng = Random(7)
+    for draw in range(500):
+        yield f"draw {draw}", random_global_type(rng, max_size=25)
+
+
+def test_determinize_matches_the_set_based_reference():
+    for name, g in _reference_inputs():
+        _, table = build_projections(g)
+        for role, (nfa, m) in table.items():
+            states, transitions, initial, finals = _reference_determinize(nfa)
+            where = (name, role.name)
+            assert [s.ids for s in m.states] == [s.ids for s in states], where
+            assert m.states == states, where
+            assert m.transitions == transitions, where
+            out = {s: [] for s in states}
+            for (src, e), t in transitions.items():
+                out[src].append((e, t.ids))
+            for s in states:
+                assert [(e, t.ids) for e, t in m.out(s)] == out[s], where
+            assert m.initial.ids == initial.ids, where
+            assert m.finals == finals, where
