@@ -121,14 +121,12 @@ class SubsetMachine:
         }
         for (src, event), tgt in self.transitions.items():
             out[src].append((event, tgt))
-        self._out = {
-            s: tuple(sorted(moves, key=lambda m: _label_key(m[0])))
-            for s, moves in out.items()
-        }
+        self._out = {s: tuple(moves) for s, moves in out.items()}
         self._index = {s: i for i, s in enumerate(states)}
 
     def out(self, state: SubsetState) -> tuple[tuple[AsyncEvent, SubsetState], ...]:
-        """Outgoing (event, successor) pairs in sorted label order."""
+        """Outgoing (event, successor) pairs in the order of ``transitions``;
+        :func:`determinize` inserts each state's moves in label order."""
         return self._out[state]
 
     def step(self, state: SubsetState, event: AsyncEvent) -> Optional[SubsetState]:

@@ -331,62 +331,52 @@ class ParseError(SyntaxError):
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>//[^\n]*)
+      (?P<skip>\s+|//[^\n]*)
     | (?P<arrow>->)
+    | (?P<mu>mu(?![A-Za-z0-9_]))
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<zero>0)
     | (?P<punct>[{}.,:+])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 #: token kinds: "ident", "zero", "arrow", "mu", "{", "}", ".", ",", ":", "+", "eof"
-_Token = tuple[str, str, int, int]  # (kind, text, line, column)
+_Token = tuple[str, str]  # (kind, text)
+
+
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """A :class:`ParseError` at character ``offset`` of ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """One scan of ``text``; tokens carry no position (see
+    :meth:`_Parser.error`), and the last one is ``("eof", "")``."""
     tokens: list[_Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "skip":
+            continue
         tok = m.group()
-        col = pos - line_start + 1
-        if kind == "ws":
-            nl = tok.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + tok.rindex("\n") + 1
-        elif kind == "comment":
-            pass
-        elif kind == "ident":
-            tokens.append(("mu" if tok == "mu" else "ident", tok, line, col))
-        elif kind == "zero":
-            tokens.append(("zero", tok, line, col))
-        elif kind == "arrow":
-            tokens.append(("arrow", tok, line, col))
-        else:
-            tokens.append((tok, tok, line, col))
-        pos = m.end()
-    if tokens:  # report end-of-input at the end of the last token
-        _, value, last_line, last_col = tokens[-1]
-        tokens.append(("eof", "", last_line, last_col + len(value)))
-    else:
-        tokens.append(("eof", "", 1, 1))
+        if kind == "punct":
+            kind = tok
+        elif kind == "bad":
+            raise _error_at(text, m.start(), f"unexpected character {tok!r}")
+        append((kind, tok))
+    append(("eof", ""))
     return tokens
 
 
 class _Parser:
-    __slots__ = ("tokens", "pos", "bound_names")
+    __slots__ = ("text", "tokens", "pos", "bound_names")
 
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.bound_names: set[str] = set()
 
@@ -400,23 +390,33 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
+        index = self.pos
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(
+            raise self.error(
                 f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}",
-                tok[2],
-                tok[3],
+                index,
             )
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok[2], tok[3])
+    def error(self, message: str, index: int) -> ParseError:
+        """A :class:`ParseError` at token ``index``, found by scanning the
+        text again; the end-of-input token sits at the end of the last
+        token, or at the start of a text without tokens."""
+        offset = 0
+        scan = (m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup != "skip")
+        for i, m in enumerate(scan):
+            if i == index:
+                offset = m.start()
+                break
+            offset = m.end()
+        return _error_at(self.text, offset, message)
 
     # -- grammar ----------------------------------------------------------- #
 
     def parse_type(self, scope: frozenset[str]) -> GlobalType:
-        kind, text, line, col = self.peek()
+        start = self.pos
+        kind, text = self.peek()
         if kind == "zero":
             self.next()
             return END
@@ -424,16 +424,15 @@ class _Parser:
             self.next()
             var = self.expect("ident", "a recursion variable after 'mu'")[1]
             if var in scope:
-                raise ParseError(
-                    f"recursion variable {var!r} shadows an enclosing binder", line, col
+                raise self.error(
+                    f"recursion variable {var!r} shadows an enclosing binder", start
                 )
             if var in self.bound_names:
                 # Interned variable nodes are shared, so a name may belong to
                 # only one binder in the whole protocol.
-                raise ParseError(
+                raise self.error(
                     f"recursion variable {var!r} reuses the name of another binder",
-                    line,
-                    col,
+                    start,
                 )
             self.bound_names.add(var)
             self.expect(".", "'.' after the recursion variable")
@@ -446,14 +445,13 @@ class _Parser:
             branches = [branch]
             while self.peek()[0] == ",":
                 self.next()
-                tok = self.peek()
+                index = self.pos
                 s2, b2 = self.parse_exchange(scope)
                 if s2 != sender:
-                    raise ParseError(
+                    raise self.error(
                         f"choice branches must share one sender "
                         f"(found {s2.name!r} after {sender.name!r})",
-                        tok[2],
-                        tok[3],
+                        index,
                     )
                 branches.append(b2)
             self.expect("}", "',' or '}' in choice")
@@ -464,12 +462,12 @@ class _Parser:
                 return Choice(sender, (branch,))
             self.next()
             return Var(text)
-        raise self.fail("expected a protocol term")
+        raise self.error("expected a protocol term", self.pos)
 
     def parse_exchange(self, scope: frozenset[str]) -> tuple[Role, Branch]:
         tok = self.peek()
         if tok[0] != "ident" or self.peek(1)[0] != "arrow":
-            raise self.fail("expected a message exchange 'p->q:m . ...'")
+            raise self.error("expected a message exchange 'p->q:m . ...'", self.pos)
         sender = Role(self.next()[1])
         self.next()  # arrow
         receiver = Role(self.expect("ident", "a receiver role after '->'")[1])
@@ -489,7 +487,7 @@ def parse_global_type(text: str) -> GlobalType:
     Unbound variables and the other structural rules are *not* parse
     errors; they are reported by :func:`validate_well_formedness`.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     g = parser.parse_type(frozenset())
     parser.expect("eof", "end of input")
     return g

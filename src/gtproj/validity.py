@@ -56,7 +56,6 @@ from .syntax import (
     Var,
     binders,
     pretty_inline,
-    roles_of,
     subterms,
     validate_well_formedness,
     WellFormednessReport,
@@ -64,7 +63,6 @@ from .syntax import (
 
 __all__ = [
     "MachineTransition",
-    "transition_origins_destinations",
     "AvailableMessageQuery",
     "AvailableMessageResult",
     "available_messages",
@@ -100,51 +98,6 @@ class IllFormedProtocolError(ValueError):
         lines = "; ".join(v.message for v in report.violations)
         super().__init__(f"protocol is not well-formed: {lines}")
         self.report = report
-
-
-# --------------------------------------------------------------------------- #
-# Transition origins and destinations
-# --------------------------------------------------------------------------- #
-
-
-def transition_origins_destinations(
-    m: SubsetMachine, nfa: LocalNfa, t: MachineTransition
-) -> tuple[frozenset[GlobalType], frozenset[GlobalType]]:
-    """For machine transition ``s --x--> s'``: which members of ``s`` can
-    perform ``x`` (origins), and which members of ``s'`` are reachable by
-    doing so (destinations).
-
-    A member ``G`` is an origin when some path from ``G`` spells exactly
-    ``x`` — silent steps may occur before as well as after the labeled step.
-    Destinations are the endpoints of all such paths; by construction they
-    form exactly the successor state's member set.
-    """
-    s, x, s2 = t
-    if m.step(s, x) != s2:
-        raise ValueError(f"{s} --{x}--> {s2} is not a transition of the machine")
-    origins: set[GlobalType] = set()
-    landing: set[GlobalType] = set()
-    for member, _, tgt in _member_steps(nfa, s, x):
-        origins.add(member)
-        landing.add(tgt)
-    destinations: set[GlobalType] = set()
-    for node in landing:
-        destinations.update(nfa.eps_closure_of(node))
-    return frozenset(origins), frozenset(destinations)
-
-
-def _member_steps(
-    nfa: LocalNfa, s: SubsetState, x: AsyncEvent
-) -> Iterator[tuple[GlobalType, GlobalType, GlobalType]]:
-    """Every way a member of ``s`` performs ``x``: ``(member, node,
-    target)`` for each ``x``-labeled edge ``node -> target`` out of the
-    member's silent closure.  Members come in state order, closure nodes by
-    ascending intern id."""
-    for member in s:
-        for node in nfa.closure_nodes(member):
-            for _, label, tgt in nfa.out(node):
-                if label == x:
-                    yield member, node, tgt
 
 
 # --------------------------------------------------------------------------- #
@@ -309,18 +262,20 @@ class ValidityViolation:
 def _send_violations(
     m: SubsetMachine, nfa: LocalNfa
 ) -> Iterator[ValidityViolation]:
+    # A member can send x exactly when its silent closure meets sources[x],
+    # the mask of the nodes with an x-labeled edge.
+    bit, closures = nfa.bit, nfa.closures
+    sources: dict[AsyncEvent, int] = {}
+    for src, label, _ in nfa.transitions:
+        if label is not None and label.direction is Direction.SEND:
+            sources[label] = sources.get(label, 0) | 1 << bit[src]
     for state in m.states:
         for event, target in m.out(state):
             if event.direction is not Direction.SEND:
                 continue
-            origins, _ = transition_origins_destinations(m, nfa, (state, event, target))
-            if len(origins) != len(state):
-                missing = tuple(
-                    sorted(
-                        (g for g in state if g not in origins),
-                        key=lambda g: g.intern_id,
-                    )
-                )
+            can = sources[event]
+            missing = tuple(g for g in state if not closures[bit[g]] & can)
+            if missing:
                 yield ValidityViolation(
                     ViolationKind.SEND_VALIDITY,
                     m.role,
@@ -335,9 +290,7 @@ def check_send_validity(m: SubsetMachine, nfa: LocalNfa) -> Optional[ValidityVio
     return next(_send_violations(m, nfa), None)
 
 
-def _receive_violations(
-    m: SubsetMachine, nfa: LocalNfa, g: GlobalType
-) -> Iterator[ValidityViolation]:
+def _receive_violations(m: SubsetMachine, g: GlobalType) -> Iterator[ValidityViolation]:
     available_cache: dict[int, AvailableMessageResult] = {}
 
     def available_at(subterm: GlobalType) -> AvailableMessageResult:
@@ -359,11 +312,9 @@ def _receive_violations(
             for second, target_two in receives:
                 if first.peer == second.peer:
                     continue
-                _, destinations = transition_origins_destinations(
-                    m, nfa, (state, second, target_two)
-                )
                 offending = send(first.peer, m.role, first.message)
-                for witness in sorted(destinations, key=lambda g2: g2.intern_id):
+                # the destinations of the second receive are its target's members
+                for witness in target_two:
                     result = available_at(witness)
                     if offending in result.events:
                         yield ValidityViolation(
@@ -387,9 +338,11 @@ def check_receive_validity(
     """First receive-validity violation in scan order, or ``None``.
 
     Only pairs of receives from *different* senders are constrained: same-
-    sender alternatives arrive on one FIFO channel and cannot race.
+    sender alternatives arrive on one FIFO channel and cannot race.  The
+    destinations of a receive are its target state's members, so ``nfa``
+    is not read.
     """
-    return next(_receive_violations(m, nfa, g), None)
+    return next(_receive_violations(m, g), None)
 
 
 def check_no_mixed_choice(m: SubsetMachine) -> bool:
@@ -449,11 +402,10 @@ def check_implementability(
         raise IllFormedProtocolError(report)
     a, table = _projections if _projections is not None else build_projections(g)
     found: list[ValidityViolation] = []
-    for role in roles_of(g):
-        nfa, machine = table[role]
+    for nfa, machine in table.values():
         if all_violations:
             found.extend(_send_violations(machine, nfa))
-            found.extend(_receive_violations(machine, nfa, g))
+            found.extend(_receive_violations(machine, g))
         else:
             violation = check_send_validity(machine, nfa) or check_receive_validity(
                 machine, nfa, g
@@ -533,6 +485,20 @@ def _silent_path(
     return path
 
 
+def _member_steps(
+    nfa: LocalNfa, s: SubsetState, x: AsyncEvent
+) -> Iterator[tuple[GlobalType, GlobalType, GlobalType]]:
+    """Every way a member of ``s`` performs ``x``: ``(member, node,
+    target)`` for each ``x``-labeled edge ``node -> target`` out of the
+    member's silent closure.  Members come in state order, closure nodes by
+    ascending intern id."""
+    for member in s:
+        for node in nfa.closure_nodes(member):
+            for _, label, tgt in nfa.out(node):
+                if label == x:
+                    yield member, node, tgt
+
+
 def build_counterexample(
     g: GlobalType,
     v: ValidityViolation,
@@ -570,8 +536,9 @@ def build_counterexample(
         _, first, _ = d.transition_one
         _, second, _ = d.transition_two
         wanted = SyncEvent(second.peer, v.role, second.message)
+        witness = 1 << nfa.bit[d.witness_subterm]
         for _, origin, landing in _member_steps(nfa, state, second):
-            if d.witness_subterm in nfa.eps_closure_of(landing):
+            if nfa.closures[nfa.bit[landing]] & witness:
                 break
         else:
             raise InternalError("second receive has no matching protocol exchange")

@@ -32,6 +32,10 @@ OUTPUTS = (
     ("project.dot", ("project", "--format", "dot")),
 )
 
+#: ``check --all``, every violation and not only the first; it has its own
+#: test so that the parametrized ids of ``OUTPUTS`` stay stable.
+ALL_VIOLATIONS = ("check.all.json", ("check", "--all", "--format", "json"))
+
 
 def protocols() -> dict[str, str]:
     """Name -> source text of every protocol the gate covers."""
@@ -69,12 +73,20 @@ def test_cli_output_matches_golden(name, suffix, args, tmp_path):
     assert render(path, args) == (GOLDEN / f"{name}.{suffix}").read_text()
 
 
+@pytest.mark.parametrize("name", list(protocols()))
+def test_check_all_matches_golden(name, tmp_path):
+    suffix, args = ALL_VIOLATIONS
+    path = tmp_path / f"{name}.gt"
+    path.write_text(protocols()[name])
+    assert render(path, args) == (GOLDEN / f"{name}.{suffix}").read_text()
+
+
 def regenerate(workdir: Path) -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, source in protocols().items():
         path = workdir / f"{name}.gt"
         path.write_text(source)
-        for suffix, args in OUTPUTS:
+        for suffix, args in OUTPUTS + (ALL_VIOLATIONS,):
             (GOLDEN / f"{name}.{suffix}").write_text(render(path, args))
 
 

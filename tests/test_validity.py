@@ -30,12 +30,13 @@ from gtproj import (
     send,
     subset_construction,
     subterms,
-    transition_origins_destinations,
     validate_well_formedness,
 )
 from gtproj.corpus import entries, load
+from gtproj.validity import _send_violations
 
 from .strategies import random_global_type, rename_consistently
+from .test_projection import _reference_closure, _reference_inputs
 
 P, Q, R = Role("p"), Role("q"), Role("r")
 O, M = Message("o"), Message("m")
@@ -52,48 +53,63 @@ def projection_of(g, role):
 
 
 # --------------------------------------------------------------------------- #
-# Transition origins and destinations
+# Origins and destinations against the set-based reference
 # --------------------------------------------------------------------------- #
 
 
-def test_origins_include_members_with_silent_prefixes():
-    g = load("g_s")
-    nfa, m = projection_of(g, R)
-    target = m.step(m.initial, send(R, Q, O))
-    origins, destinations = transition_origins_destinations(
-        m, nfa, (m.initial, send(R, Q, O), target)
+def _reference_origins_destinations(nfa, state, x):
+    """For machine transition ``state --x--> s'``: the members of ``state``
+    that perform ``x`` after silent steps (origins), and the silent closure
+    of the nodes they land in (destinations), computed on sets."""
+    origins, landing = set(), set()
+    for member in state:
+        for node in _reference_closure(nfa, (member,)):
+            for _, label, tgt in nfa.out(node):
+                if label == x:
+                    origins.add(member)
+                    landing.add(tgt)
+    return origins, _reference_closure(nfa, landing)
+
+
+def test_validity_reads_the_reference_origins_and_destinations():
+    for name, g in _reference_inputs():
+        _, table = build_projections(g)
+        for role, (nfa, m) in table.items():
+            expected = []
+            for state in m.states:
+                for event, target in m.out(state):
+                    origins, destinations = _reference_origins_destinations(
+                        nfa, state, event
+                    )
+                    if event.is_send:
+                        missing = tuple(g2 for g2 in state if g2 not in origins)
+                        if missing:
+                            expected.append(((state, event, target), missing))
+                    else:
+                        assert destinations == set(target), (name, role.name)
+            found = [
+                (v.details.transition, v.details.missing)
+                for v in _send_violations(m, nfa)
+            ]
+            assert found == expected, (name, role.name)
+
+
+def test_all_violations_name_each_unable_member():
+    verdict = check_implementability(load("g_s"), all_violations=True)
+    unable = {
+        str(v.details.transition[1]): v.details.missing
+        for v in verdict.violations
+        if v.kind is ViolationKind.SEND_VALIDITY
+    }
+    # the root reaches both sends after a silent step; each branch only one
+    assert unable == {
+        "r>q!m": (parse_global_type("r->q:o . 0"),),
+        "r>q!o": (parse_global_type("r->q:m . 0"),),
+    }
+    agreeing = check_implementability(load("g_s_prime"), all_violations=True)
+    assert not any(
+        v.kind is ViolationKind.SEND_VALIDITY for v in agreeing.violations
     )
-    # the root reaches r>q!o after a silent step; the r->q:m branch cannot
-    assert origins == frozenset((g, parse_global_type("r->q:o . 0")))
-    assert destinations == frozenset((END,))
-
-
-def test_origins_cover_all_members_in_the_good_variant():
-    g = load("g_s_prime")
-    nfa, m = projection_of(g, R)
-    (event, target), = m.out(m.initial)
-    origins, _ = transition_origins_destinations(m, nfa, (m.initial, event, target))
-    assert origins == frozenset(iter(m.initial))
-
-
-def test_destinations_form_the_successor_state():
-    g = load("g_r")
-    nfa, m = projection_of(g, R)
-    for state in m.states:
-        for event, target in m.out(state):
-            _, destinations = transition_origins_destinations(
-                m, nfa, (state, event, target)
-            )
-            assert destinations == frozenset(iter(target))
-
-
-def test_origins_rejects_foreign_transition():
-    g = load("g_s")
-    nfa, m = projection_of(g, R)
-    with pytest.raises(ValueError):
-        transition_origins_destinations(
-            m, nfa, (m.initial, send(R, Q, Message("nope")), m.initial)
-        )
 
 
 # --------------------------------------------------------------------------- #
