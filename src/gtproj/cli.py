@@ -10,8 +10,9 @@ Commands::
 
 ``SOURCE`` is a file path or ``-`` for stdin.  Exit codes: 0 success (for
 ``check``: implementable), 1 not implementable, 2 usage, parse, or
-well-formedness error, 3 internal error (a bug or a recursion limit, never
-a verdict).
+well-formedness error, 3 internal error (a bug, never a verdict).  Parsing,
+printing and the structural checks use no recursion, so deep protocols do
+not reach a recursion limit there.
 """
 from __future__ import annotations
 
@@ -136,6 +137,7 @@ def _verdict_json(verdict: Verdict, all_violations: bool) -> dict:
 
 
 def _check_payload(name: str, g: GlobalType, all_violations: bool) -> tuple[dict, Verdict]:
+    """Check ``g``, which :func:`_parse_checked` has validated."""
     t0 = time.perf_counter()
     projections = build_projections(g)
     t1 = time.perf_counter()
@@ -320,7 +322,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
     for entry in corpus.entries():
         text_value = entry.text()
         t0 = time.perf_counter()
-        g = parse_global_type(text_value)
+        g = _parse_checked(entry.name, text_value)
         parse_ms = _ms(time.perf_counter() - t0)
         payload, verdict = _check_payload(entry.name, g, all_violations=False)
         payload["timings"]["parse_ms"] = parse_ms
@@ -365,8 +367,9 @@ def run_command(cfg: RunConfig) -> int:
 
     Exit codes: 0 success (``check``: implementable), 1 ``check`` on a
     protocol that is not implementable, 2 unreadable/malformed/ill-formed
-    input or bad usage, 3 internal error (:class:`InternalError` or
-    ``RecursionError``), reported in one line without a traceback.
+    input or bad usage, 3 internal error (:class:`InternalError`, or a
+    ``RecursionError`` in a later stage: the front end does not recurse),
+    reported in one line without a traceback.
     """
     handler = _COMMANDS.get(cfg.command)
     if handler is None:

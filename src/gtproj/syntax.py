@@ -16,6 +16,16 @@ Subterms are hash-consed: structurally equal trees share one intern
 identifier (``intern_id``), equality and hashing go through that identifier,
 and the automata layers use it as state identity.  The intern table is
 process-global and append-only; nodes are immutable.
+
+The parser reads the text with one compiled scanner, ``_SCAN``: each match
+at a position skips whitespace and comments and reads one piece, and a
+whole exchange head ``p->q:m .`` is one piece.  One loop turns the pieces
+into nodes with an explicit stack of open exchanges, binders and choices,
+and within one parse returns the existing node for a repeated subtree.  When
+the scanner finds no piece the grammar allows, ``_explain`` reads the tokens
+from there to name the wrong one.  The printers, ``roles_of``,
+``messages_of`` and ``validate_well_formedness`` walk with explicit stacks
+too, so no part of the front end is limited by the recursion limit.
 """
 from __future__ import annotations
 
@@ -253,46 +263,40 @@ def subterms(g: GlobalType) -> tuple[GlobalType, ...]:
     return tuple(out)
 
 
+def _first_occurrences(g: GlobalType, roles: bool) -> tuple:
+    """The roles (``roles`` set) or the message labels of ``g`` in
+    first-occurrence (pre-order) order: each choice contributes its sender
+    if ``roles`` is set, then per branch the receiver or the label, read
+    before that branch's continuation is walked."""
+    seen_nodes: set[int] = set()
+    order: dict = {}
+    stack: list = [g]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, GlobalType):
+            order.setdefault(item)
+        elif item.intern_id not in seen_nodes:
+            seen_nodes.add(item.intern_id)
+            if isinstance(item, Choice):
+                if roles:
+                    order.setdefault(item.sender)
+                for b in reversed(item.branches):
+                    stack.append(b.continuation)
+                    stack.append(b.receiver if roles else b.message)
+            elif isinstance(item, Rec):
+                stack.append(item.body)
+    return tuple(order)
+
+
 def roles_of(g: GlobalType) -> tuple[Role, ...]:
     """Every role of ``g`` in first-occurrence (pre-order) order:
     each choice contributes its sender, then per branch the receiver."""
-    seen_nodes: set[int] = set()
-    order: dict[Role, None] = {}
-
-    def walk(node: GlobalType) -> None:
-        if node.intern_id in seen_nodes:
-            return
-        seen_nodes.add(node.intern_id)
-        if isinstance(node, Choice):
-            order.setdefault(node.sender)
-            for b in node.branches:
-                order.setdefault(b.receiver)
-                walk(b.continuation)
-        elif isinstance(node, Rec):
-            walk(node.body)
-
-    walk(g)
-    return tuple(order)
+    return _first_occurrences(g, roles=True)
 
 
 def messages_of(g: GlobalType) -> tuple[Message, ...]:
     """Every message label of ``g`` in first-occurrence order."""
-    seen_nodes: set[int] = set()
-    order: dict[Message, None] = {}
-
-    def walk(node: GlobalType) -> None:
-        if node.intern_id in seen_nodes:
-            return
-        seen_nodes.add(node.intern_id)
-        if isinstance(node, Choice):
-            for b in node.branches:
-                order.setdefault(b.message)
-                walk(b.continuation)
-        elif isinstance(node, Rec):
-            walk(node.body)
-
-    walk(g)
-    return tuple(order)
+    return _first_occurrences(g, roles=False)
 
 
 def binders(g: GlobalType) -> dict[str, Rec]:
@@ -329,153 +333,120 @@ class ParseError(SyntaxError):
         return f"{self.msg} (line {self.lineno}, column {self.offset})"
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<skip>\s+|//[^\n]*)
-    | (?P<arrow>->)
-    | (?P<mu>mu(?![A-Za-z0-9_]))
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<zero>0)
-    | (?P<punct>[{}.,:+])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+#: Whitespace and ``//`` comments.  Possessive, so that a failed match never
+#: splits a long gap again.
+_SKIP = r"(?:\s+|//[^\n]*)*+"
+#: An identifier other than the keyword ``mu``.
+_NAME = r"(?!mu(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*+"
+
+#: One match reads the gap and then one piece of a protocol; ``lastindex``
+#: tells the pieces apart.  A whole exchange head is one piece.
+_SCAN = re.compile(
+    _SKIP
+    + "(?:"
+    + rf"({_NAME}){_SKIP}->{_SKIP}({_NAME}){_SKIP}:{_SKIP}({_NAME}){_SKIP}\."
+    + rf"|mu(?![A-Za-z0-9_]){_SKIP}({_NAME}){_SKIP}\."
+    + r"|(0)"
+    + rf"|({_NAME})(?!{_SKIP}->)"
+    + rf"|(\+){_SKIP}\{{"
+    + r"|(,)|(\})|(\Z))"
+)
+# The pieces, by the number of their last group.
+_HEAD, _BINDER, _ZERO, _VAR, _OPEN, _COMMA, _CLOSE, _EOF = 3, 4, 5, 6, 7, 8, 9, 10
+
+#: One token after the gap: group 1 is a token, group 2 a character that
+#: starts no token, and neither matches at the end of the text.
+_TOKEN = re.compile(
+    _SKIP + r"(?:(->|mu(?![A-Za-z0-9_])|[A-Za-z_][A-Za-z0-9_]*|[0{}.,:+])|(.)|\Z)",
+    re.DOTALL,
 )
 
-#: token kinds: "ident", "zero", "arrow", "mu", "{", "}", ".", ",", ":", "+", "eof"
-_Token = tuple[str, str]  # (kind, text)
+
+def _is_name(token: str) -> bool:
+    return token != "mu" and (token[:1].isalpha() or token[:1] == "_")
 
 
 def _error_at(text: str, offset: int, message: str) -> ParseError:
-    """A :class:`ParseError` at character ``offset`` of ``text``."""
+    """A :class:`ParseError` at character ``offset`` of ``text``.  A stray
+    character anywhere in the text is reported instead, at the first one."""
+    for m in _TOKEN.finditer(text):
+        if m.group(2) is not None:
+            offset, message = m.start(2), f"unexpected character {m.group(2)!r}"
+            break
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """One scan of ``text``; tokens carry no position (see
-    :meth:`_Parser.error`), and the last one is ``("eof", "")``."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        tok = m.group()
-        if kind == "punct":
-            kind = tok
-        elif kind == "bad":
-            raise _error_at(text, m.start(), f"unexpected character {tok!r}")
-        append((kind, tok))
-    append(("eof", ""))
-    return tokens
+def _explain(
+    text: str, pos: int, expected: str, scope: set[str], bound: set[str]
+) -> ParseError:
+    """The error at ``pos``, where the scanner found no piece that
+    ``expected`` ("term", "exchange", "choice" or "end") allows.
 
+    Reads the tokens from ``pos`` on and names the first wrong one.  The
+    end of the input sits at the end of the last token.
+    """
+    tokens = _TOKEN.finditer(text, pos)
+    last_end = pos
 
-class _Parser:
-    __slots__ = ("text", "tokens", "pos", "bound_names")
+    def take() -> tuple[str, int]:
+        nonlocal last_end
+        m = next(tokens)
+        token = m.group(1)
+        if token is None:  # the end (a stray character is reported first)
+            return "", last_end
+        last_end = m.end()
+        return token, m.start(1)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.bound_names: set[str] = set()
+    def wrong(what: str, token: str, offset: int) -> ParseError:
+        found = f", found {token!r}" if token else ""
+        return _error_at(text, offset, f"expected {what}{found}")
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        index = self.pos
-        tok = self.next()
-        if tok[0] != kind:
-            raise self.error(
-                f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}",
-                index,
-            )
-        return tok
-
-    def error(self, message: str, index: int) -> ParseError:
-        """A :class:`ParseError` at token ``index``, found by scanning the
-        text again; the end-of-input token sits at the end of the last
-        token, or at the start of a text without tokens."""
-        offset = 0
-        scan = (m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup != "skip")
-        for i, m in enumerate(scan):
-            if i == index:
-                offset = m.start()
-                break
-            offset = m.end()
-        return _error_at(self.text, offset, message)
-
-    # -- grammar ----------------------------------------------------------- #
-
-    def parse_type(self, scope: frozenset[str]) -> GlobalType:
-        start = self.pos
-        kind, text = self.peek()
-        if kind == "zero":
-            self.next()
-            return END
-        if kind == "mu":
-            self.next()
-            var = self.expect("ident", "a recursion variable after 'mu'")[1]
-            if var in scope:
-                raise self.error(
-                    f"recursion variable {var!r} shadows an enclosing binder", start
+    token, offset = take()
+    if expected == "term":
+        if token == "mu":
+            start = offset
+            token, offset = take()
+            if not _is_name(token):
+                return wrong("a recursion variable after 'mu'", token, offset)
+            if token in scope:
+                return _error_at(
+                    text, start, f"recursion variable {token!r} shadows an enclosing binder"
                 )
-            if var in self.bound_names:
+            if token in bound:
                 # Interned variable nodes are shared, so a name may belong to
                 # only one binder in the whole protocol.
-                raise self.error(
-                    f"recursion variable {var!r} reuses the name of another binder",
+                return _error_at(
+                    text,
                     start,
+                    f"recursion variable {token!r} reuses the name of another binder",
                 )
-            self.bound_names.add(var)
-            self.expect(".", "'.' after the recursion variable")
-            body = self.parse_type(scope | {var})
-            return Rec(var, body)
-        if kind == "+":
-            self.next()
-            self.expect("{", "'{' after '+'")
-            sender, branch = self.parse_exchange(scope)
-            branches = [branch]
-            while self.peek()[0] == ",":
-                self.next()
-                index = self.pos
-                s2, b2 = self.parse_exchange(scope)
-                if s2 != sender:
-                    raise self.error(
-                        f"choice branches must share one sender "
-                        f"(found {s2.name!r} after {sender.name!r})",
-                        index,
-                    )
-                branches.append(b2)
-            self.expect("}", "',' or '}' in choice")
-            return Choice(sender, tuple(branches))
-        if kind == "ident":
-            if self.peek(1)[0] == "arrow":
-                sender, branch = self.parse_exchange(scope)
-                return Choice(sender, (branch,))
-            self.next()
-            return Var(text)
-        raise self.error("expected a protocol term", self.pos)
-
-    def parse_exchange(self, scope: frozenset[str]) -> tuple[Role, Branch]:
-        tok = self.peek()
-        if tok[0] != "ident" or self.peek(1)[0] != "arrow":
-            raise self.error("expected a message exchange 'p->q:m . ...'", self.pos)
-        sender = Role(self.next()[1])
-        self.next()  # arrow
-        receiver = Role(self.expect("ident", "a receiver role after '->'")[1])
-        self.expect(":", "':' after the receiver")
-        label = Message(self.expect("ident", "a message label after ':'")[1])
-        self.expect(".", "'.' after the message label")
-        continuation = self.parse_type(scope)
-        return sender, Branch(receiver, label, continuation)
+            token, offset = take()
+            return wrong("'.' after the recursion variable", token, offset)
+        if token == "+":
+            token, offset = take()
+            if token != "{":
+                return wrong("'{' after '+'", token, offset)
+            token, offset = take()
+        elif not _is_name(token):
+            return _error_at(text, offset, "expected a protocol term")
+        expected = "exchange"
+    if expected == "exchange":
+        if not _is_name(token) or take()[0] != "->":
+            return _error_at(text, offset, "expected a message exchange 'p->q:m . ...'")
+        for needed, what in (
+            (None, "a receiver role after '->'"),
+            (":", "':' after the receiver"),
+            (None, "a message label after ':'"),
+            (".", "'.' after the message label"),
+        ):
+            token, offset = take()
+            if not (_is_name(token) if needed is None else token == needed):
+                return wrong(what, token, offset)
+        raise AssertionError(f"no error in the exchange at offset {pos}")
+    if expected == "choice":
+        return wrong("',' or '}' in choice", token, offset)
+    return wrong("end of input", token, offset)
 
 
 def parse_global_type(text: str) -> GlobalType:
@@ -487,10 +458,120 @@ def parse_global_type(text: str) -> GlobalType:
     Unbound variables and the other structural rules are *not* parse
     errors; they are reported by :func:`validate_well_formedness`.
     """
-    parser = _Parser(text)
-    g = parser.parse_type(frozenset())
-    parser.expect("eof", "end of input")
-    return g
+    scan = _SCAN.match
+    roles: dict[str, Role] = {}
+    labels: dict[str, Message] = {}
+    nodes: dict[tuple, Choice] = {}  # equal keys have equal intern keys
+    scope: set[str] = set()
+    bound: set[str] = set()
+
+    def role(name: str) -> Role:
+        r = roles.get(name)
+        if r is None:
+            r = roles[name] = Role(name)
+        return r
+
+    def message(label: str) -> Message:
+        msg = labels.get(label)
+        if msg is None:
+            msg = labels[label] = Message(label)
+        return msg
+
+    # Open constructs, innermost last: an exchange as the tuple (sender,
+    # receiver, label); a binder as its variable name; a choice as the list
+    # [sender, branches, receiver, label, mismatch] while it reads the
+    # continuation of its last branch, where mismatch is None or the
+    # (offset, name) of a branch sender that differs from the first.
+    stack: list = []
+    pos = 0
+    while True:
+        m = scan(text, pos)
+        kind = m.lastindex if m is not None else None
+        if kind == _HEAD:
+            stack.append(m.group(1, 2, 3))
+            pos = m.end()
+            continue
+        if kind == _BINDER:
+            var = m.group(4)
+            if var in bound:
+                raise _explain(text, pos, "term", scope, bound)
+            scope.add(var)
+            bound.add(var)
+            stack.append(var)
+            pos = m.end()
+            continue
+        if kind == _OPEN:
+            pos = m.end()
+            m = scan(text, pos)
+            if m is None or m.lastindex != _HEAD:
+                raise _explain(text, pos, "exchange", scope, bound)
+            sender, receiver, label = m.group(1, 2, 3)
+            stack.append([sender, [], receiver, label, None])
+            pos = m.end()
+            continue
+        if kind == _ZERO:
+            node: GlobalType = END
+        elif kind == _VAR:
+            node = Var(m.group(_VAR))
+        else:
+            raise _explain(text, pos, "term", scope, bound)
+        pos = m.end()
+
+        # The term is complete: close every construct it completes.
+        while stack:
+            top = stack[-1]
+            if top.__class__ is tuple:
+                stack.pop()
+                key = (*top, node.intern_id)
+                done = nodes.get(key)
+                if done is None:
+                    sender, receiver, label = top
+                    branch = Branch(role(receiver), message(label), node)
+                    done = nodes[key] = Choice(role(sender), (branch,))
+                node = done
+            elif top.__class__ is str:
+                stack.pop()
+                scope.discard(top)
+                node = Rec(top, node)
+            else:
+                sender, branches, receiver, label, mismatch = top
+                if mismatch is not None:
+                    raise _error_at(
+                        text,
+                        mismatch[0],
+                        f"choice branches must share one sender "
+                        f"(found {mismatch[1]!r} after {sender!r})",
+                    )
+                branches.append((receiver, label, node))
+                m = scan(text, pos)
+                kind = m.lastindex if m is not None else None
+                if kind == _COMMA:
+                    pos = m.end()
+                    m = scan(text, pos)
+                    if m is None or m.lastindex != _HEAD:
+                        raise _explain(text, pos, "exchange", scope, bound)
+                    other, top[2], top[3] = m.group(1, 2, 3)
+                    if other != sender:
+                        top[4] = (m.start(1), other)
+                    pos = m.end()
+                    break  # read the new branch's continuation
+                if kind != _CLOSE:
+                    raise _explain(text, pos, "choice", scope, bound)
+                pos = m.end()
+                stack.pop()
+                key = (sender, tuple((r, l, n.intern_id) for r, l, n in branches))
+                done = nodes.get(key)
+                if done is None:
+                    done = nodes[key] = Choice(
+                        role(sender),
+                        tuple(Branch(role(r), message(l), n) for r, l, n in branches),
+                    )
+                node = done
+        if not stack:
+            m = scan(text, pos)
+            if m is None or m.lastindex != _EOF:
+                raise _explain(text, pos, "end", scope, bound)
+            return node
 
 
 # --------------------------------------------------------------------------- #
@@ -498,23 +579,48 @@ def parse_global_type(text: str) -> GlobalType:
 # --------------------------------------------------------------------------- #
 
 
-def _branch_text(sender: Role, b: Branch, indent: int) -> str:
-    return f"{sender}->{b.receiver}:{b.message} . {_pretty(b.continuation, indent)}"
-
-
-def _pretty(g: GlobalType, indent: int) -> str:
-    if isinstance(g, End):
-        return "0"
-    if isinstance(g, Var):
-        return g.var
-    if isinstance(g, Rec):
-        return f"mu {g.var} . {_pretty(g.body, indent)}"
-    assert isinstance(g, Choice)
-    if len(g.branches) == 1:
-        return _branch_text(g.sender, g.branches[0], indent)
-    pad = " " * (indent + 2)
-    body = ",\n".join(pad + _branch_text(g.sender, b, indent + 2) for b in g.branches)
-    return "+ {\n" + body + "\n" + " " * indent + "}"
+def _render(g: GlobalType, multiline: bool) -> str:
+    """The text of ``g``, written left to right from a stack of nodes (with
+    their indent) and finished pieces of text."""
+    out: list[str] = []
+    stack: list = [(g, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        node, indent = item
+        while True:
+            if isinstance(node, Choice):
+                sender, branches = node.sender.name, node.branches
+                if len(branches) == 1:
+                    b = branches[0]
+                    out.append(f"{sender}->{b.receiver.name}:{b.message.label} . ")
+                    node = b.continuation
+                    continue
+                if multiline:
+                    inner = indent + 2
+                    first = " " * inner
+                    sep, close = ",\n" + first, "\n" + " " * indent + "}"
+                    out.append("+ {\n")
+                else:
+                    inner, first, sep, close = 0, "", ", ", " }"
+                    out.append("+ { ")
+                stack.append(close)
+                for i in range(len(branches) - 1, -1, -1):
+                    b = branches[i]
+                    stack.append((b.continuation, inner))
+                    stack.append(
+                        f"{sep if i else first}{sender}->{b.receiver.name}:{b.message.label} . "
+                    )
+            elif isinstance(node, Rec):
+                out.append(f"mu {node.var} . ")
+                node = node.body
+                continue
+            else:
+                out.append(node.var if isinstance(node, Var) else "0")
+            break
+    return "".join(out)
 
 
 def pretty(g: GlobalType) -> str:
@@ -522,26 +628,12 @@ def pretty(g: GlobalType) -> str:
 
     ``parse_global_type(pretty(g)) == g`` for every protocol ``g``.
     """
-    return _pretty(g, 0)
+    return _render(g, multiline=True)
 
 
 def pretty_inline(g: GlobalType) -> str:
     """Single-line rendering, used in diagnostics and machine labels."""
-    if isinstance(g, End):
-        return "0"
-    if isinstance(g, Var):
-        return g.var
-    if isinstance(g, Rec):
-        return f"mu {g.var} . {pretty_inline(g.body)}"
-    assert isinstance(g, Choice)
-    if len(g.branches) == 1:
-        b = g.branches[0]
-        return f"{g.sender}->{b.receiver}:{b.message} . {pretty_inline(b.continuation)}"
-    body = ", ".join(
-        f"{g.sender}->{b.receiver}:{b.message} . {pretty_inline(b.continuation)}"
-        for b in g.branches
-    )
-    return "+ { " + body + " }"
+    return _render(g, multiline=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -602,30 +694,40 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
             reported.add(key)
             found.append(WellFormednessViolation(rule, node.intern_id, message))
 
-    def walk(node: GlobalType, scope: frozenset[str]) -> None:
+    # Pending work, last first: a node to visit under a scope of bound
+    # names, or the check of one branch of a choice, made after the
+    # continuations of the branches before it have been walked.
+    stack: list = [(g, frozenset())]
+    while stack:
+        item = stack.pop()
+        if len(item) == 3:
+            node, b, seen_pairs = item
+            if b.receiver == node.sender:
+                report(
+                    WellFormednessRule.SELF_COMMUNICATION,
+                    node,
+                    f"role {node.sender} sends to itself in "
+                    f"{node.sender}->{b.receiver}:{b.message}",
+                )
+            pair = (b.receiver, b.message)
+            if pair in seen_pairs:
+                report(
+                    WellFormednessRule.BRANCH_DISTINCTNESS,
+                    node,
+                    f"duplicate branch {node.sender}->{b.receiver}:{b.message}",
+                )
+            seen_pairs.add(pair)
+            continue
+        node, scope = item
         key = (node.intern_id, scope)
         if key in visited:
-            return
+            continue
         visited.add(key)
         if isinstance(node, Choice):
-            seen_pairs: set[tuple[Role, Message]] = set()
-            for b in node.branches:
-                if b.receiver == node.sender:
-                    report(
-                        WellFormednessRule.SELF_COMMUNICATION,
-                        node,
-                        f"role {node.sender} sends to itself in "
-                        f"{node.sender}->{b.receiver}:{b.message}",
-                    )
-                pair = (b.receiver, b.message)
-                if pair in seen_pairs:
-                    report(
-                        WellFormednessRule.BRANCH_DISTINCTNESS,
-                        node,
-                        f"duplicate branch {node.sender}->{b.receiver}:{b.message}",
-                    )
-                seen_pairs.add(pair)
-                walk(b.continuation, scope)
+            pairs: set[tuple[Role, Message]] = set()
+            for b in reversed(node.branches):
+                stack.append((b.continuation, scope))
+                stack.append((node, b, pairs))
         elif isinstance(node, Rec):
             spine: GlobalType = node.body
             while isinstance(spine, Rec):
@@ -637,7 +739,7 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
                     f"recursion variable {node.var!r} is reachable from its "
                     f"binder without crossing a message exchange",
                 )
-            walk(node.body, scope | {node.var})
+            stack.append((node.body, scope | {node.var}))
         elif isinstance(node, Var):
             if node.var not in scope:
                 report(
@@ -646,7 +748,6 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
                     f"recursion variable {node.var!r} is not bound here",
                 )
 
-    walk(g, frozenset())
     return WellFormednessReport(tuple(found))
 
 

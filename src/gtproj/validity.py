@@ -395,11 +395,14 @@ def check_implementability(
     receive validity per role, and stops at the first violation unless
     ``all_violations`` is set.  A violation is returned together with a
     verified counterexample trace.  Raises :class:`IllFormedProtocolError`
-    when ``g`` breaks the structural rules.
+    when ``g`` breaks the structural rules.  A caller that passes
+    ``_projections`` has validated ``g`` before building them, so ``g`` is
+    not validated again.
     """
-    report = validate_well_formedness(g)
-    if not report.ok:
-        raise IllFormedProtocolError(report)
+    if _projections is None:
+        report = validate_well_formedness(g)
+        if not report.ok:
+            raise IllFormedProtocolError(report)
     a, table = _projections if _projections is not None else build_projections(g)
     found: list[ValidityViolation] = []
     for nfa, machine in table.values():

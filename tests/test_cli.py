@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from gtproj import cli
+from gtproj import cli, validity
 from gtproj.cli import RunConfig, main, run_command
 from gtproj.corpus import names, text
 
@@ -113,21 +113,52 @@ def test_ill_formed_protocol_exits_2():
     assert "Unguarded" in result.stderr
 
 
+def test_check_validates_well_formedness_once(tmp_path, monkeypatch):
+    calls = []
+    original = cli.validate_well_formedness
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(cli, "validate_well_formedness", counted)
+    monkeypatch.setattr(validity, "validate_well_formedness", counted)
+    code = run_command(RunConfig(command="check", source=corpus_path("g_s", tmp_path)))
+    assert code == 1
+    assert len(calls) == 1
+
+
 def test_missing_file_exits_2(tmp_path):
     result = runner.invoke(main, ["check", str(tmp_path / "absent.gt")])
     assert result.exit_code == 2
     assert "error:" in result.stderr
 
 
-def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys):
-    chain = " . ".join(f"p->q:m{i}" for i in range(500)) + " . 0\n"
-    path = tmp_path / "chain.gt"
-    path.write_text(chain)
-    assert run_command(RunConfig(command="check", source=str(path))) == 3
+def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "check_implementability", too_deep)
+    code = run_command(RunConfig(command="check", source=corpus_path("g_s", tmp_path)))
+    assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: internal error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_check_accepts_a_long_chain(tmp_path):
+    path = tmp_path / "chain.gt"
+    path.write_text(" . ".join(f"p->q:m{i}" for i in range(3000)) + " . 0\n")
+    assert run_command(RunConfig(command="check", source=str(path))) == 0
+
+
+def test_check_accepts_a_ring_of_50_roles(tmp_path):
+    roles = [f"r{i}" for i in range(50)]
+    ring = " . ".join(f"{a}->{b}:m" for a, b in zip(roles, roles[1:] + roles[:1]))
+    path = tmp_path / "ring.gt"
+    path.write_text(f"mu t . {ring} . t\n")
+    assert run_command(RunConfig(command="check", source=str(path))) == 0
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Parser, printer, structural rules, and the size measure."""
 from __future__ import annotations
 
+import re
+import sys
 from random import Random
 
 import pytest
@@ -18,6 +20,7 @@ from gtproj import (
     Var,
     WellFormednessRule,
     exchange,
+    generate_gk,
     measure_size,
     messages_of,
     parse_global_type,
@@ -282,3 +285,461 @@ def test_measure_size_invariant_under_renaming(g):
 def test_exchange_helper_builds_single_branch_choice():
     g = exchange(P, Q, Message("m"), END)
     assert g == parse_global_type("p->q:m . 0")
+
+
+# --------------------------------------------------------------------------- #
+# References: the recursive front end the one-scan parser and the stack
+# walks replaced, kept to pin their results and error messages
+# --------------------------------------------------------------------------- #
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<skip>\s+|//[^\n]*)
+    | (?P<arrow>->)
+    | (?P<mu>mu(?![A-Za-z0-9_]))
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<zero>0)
+    | (?P<punct>[{}.,:+])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _error_at(text, offset, message):
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def _tokenize(text):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        tok = m.group()
+        if kind == "punct":
+            kind = tok
+        elif kind == "bad":
+            raise _error_at(text, m.start(), f"unexpected character {tok!r}")
+        tokens.append((kind, tok))
+    tokens.append(("eof", ""))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.bound_names = set()
+
+    def peek(self, ahead=0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        index = self.pos
+        tok = self.next()
+        if tok[0] != kind:
+            raise self.error(
+                f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}",
+                index,
+            )
+        return tok
+
+    def error(self, message, index):
+        offset = 0
+        scan = (m for m in _TOKEN_RE.finditer(self.text) if m.lastgroup != "skip")
+        for i, m in enumerate(scan):
+            if i == index:
+                offset = m.start()
+                break
+            offset = m.end()
+        return _error_at(self.text, offset, message)
+
+    def parse_type(self, scope):
+        start = self.pos
+        kind, text = self.peek()
+        if kind == "zero":
+            self.next()
+            return END
+        if kind == "mu":
+            self.next()
+            var = self.expect("ident", "a recursion variable after 'mu'")[1]
+            if var in scope:
+                raise self.error(
+                    f"recursion variable {var!r} shadows an enclosing binder", start
+                )
+            if var in self.bound_names:
+                raise self.error(
+                    f"recursion variable {var!r} reuses the name of another binder",
+                    start,
+                )
+            self.bound_names.add(var)
+            self.expect(".", "'.' after the recursion variable")
+            body = self.parse_type(scope | {var})
+            return Rec(var, body)
+        if kind == "+":
+            self.next()
+            self.expect("{", "'{' after '+'")
+            sender, branch = self.parse_exchange(scope)
+            branches = [branch]
+            while self.peek()[0] == ",":
+                self.next()
+                index = self.pos
+                s2, b2 = self.parse_exchange(scope)
+                if s2 != sender:
+                    raise self.error(
+                        f"choice branches must share one sender "
+                        f"(found {s2.name!r} after {sender.name!r})",
+                        index,
+                    )
+                branches.append(b2)
+            self.expect("}", "',' or '}' in choice")
+            return Choice(sender, tuple(branches))
+        if kind == "ident":
+            if self.peek(1)[0] == "arrow":
+                sender, branch = self.parse_exchange(scope)
+                return Choice(sender, (branch,))
+            self.next()
+            return Var(text)
+        raise self.error("expected a protocol term", self.pos)
+
+    def parse_exchange(self, scope):
+        tok = self.peek()
+        if tok[0] != "ident" or self.peek(1)[0] != "arrow":
+            raise self.error("expected a message exchange 'p->q:m . ...'", self.pos)
+        sender = Role(self.next()[1])
+        self.next()  # arrow
+        receiver = Role(self.expect("ident", "a receiver role after '->'")[1])
+        self.expect(":", "':' after the receiver")
+        label = Message(self.expect("ident", "a message label after ':'")[1])
+        self.expect(".", "'.' after the message label")
+        continuation = self.parse_type(scope)
+        return sender, Branch(receiver, label, continuation)
+
+
+def _reference_parse(text):
+    parser = _Parser(text)
+    g = parser.parse_type(frozenset())
+    parser.expect("eof", "end of input")
+    return g
+
+
+def _reference_roles_of(g):
+    seen_nodes, order = set(), {}
+
+    def walk(node):
+        if node.intern_id in seen_nodes:
+            return
+        seen_nodes.add(node.intern_id)
+        if isinstance(node, Choice):
+            order.setdefault(node.sender)
+            for b in node.branches:
+                order.setdefault(b.receiver)
+                walk(b.continuation)
+        elif isinstance(node, Rec):
+            walk(node.body)
+
+    walk(g)
+    return tuple(order)
+
+
+def _reference_messages_of(g):
+    seen_nodes, order = set(), {}
+
+    def walk(node):
+        if node.intern_id in seen_nodes:
+            return
+        seen_nodes.add(node.intern_id)
+        if isinstance(node, Choice):
+            for b in node.branches:
+                order.setdefault(b.message)
+                walk(b.continuation)
+        elif isinstance(node, Rec):
+            walk(node.body)
+
+    walk(g)
+    return tuple(order)
+
+
+def _reference_violations(g):
+    found, reported, visited = [], set(), set()
+
+    def report(rule, node, message):
+        key = (rule, node.intern_id, message)
+        if key not in reported:
+            reported.add(key)
+            found.append(key)
+
+    def walk(node, scope):
+        key = (node.intern_id, scope)
+        if key in visited:
+            return
+        visited.add(key)
+        if isinstance(node, Choice):
+            seen_pairs = set()
+            for b in node.branches:
+                if b.receiver == node.sender:
+                    report(
+                        WellFormednessRule.SELF_COMMUNICATION,
+                        node,
+                        f"role {node.sender} sends to itself in "
+                        f"{node.sender}->{b.receiver}:{b.message}",
+                    )
+                pair = (b.receiver, b.message)
+                if pair in seen_pairs:
+                    report(
+                        WellFormednessRule.BRANCH_DISTINCTNESS,
+                        node,
+                        f"duplicate branch {node.sender}->{b.receiver}:{b.message}",
+                    )
+                seen_pairs.add(pair)
+                walk(b.continuation, scope)
+        elif isinstance(node, Rec):
+            spine = node.body
+            while isinstance(spine, Rec):
+                spine = spine.body
+            if isinstance(spine, Var) and spine.var == node.var:
+                report(
+                    WellFormednessRule.UNGUARDED,
+                    node,
+                    f"recursion variable {node.var!r} is reachable from its "
+                    f"binder without crossing a message exchange",
+                )
+            walk(node.body, scope | {node.var})
+        elif isinstance(node, Var):
+            if node.var not in scope:
+                report(
+                    WellFormednessRule.UNBOUND_VARIABLE,
+                    node,
+                    f"recursion variable {node.var!r} is not bound here",
+                )
+
+    walk(g, frozenset())
+    return found
+
+
+def _reference_branch_text(sender, b, indent):
+    return f"{sender}->{b.receiver}:{b.message} . {_reference_pretty(b.continuation, indent)}"
+
+
+def _reference_pretty(g, indent=0):
+    if isinstance(g, End):
+        return "0"
+    if isinstance(g, Var):
+        return g.var
+    if isinstance(g, Rec):
+        return f"mu {g.var} . {_reference_pretty(g.body, indent)}"
+    if len(g.branches) == 1:
+        return _reference_branch_text(g.sender, g.branches[0], indent)
+    pad = " " * (indent + 2)
+    body = ",\n".join(
+        pad + _reference_branch_text(g.sender, b, indent + 2) for b in g.branches
+    )
+    return "+ {\n" + body + "\n" + " " * indent + "}"
+
+
+def _reference_pretty_inline(g):
+    if isinstance(g, End):
+        return "0"
+    if isinstance(g, Var):
+        return g.var
+    if isinstance(g, Rec):
+        return f"mu {g.var} . {_reference_pretty_inline(g.body)}"
+    if len(g.branches) == 1:
+        b = g.branches[0]
+        return f"{g.sender}->{b.receiver}:{b.message} . {_reference_pretty_inline(b.continuation)}"
+    body = ", ".join(
+        f"{g.sender}->{b.receiver}:{b.message} . {_reference_pretty_inline(b.continuation)}"
+        for b in g.branches
+    )
+    return "+ { " + body + " }"
+
+
+# --------------------------------------------------------------------------- #
+# The one-scan parser and the stack walks against the references
+# --------------------------------------------------------------------------- #
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (exc.msg, exc.lineno, exc.offset)
+
+
+def _violations(g):
+    return [(v.rule, v.location, v.message) for v in validate_well_formedness(g).violations]
+
+
+def _assert_parses_alike(text):
+    got, want = _outcome(parse_global_type, text), _outcome(_reference_parse, text)
+    if isinstance(want, tuple):
+        assert got == want, text
+    else:
+        assert isinstance(got, type(want)) and got.intern_id == want.intern_id, text
+        assert _violations(got) == _reference_violations(want), text
+
+
+def _assert_walks_alike(g):
+    assert roles_of(g) == _reference_roles_of(g)
+    assert messages_of(g) == _reference_messages_of(g)
+    assert _violations(g) == _reference_violations(g)
+    assert pretty(g) == _reference_pretty(g)
+    assert pretty_inline(g) == _reference_pretty_inline(g)
+
+
+def _known_protocols():
+    yield from (load(name) for name in names())
+    yield from (generate_gk(k) for k in range(1, 7))
+
+
+def test_parser_matches_the_reference_on_known_protocols():
+    for g in _known_protocols():
+        _assert_parses_alike(pretty(g))
+        _assert_parses_alike(pretty_inline(g))
+    for entry in entries():
+        _assert_parses_alike(entry.text())
+
+
+#: Characters the mutations draw from: every token's characters, stray
+#: ones, and the gaps.
+_MUTATION_ALPHABET = "pqrst abm0+{},.:->/ \n\t;1_"
+
+
+def _mutations(text, rng, count):
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        c = rng.choice(_MUTATION_ALPHABET)
+        if edit == "insert":
+            yield text[:i] + c + text[i:]
+        elif edit == "delete":
+            yield text[:i] + text[i + 1 :]
+        else:
+            yield text[:i] + c + text[i + 1 :]
+
+
+def test_parser_matches_the_reference_on_random_and_mutated_texts():
+    rng, edits = Random(3), Random(4)
+    for _ in range(400):
+        text = pretty(random_global_type(rng))
+        _assert_parses_alike(text)
+        for mutated in _mutations(text, edits, 20):
+            _assert_parses_alike(mutated)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "   \n\t  ",
+        "// only a comment",
+        "// one\n  // two\n",
+        "0 // the end",
+        "mu t . mu t . p->q:m . t",
+        "mu t . mu t p->q:m . t",
+        "mu t . p->q:a . mu t . 0",
+        "+ { p->q:a . mu t . p->q:m . t, p->q:b . mu t . p->q:m . t }",
+        "+ { p->q:o . 0,\n  r->q:b . 0 }",
+        "+ { p->q:o . 0,\n  r->q:b . mu . 0 }",
+        "+ { p->q:o . 0, r->q:b . x y }",
+        "+ { p->q:o . 0, r->q:b . 0, s->q:c . 0 }",
+        "p->q:mu . 0",
+        "mu->q:m . 0",
+        "p->mu:m . 0",
+        "mu mu . 0",
+        "mux . 0",
+        "p->q:m . 0 extra",
+        "p->q:m . 0 }",
+        "0 0",
+        "t t",
+        "p // sender\n -> q // receiver\n : m // label\n . 0",
+        "p->q:m // the dot is in the comment . 0",
+        "p->q:m . 0 ; 0",
+        "p->q;m . 0",
+        "p-q:m . 0",
+        "p->q:m . 1",
+        "p->q:m . 0 /",
+        "+ { p->q:m . x } ;",
+        "p->q:m . 0",
+        "p->q:m .\r\n0",
+        "p->",
+        "p->q",
+        "p->q:",
+        "p->q:m",
+        "p->q:m .",
+        "+",
+        "+ {",
+        "+ { p->q:m . 0",
+        "+ { p->q:m . 0,",
+        "+ { p->q:m . 0 p->q:n . 0 }",
+        "+ p->q:m . 0",
+        "+ { 0 }",
+        "+ { t }",
+        "mu",
+        "mu t",
+        "mu t .",
+        "mu . p->q:m . 0",
+        "{",
+        "}",
+        ",",
+        ".",
+        "->",
+        ":",
+        "0abc",
+        "_a->b_:c1 . 0",
+        "p -> q : m . + { q -> r : a . 0 , q -> p : b . t }",
+    ],
+)
+def test_parser_matches_the_reference_on_edge_cases(text):
+    _assert_parses_alike(text)
+
+
+def test_walks_match_the_references():
+    for g in _known_protocols():
+        _assert_walks_alike(g)
+    rng = Random(7)
+    for _ in range(1000):
+        _assert_walks_alike(random_global_type(rng, max_size=25))
+    for text in (
+        "+ { p->p:m . t, p->p:m . u, p->q:a . mu x . x }",
+        "mu t . + { p->q:a . p->p:b . t, p->q:a . mu u . u, p->r:c . v }",
+    ):
+        _assert_walks_alike(parse_global_type(text))
+
+
+# --------------------------------------------------------------------------- #
+# Deep input under the default recursion limit
+# --------------------------------------------------------------------------- #
+
+
+def test_front_end_handles_a_long_chain():
+    n = 10**5
+    assert sys.getrecursionlimit() < n
+    text = " . ".join(f"p->q:m{i % 10}" for i in range(n)) + " . 0"
+    g = parse_global_type(text)
+    assert validate_well_formedness(g).ok
+    assert roles_of(g) == (P, Q)
+    assert len(messages_of(g)) == 10
+    assert pretty_inline(g) == text
+    assert parse_global_type(pretty(g)) == g
+
+
+def test_front_end_handles_deep_nesting():
+    depth = 3000
+    assert sys.getrecursionlimit() < depth
+    text = "".join(f"mu t{i} . + {{ p->q:a . " for i in range(depth)) + "0"
+    text += "".join(f", p->q:b . t{i} }}" for i in reversed(range(depth)))
+    g = parse_global_type(text)
+    assert validate_well_formedness(g).ok
+    assert roles_of(g) == (P, Q)
+    assert pretty_inline(g) == text
+    assert parse_global_type(pretty(g)) == g
