@@ -263,40 +263,48 @@ def subterms(g: GlobalType) -> tuple[GlobalType, ...]:
     return tuple(out)
 
 
-def _first_occurrences(g: GlobalType, roles: bool) -> tuple:
-    """The roles (``roles`` set) or the message labels of ``g`` in
-    first-occurrence (pre-order) order: each choice contributes its sender
-    if ``roles`` is set, then per branch the receiver or the label, read
-    before that branch's continuation is walked."""
-    seen_nodes: set[int] = set()
-    order: dict = {}
+def roles_of(g: GlobalType) -> tuple[Role, ...]:
+    """Every role of ``g`` in first-occurrence (pre-order) order: each
+    choice contributes its sender, then per branch the receiver, read before
+    that branch's continuation is walked."""
+    seen: set[int] = set()
+    order: dict[Role, None] = {}
     stack: list = [g]
     while stack:
         item = stack.pop()
-        if not isinstance(item, GlobalType):
+        if item.__class__ is Role:
             order.setdefault(item)
-        elif item.intern_id not in seen_nodes:
-            seen_nodes.add(item.intern_id)
+        elif item.intern_id not in seen:
+            seen.add(item.intern_id)
             if isinstance(item, Choice):
-                if roles:
-                    order.setdefault(item.sender)
+                order.setdefault(item.sender)
                 for b in reversed(item.branches):
                     stack.append(b.continuation)
-                    stack.append(b.receiver if roles else b.message)
+                    stack.append(b.receiver)
             elif isinstance(item, Rec):
                 stack.append(item.body)
     return tuple(order)
 
 
-def roles_of(g: GlobalType) -> tuple[Role, ...]:
-    """Every role of ``g`` in first-occurrence (pre-order) order:
-    each choice contributes its sender, then per branch the receiver."""
-    return _first_occurrences(g, roles=True)
-
-
 def messages_of(g: GlobalType) -> tuple[Message, ...]:
-    """Every message label of ``g`` in first-occurrence order."""
-    return _first_occurrences(g, roles=False)
+    """Every message label of ``g`` in first-occurrence order: per branch
+    the label, read before that branch's continuation is walked."""
+    seen: set[int] = set()
+    order: dict[Message, None] = {}
+    stack: list = [g]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is Message:
+            order.setdefault(item)
+        elif item.intern_id not in seen:
+            seen.add(item.intern_id)
+            if isinstance(item, Choice):
+                for b in reversed(item.branches):
+                    stack.append(b.continuation)
+                    stack.append(b.message)
+            elif isinstance(item, Rec):
+                stack.append(item.body)
+    return tuple(order)
 
 
 def binders(g: GlobalType) -> dict[str, Rec]:
@@ -333,11 +341,12 @@ class ParseError(SyntaxError):
         return f"{self.msg} (line {self.lineno}, column {self.offset})"
 
 
-#: Whitespace and ``//`` comments.  Possessive, so that a failed match never
-#: splits a long gap again.
-_SKIP = r"(?:\s+|//[^\n]*)*+"
-#: An identifier other than the keyword ``mu``.
-_NAME = r"(?!mu(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*+"
+#: Whitespace and ``//`` comments.  A comment matches only up to the end of
+#: its line, so a gap splits into pieces one way only and a failed match
+#: backtracks through it in linear time.
+_SKIP = r"\s*(?://[^\n]*(?![^\n])\s*)*"
+#: An identifier other than the keyword ``mu``, matched only whole.
+_NAME = r"(?!mu(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
 
 #: One match reads the gap and then one piece of a protocol; ``lastindex``
 #: tells the pieces apart.  A whole exchange head is one piece.
@@ -579,9 +588,10 @@ def parse_global_type(text: str) -> GlobalType:
 # --------------------------------------------------------------------------- #
 
 
-def _render(g: GlobalType, multiline: bool) -> str:
+def _render(g: GlobalType, newline: str, step: int) -> str:
     """The text of ``g``, written left to right from a stack of nodes (with
-    their indent) and finished pieces of text."""
+    their indent) and finished pieces of text.  A choice's branches are
+    separated by ``newline`` and indented ``step`` more than the choice."""
     out: list[str] = []
     stack: list = [(g, 0)]
     while stack:
@@ -598,15 +608,11 @@ def _render(g: GlobalType, multiline: bool) -> str:
                     out.append(f"{sender}->{b.receiver.name}:{b.message.label} . ")
                     node = b.continuation
                     continue
-                if multiline:
-                    inner = indent + 2
-                    first = " " * inner
-                    sep, close = ",\n" + first, "\n" + " " * indent + "}"
-                    out.append("+ {\n")
-                else:
-                    inner, first, sep, close = 0, "", ", ", " }"
-                    out.append("+ { ")
-                stack.append(close)
+                inner = indent + step
+                first = " " * inner
+                sep = "," + newline + first
+                out.append("+ {" + newline)
+                stack.append(newline + " " * indent + "}")
                 for i in range(len(branches) - 1, -1, -1):
                     b = branches[i]
                     stack.append((b.continuation, inner))
@@ -628,12 +634,12 @@ def pretty(g: GlobalType) -> str:
 
     ``parse_global_type(pretty(g)) == g`` for every protocol ``g``.
     """
-    return _render(g, multiline=True)
+    return _render(g, "\n", 2)
 
 
 def pretty_inline(g: GlobalType) -> str:
     """Single-line rendering, used in diagnostics and machine labels."""
-    return _render(g, multiline=False)
+    return _render(g, " ", 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -381,13 +381,19 @@ class Verdict:
     violations: tuple[ValidityViolation, ...] = ()
 
 
+#: What :func:`build_projections` returns for ``g``.  Passing it as
+#: ``_projections`` says that :func:`validate_well_formedness` has accepted
+#: ``g``: neither :func:`check_implementability` nor
+#: :func:`build_counterexample` validates ``g`` then, so an ill-formed ``g``
+#: raises no :class:`IllFormedProtocolError`.
+_Projections = tuple[SyncAutomaton, dict[Role, tuple[LocalNfa, SubsetMachine]]]
+
+
 def check_implementability(
     g: GlobalType,
     *,
     all_violations: bool = False,
-    _projections: Optional[
-        tuple[SyncAutomaton, dict[Role, tuple[LocalNfa, SubsetMachine]]]
-    ] = None,
+    _projections: Optional[_Projections] = None,
 ) -> Verdict:
     """Decide whether ``g`` is implementable.
 
@@ -395,9 +401,8 @@ def check_implementability(
     receive validity per role, and stops at the first violation unless
     ``all_violations`` is set.  A violation is returned together with a
     verified counterexample trace.  Raises :class:`IllFormedProtocolError`
-    when ``g`` breaks the structural rules.  A caller that passes
-    ``_projections`` has validated ``g`` before building them, so ``g`` is
-    not validated again.
+    when ``g`` breaks the structural rules, unless the caller passes
+    ``_projections`` (see :data:`_Projections`).
     """
     if _projections is None:
         report = validate_well_formedness(g)
@@ -506,9 +511,7 @@ def build_counterexample(
     g: GlobalType,
     v: ValidityViolation,
     *,
-    _projections: Optional[
-        tuple[SyncAutomaton, dict[Role, tuple[LocalNfa, SubsetMachine]]]
-    ] = None,
+    _projections: Optional[_Projections] = None,
 ) -> tuple[AsyncEvent, ...]:
     """Turn a validity violation into a concrete bad execution.
 
@@ -524,6 +527,9 @@ def build_counterexample(
     that message in flight, let the still-available first message bubble up
     (skipping steps of roles that are frozen behind the role under test),
     and then receive the first message ahead of the second.
+
+    ``g`` must be well-formed (see :data:`_Projections`); it is not
+    validated here.
     """
     a, table = _projections if _projections is not None else build_projections(g)
     nfa, machine = table[v.role]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 import sys
+import time
 from random import Random
 
 import pytest
@@ -696,11 +697,44 @@ def test_parser_matches_the_reference_on_random_and_mutated_texts():
         ":",
         "0abc",
         "_a->b_:c1 . 0",
+        "alice->bob . 0",
+        "alice->bob:hello 0",
+        "alice -> bob : hello . + { bob->carol:ok . 0, bob->carol:no end }",
+        "mu loop loop",
         "p -> q : m . + { q -> r : a . 0 , q -> p : b . t }",
     ],
 )
 def test_parser_matches_the_reference_on_edge_cases(text):
     _assert_parses_alike(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " " * 10**5 + "?",
+        "p" + " \n\t" * 10**5 + "-",
+        "p->q:m" + "\n  " * 10**5 + ": x",
+        "mu t" + " " * 10**5 + "x",
+        "/" * 10**5 + "\n?",
+        "p -> " + "// a // b //\n  " * 10**4 + "?",
+    ],
+    ids=["gap", "gap-after-name", "gap-in-head", "gap-after-binder", "slashes", "comments"],
+)
+def test_scanner_fails_fast_after_a_long_gap(text):
+    start = time.perf_counter()
+    _assert_parses_alike(text)
+    with pytest.raises(ParseError):
+        parse_global_type(text)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_scanner_patterns_compile_before_python_3_11():
+    # Possessive quantifiers and atomic groups need Python 3.11; the package
+    # supports 3.10.
+    import gtproj.syntax as syntax
+
+    for pattern in (syntax._SCAN.pattern, syntax._TOKEN.pattern):
+        assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", pattern)
 
 
 def test_walks_match_the_references():
