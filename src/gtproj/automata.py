@@ -18,7 +18,7 @@ from enum import Enum
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Callable, Hashable, Iterable, Optional, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .syntax import (
     END,
@@ -205,6 +205,7 @@ Edge = tuple[GlobalType, Optional[SyncEvent], GlobalType]
 LocalEdge = tuple[GlobalType, Optional[AsyncEvent], GlobalType]
 
 _Node = TypeVar("_Node", bound=Hashable)
+_T = TypeVar("_T")
 
 
 def _shortest_path(
@@ -258,9 +259,13 @@ class SyncAutomaton:
     The dense index numbers the states by ascending intern id: ``nodes[i]``
     is the state of bit ``i`` in a state mask, and ``bit`` maps back, so
     reading a mask's bits in ascending order lists its states by intern id.
+    ``edges`` are the transitions over that index: ``(source bit, label,
+    target bit)``, in the same order.
     """
 
-    __slots__ = ("states", "transitions", "initial", "finals", "nodes", "bit", "_out")
+    __slots__ = (
+        "states", "transitions", "initial", "finals", "nodes", "bit", "_edges", "_out"
+    )
 
     def __init__(
         self,
@@ -280,10 +285,22 @@ class SyncAutomaton:
         self.finals = finals
         self.nodes = tuple(sorted(self.states, key=lambda s: s.intern_id))
         self.bit = {s: i for i, s in enumerate(self.nodes)}
+        self._edges: Optional[tuple[tuple[int, Optional[SyncEvent], int], ...]] = None
         out: dict[GlobalType, list[Edge]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t[0]].append(t)
         self._out = {s: tuple(es) for s, es in out.items()}
+
+    @property
+    def edges(self) -> tuple[tuple[int, Optional[SyncEvent], int], ...]:
+        """The transitions over the dense index, made on first use (the
+        per-role views read them; the oracles do not)."""
+        if self._edges is None:
+            bit = self.bit
+            self._edges = tuple(
+                (bit[src], label, bit[tgt]) for src, label, tgt in self.transitions
+            )
+        return self._edges
 
     def out(self, state: GlobalType) -> tuple[Edge, ...]:
         """Outgoing transitions of ``state``, in sorted label order."""
@@ -338,18 +355,64 @@ def _mask_bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
 
 
+def _select(seq: Sequence[_T], mask: int) -> Iterator[_T]:
+    """The entries of ``seq`` (indexed by bit) at the bits set in ``mask``,
+    lowest bit first.  Only the window from the lowest to the highest set
+    bit is converted, so a narrow mask costs little however wide the index
+    is."""
+    lo = (mask & -mask).bit_length() - 1
+    if lo > 0:
+        return compress(seq[lo : mask.bit_length()], _mask_bits(mask >> lo))
+    return compress(seq, _mask_bits(mask))  # no bit set, or bit 0
+
+
+def _closures(step: Sequence[int], order: Iterable[int]) -> list[int]:
+    """``closures[i]``: the mask of the nodes reachable from node ``i``
+    (itself included), where ``step[i]`` masks the nodes one step away.
+
+    Nodes are closed in ``order``.  A node reached that was closed before
+    adds its finished closure instead of being expanded again, so when most
+    steps lead to nodes earlier in ``order`` a closure takes a few mask
+    operations; a node without steps takes none.
+    """
+    closures = [0] * len(step)
+    done = 0
+    for i in order:
+        seen = 1 << i
+        done |= seen
+        frontier = step[i] & ~seen
+        while frontier:
+            seen |= frontier
+            known = frontier & done
+            if known:
+                seen |= reduce(or_, _select(closures, known))
+                frontier ^= known
+            if frontier:
+                frontier = reduce(or_, _select(step, frontier)) & ~seen
+        closures[i] = seen
+    return closures
+
+
+def _label_key(e: AsyncEvent) -> tuple[str, str, str]:
+    return (e.peer.name, e.message.label, e.direction.value)
+
+
 class LocalNfa:
     """One role's (nondeterministic) view of a synchronous automaton.
 
     States, initial state, final states and the dense index are exactly
     those of the source automaton; each transition is the erasure image of
-    exactly one source transition, in the same order.  ``closures[i]`` is
-    the mask of the states reachable from ``nodes[i]`` by silent steps.
+    exactly one source transition, in the same order.  ``events`` are the
+    distinct labels sorted by (peer, message, direction), and ``edges`` are
+    the transitions over the dense index with labels as ranks in
+    ``events``: ``(source bit, rank, target bit)``, rank ``None`` when
+    silent.  ``closures[i]`` is the mask of the states reachable from
+    ``nodes[i]`` by silent steps.
     """
 
     __slots__ = (
         "role", "states", "transitions", "initial", "finals", "nodes", "bit",
-        "closures", "_out",
+        "events", "edges", "closures", "_out",
     )
 
     def __init__(
@@ -361,22 +424,26 @@ class LocalNfa:
         self.initial = a.initial
         self.finals = a.finals
         self.nodes = a.nodes
-        self.bit = bit = a.bit
+        self.bit = a.bit
+        self.events: tuple[AsyncEvent, ...] = tuple(
+            sorted({t[1] for t in transitions if t[1] is not None}, key=_label_key)
+        )
+        rank = {e: r for r, e in enumerate(self.events)}
+        self.edges: tuple[tuple[int, Optional[int], int], ...] = tuple(
+            (src, None if t[1] is None else rank[t[1]], tgt)
+            for (src, _, tgt), t in zip(a.edges, transitions)
+        )
         out: dict[GlobalType, list[LocalEdge]] = {s: [] for s in self.states}
-        silent = [0] * len(self.nodes)
         for t in transitions:
             out[t[0]].append(t)
-            if t[1] is None:
-                silent[bit[t[0]]] |= 1 << bit[t[2]]
         self._out = {s: tuple(es) for s, es in out.items()}
-        closures = []
-        for i in range(len(self.nodes)):
-            seen = frontier = 1 << i
-            while frontier:
-                frontier = reduce(or_, compress(silent, _mask_bits(frontier))) & ~seen
-                seen |= frontier
-            closures.append(seen)
-        self.closures: tuple[int, ...] = tuple(closures)
+        silent = [0] * len(self.nodes)
+        for src, label, tgt in self.edges:
+            if label is None:
+                silent[src] |= 1 << tgt
+        # children are interned before their parents, so ascending bit
+        # order mostly closes a node's silent successors before the node
+        self.closures: tuple[int, ...] = tuple(_closures(silent, range(len(silent))))
 
     def out(self, state: GlobalType) -> tuple[LocalEdge, ...]:
         """Outgoing transitions of ``state``."""
@@ -384,7 +451,7 @@ class LocalNfa:
 
     def members(self, mask: int) -> tuple[GlobalType, ...]:
         """The states of ``mask``, by ascending intern id."""
-        return tuple(compress(self.nodes, _mask_bits(mask)))
+        return tuple(_select(self.nodes, mask))
 
     def closure_nodes(self, state: GlobalType) -> tuple[GlobalType, ...]:
         """States reachable from ``state`` through silent transitions only

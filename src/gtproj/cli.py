@@ -117,9 +117,9 @@ def _projection_rows(projections: dict[Role, SubsetMachine]) -> list[dict]:
         rows.append(
             {
                 "role": role.name,
-                "states": len(m.states),
-                "transitions": len(m.transitions),
-                "final_states": len(m.finals),
+                "states": len(m.masks),
+                "transitions": sum(map(len, m.arcs)),
+                "final_states": sum(1 for mask in m.masks if mask & m.final_mask),
             }
         )
     return rows

@@ -47,6 +47,9 @@ class Csm:
                 raise ValueError(
                     f"machine for role {role} was built for role {machine.role}"
                 )
+            # Stepping reads the machine's object views: build them here,
+            # with the system, rather than at its first step.
+            machine.initial
         self.roles: tuple[Role, ...] = tuple(sorted(self.machines, key=lambda r: r.name))
 
 

@@ -7,21 +7,28 @@ states become silent-closed sets of subterms — except that no states are
 merged or minimized beyond the closure itself: keeping the member subterms
 visible is what later lets the validity checks reason about *which* branch
 of the protocol each member belongs to.
+
+A :class:`SubsetMachine` is int tables first: each state is a mask of
+members over the view's dense index, each move a (label rank, successor
+number) pair, exactly as :func:`determinize` finds them.  The validity
+checks read only those tables (see :mod:`gtproj.validity`).  The object
+views -- :class:`SubsetState` values and the ``(state, event)`` transition
+map -- are built on first use, by projection output, simulation, the oracle
+and counterexamples.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .automata import (
     AsyncEvent,
     LocalNfa,
     SyncAutomaton,
     _machine_dot,
-    _mask_bits,
+    _select,
     build_gaut,
     erase,
 )
@@ -88,57 +95,101 @@ class SubsetState:
         return "{" + ",".join(str(i) for i in self.ids) + "}"
 
 
-def _label_key(e: AsyncEvent) -> tuple[str, str, str]:
-    return (e.peer.name, e.message.label, e.direction.value)
-
-
 class SubsetMachine:
-    """A deterministic machine for one role.
+    """A deterministic machine for one role, held as int tables.
 
-    ``states`` are in breadth-first discovery order (the initial state
-    first, successors by sorted label); ``transitions`` maps
-    ``(state, event)`` to the successor state; a state is final when it
-    contains the terminated protocol.
+    State ``i`` is ``masks[i]``, its members as a mask over the dense index
+    ``nodes`` (bit ``j`` stands for ``nodes[j]``).  States are numbered in
+    breadth-first discovery order, the initial state first.  ``arcs[i]``
+    lists state ``i``'s moves as ``(label rank, successor number)`` pairs in
+    label order, where a rank indexes the sorted ``events``; a state is
+    final when its mask meets ``final_mask``, the terminated protocol's bit.
+
+    The object views -- ``states``, ``transitions`` (``(state, event)`` to
+    successor), ``initial``, ``finals``, :meth:`out`, :meth:`step` and
+    :meth:`state_number` -- are built together on first use, so a caller
+    that reads only the tables never makes a :class:`SubsetState`.
     """
 
-    __slots__ = ("role", "states", "transitions", "initial", "finals", "_out", "_index")
+    __slots__ = ("role", "nodes", "masks", "arcs", "events", "final_mask", "_views")
 
     def __init__(
         self,
         role: Role,
-        states: tuple[SubsetState, ...],
-        transitions: Mapping[tuple[SubsetState, AsyncEvent], SubsetState],
-        initial: SubsetState,
-        finals: frozenset[SubsetState],
+        nodes: tuple[GlobalType, ...],
+        masks: tuple[int, ...],
+        arcs: tuple[tuple[tuple[int, int], ...], ...],
+        events: tuple[AsyncEvent, ...],
+        final_mask: int,
     ) -> None:
         self.role = role
-        self.states = states
-        self.transitions = dict(transitions)
-        self.initial = initial
-        self.finals = finals
-        out: dict[SubsetState, list[tuple[AsyncEvent, SubsetState]]] = {
-            s: [] for s in states
-        }
-        for (src, event), tgt in self.transitions.items():
-            out[src].append((event, tgt))
-        self._out = {s: tuple(moves) for s, moves in out.items()}
-        self._index = {s: i for i, s in enumerate(states)}
+        self.nodes = nodes
+        self.masks = masks
+        self.arcs = arcs
+        self.events = events
+        self.final_mask = final_mask
+        self._views: Optional[_Views] = None
+
+    def _objects(self) -> "_Views":
+        if self._views is None:
+            self._views = _Views(self)
+        return self._views
+
+    @property
+    def states(self) -> tuple[SubsetState, ...]:
+        return (self._views or self._objects()).states
+
+    @property
+    def transitions(self) -> dict[tuple[SubsetState, AsyncEvent], SubsetState]:
+        return (self._views or self._objects()).transitions
+
+    @property
+    def initial(self) -> SubsetState:
+        return (self._views or self._objects()).initial
+
+    @property
+    def finals(self) -> frozenset[SubsetState]:
+        return (self._views or self._objects()).finals
 
     def out(self, state: SubsetState) -> tuple[tuple[AsyncEvent, SubsetState], ...]:
-        """Outgoing (event, successor) pairs in the order of ``transitions``;
-        :func:`determinize` inserts each state's moves in label order."""
-        return self._out[state]
+        """Outgoing (event, successor) pairs in label order."""
+        return (self._views or self._objects()).out[state]
 
     def step(self, state: SubsetState, event: AsyncEvent) -> Optional[SubsetState]:
         """Successor under ``event``, or ``None`` when not enabled."""
-        return self.transitions.get((state, event))
+        return (self._views or self._objects()).transitions.get((state, event))
 
     def state_number(self, state: SubsetState) -> int:
         """Breadth-first discovery index of ``state``."""
-        return self._index[state]
+        return (self._views or self._objects()).index[state]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.masks)
+
+
+class _Views:
+    """The object views of one :class:`SubsetMachine`, built together."""
+
+    __slots__ = ("states", "transitions", "initial", "finals", "out", "index")
+
+    def __init__(self, m: SubsetMachine) -> None:
+        events = m.events
+        states = tuple(SubsetState(tuple(_select(m.nodes, mask))) for mask in m.masks)
+        self.states = states
+        self.out = {
+            state: tuple((events[r], states[t]) for r, t in moves)
+            for state, moves in zip(states, m.arcs)
+        }
+        self.transitions = {
+            (state, event): target
+            for state, moves in self.out.items()
+            for event, target in moves
+        }
+        self.initial = states[0]
+        self.finals = frozenset(
+            s for s, mask in zip(states, m.masks) if mask & m.final_mask
+        )
+        self.index = {s: i for i, s in enumerate(states)}
 
 
 def determinize(nfa: LocalNfa) -> SubsetMachine:
@@ -150,39 +201,36 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     some member enables it), and every reachable state is kept.
 
     The search runs on state masks over the view's dense index: a member's
-    steps are (label rank, target closure mask) pairs, a successor is the
-    union of the target closures under one label, and one
-    :class:`SubsetState` is made per discovered mask at the end.
+    steps are (label rank, target closure mask) pairs, ranks in the view's
+    ``events``, and a successor is the union of the target closures under
+    one label.  The machine keeps the masks and arcs as they are found.
     """
     bit, closures = nfa.bit, nfa.closures
-    events = sorted(
-        {label for _, label, _ in nfa.transitions if label is not None}, key=_label_key
-    )
-    rank = {e: r for r, e in enumerate(events)}
     steps: list[list[tuple[int, int]]] = [[] for _ in nfa.nodes]
-    for src, label, tgt in nfa.transitions:
-        if label is not None:
-            steps[bit[src]].append((rank[label], closures[bit[tgt]]))
+    for src, r, tgt in nfa.edges:
+        if r is not None:
+            steps[src].append((r, closures[tgt]))
     masks = [closures[bit[nfa.initial]]]
     order = {masks[0]: 0}
-    arcs: list[tuple[int, int, int]] = []
-    for number, mask in enumerate(masks):  # grows while it is read: a BFS queue
+    arcs: list[tuple[tuple[int, int], ...]] = []
+    for mask in masks:  # grows while it is read: a BFS queue
         moves: dict[int, int] = {}
-        for member_steps in compress(steps, _mask_bits(mask)):
+        for member_steps in _select(steps, mask):
             for r, target in member_steps:
                 moves[r] = moves.get(r, 0) | target
+        row = []
         for r in sorted(moves):
             union = moves[r]
             successor = order.get(union)
             if successor is None:
                 successor = order[union] = len(masks)
                 masks.append(union)
-            arcs.append((number, r, successor))
+            row.append((r, successor))
+        arcs.append(tuple(row))
     final_mask = sum(1 << bit[f] for f in nfa.finals)
-    states = tuple(SubsetState(nfa.members(mask)) for mask in masks)
-    transitions = {(states[s], events[r]): states[t] for s, r, t in arcs}
-    finals = frozenset(s for s, mask in zip(states, masks) if mask & final_mask)
-    return SubsetMachine(nfa.role, states, transitions, states[0], finals)
+    return SubsetMachine(
+        nfa.role, nfa.nodes, tuple(masks), tuple(arcs), nfa.events, final_mask
+    )
 
 
 def subset_construction(g: GlobalType, p: Role) -> SubsetMachine:

@@ -21,6 +21,15 @@ machine built by subset construction satisfies two conditions:
 Both checks are sound and complete, so a violation always yields a real
 counterexample trace, verified against the machine semantics before it is
 returned.
+
+Both are tests on the machine's masks (see
+:class:`~gtproj.projection.SubsetMachine`).  A send x from a state with
+mask ``s`` is valid when ``s & ~can[x]`` is empty, where ``can[x]`` masks
+the nodes whose silent closure meets an x-labeled edge.  Receive validity
+asks :func:`available_messages` about the members of the second receive's
+target mask, lowest first, up to the first at which the offending send is
+available, and remembers per send the mask of the members where it is.
+State objects are made only for a violation that is reported.
 """
 from __future__ import annotations
 
@@ -35,6 +44,8 @@ from .automata import (
     LocalNfa,
     SyncAutomaton,
     SyncEvent,
+    _closures,
+    _select,
     _shortest_path,
     erase_label,
     receive,
@@ -109,8 +120,8 @@ class IllFormedProtocolError(ValueError):
 class AvailableMessageQuery:
     """Ask which sends can reach the front of ``subterm``'s execution while
     the ``blocked`` roles perform nothing.  ``unfolded`` lists recursion
-    variables already unfolded (used by the recursion itself; queries
-    normally leave it empty)."""
+    variables already unfolded (used by the walk itself; queries normally
+    leave it empty)."""
 
     subterm: GlobalType
     blocked: frozenset[Role]
@@ -127,8 +138,101 @@ class AvailableMessageResult:
     witness: Mapping[AsyncEvent, tuple[Edge, ...]]
 
 
+class _AvailableWalks:
+    """The available-message tables of one protocol's subterms.
+
+    The table of a walk from ``node`` with ``blocked`` roles and
+    ``unfolded`` variables depends on nothing else, so one memo serves
+    every query on the protocol.  Walks use an explicit stack, so a deep
+    protocol reaches no recursion limit.
+    """
+
+    __slots__ = ("universe", "bind", "memo")
+
+    def __init__(self, g_root: GlobalType) -> None:
+        self.universe = {node.intern_id for node in subterms(g_root)}
+        self.bind = binders(g_root)
+        self.memo: dict[tuple, dict[AsyncEvent, tuple[Edge, ...]]] = {}
+
+    def _parts(
+        self, node: GlobalType, blocked: frozenset[Role], unfolded: frozenset[str]
+    ) -> tuple[tuple[GlobalType, frozenset[Role], frozenset[str]], ...]:
+        """The walks whose tables make up ``node``'s table, in order."""
+        if isinstance(node, Rec):
+            return ((node.body, blocked, unfolded | {node.var}),)
+        if isinstance(node, Var):
+            if node.var in unfolded:
+                return ()
+            return ((self.bind[node.var].body, blocked, unfolded | {node.var}),)
+        if isinstance(node, Choice):
+            if node.sender not in blocked:
+                return tuple((b.continuation, blocked, unfolded) for b in node.branches)
+            return tuple(
+                (b.continuation, blocked | {b.receiver}, unfolded) for b in node.branches
+            )
+        return ()
+
+    def _combine(
+        self,
+        node: GlobalType,
+        blocked: frozenset[Role],
+        inners: list[dict[AsyncEvent, tuple[Edge, ...]]],
+    ) -> dict[AsyncEvent, tuple[Edge, ...]]:
+        """``node``'s table from the tables of its :meth:`_parts`."""
+        if isinstance(node, Rec):
+            step: Edge = (node, None, node.body)
+            return {ev: (step,) + sfx for ev, sfx in inners[0].items()}
+        if isinstance(node, Var):
+            if not inners:
+                return {}
+            binder = self.bind[node.var]
+            hops: tuple[Edge, ...] = ((node, None, binder), (binder, None, binder.body))
+            return {ev: hops + sfx for ev, sfx in inners[0].items()}
+        table: dict[AsyncEvent, tuple[Edge, ...]] = {}
+        if isinstance(node, Choice):
+            free = node.sender not in blocked
+            for b, inner in zip(node.branches, inners):
+                step = (node, SyncEvent(node.sender, b.receiver, b.message), b.continuation)
+                for ev, sfx in inner.items():
+                    if free and ev.active == node.sender and ev.peer == b.receiver:
+                        # The branch exchange itself is the first message
+                        # on this channel; later sends on it are hidden.
+                        continue
+                    table.setdefault(ev, (step,) + sfx)
+                if free:
+                    table.setdefault(send(node.sender, b.receiver, b.message), (step,))
+        return table
+
+    def table(
+        self, node: GlobalType, blocked: frozenset[Role], unfolded: frozenset[str]
+    ) -> dict[AsyncEvent, tuple[Edge, ...]]:
+        """Each send available from ``node``, with its witness suffix."""
+        memo = self.memo
+        # A frame is a walk and, once its parts are pushed, those parts.
+        # Along any chain of parts the walks differ (the tree only descends,
+        # and going back up through a variable grows ``unfolded``), so a
+        # walk never waits on itself.
+        stack: list[tuple] = [(node, blocked, unfolded, None)]
+        while stack:
+            frame_node, frame_blocked, frame_unfolded, parts = stack.pop()
+            key = (frame_node.intern_id, frame_blocked, frame_unfolded)
+            if key in memo:
+                continue
+            if parts is None:
+                parts = self._parts(frame_node, frame_blocked, frame_unfolded)
+                stack.append((frame_node, frame_blocked, frame_unfolded, parts))
+                stack.extend((*part, None) for part in reversed(parts))
+                continue
+            inners = [memo[(n.intern_id, b, u)] for n, b, u in parts]
+            memo[key] = self._combine(frame_node, frame_blocked, inners)
+        return memo[(node.intern_id, blocked, unfolded)]
+
+
 def available_messages(
-    g_root: GlobalType, q: AvailableMessageQuery
+    g_root: GlobalType,
+    q: AvailableMessageQuery,
+    *,
+    _walks: Optional[_AvailableWalks] = None,
 ) -> AvailableMessageResult:
     """Compute the messages available at a subterm of ``g_root``.
 
@@ -139,65 +243,14 @@ def available_messages(
     later sends on it.  Each recursion variable is unfolded at most once per
     path, which suffices because availability is not increased by a second
     pass through a loop.
+
+    ``_walks``, when given, must be built from ``g_root``; callers that ask
+    many queries on one protocol pass one to share its memo.
     """
-    universe = {node.intern_id for node in subterms(g_root)}
-    if q.subterm.intern_id not in universe:
+    walks = _walks if _walks is not None else _AvailableWalks(g_root)
+    if q.subterm.intern_id not in walks.universe:
         raise InternalError("queried subterm does not occur in the protocol")
-    bind = binders(g_root)
-    memo: dict[tuple, dict[AsyncEvent, tuple[Edge, ...]]] = {}
-
-    def walk(
-        node: GlobalType, blocked: frozenset[Role], unfolded: frozenset[str]
-    ) -> dict[AsyncEvent, tuple[Edge, ...]]:
-        key = (node.intern_id, blocked, unfolded)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        table: dict[AsyncEvent, tuple[Edge, ...]] = {}
-        if isinstance(node, Rec):
-            inner = walk(node.body, blocked, unfolded | {node.var})
-            step: Edge = (node, None, node.body)
-            table = {ev: (step,) + sfx for ev, sfx in inner.items()}
-        elif isinstance(node, Var):
-            if node.var not in unfolded:
-                binder = bind[node.var]
-                inner = walk(binder.body, blocked, unfolded | {node.var})
-                hops: tuple[Edge, ...] = (
-                    (node, None, binder),
-                    (binder, None, binder.body),
-                )
-                table = {ev: hops + sfx for ev, sfx in inner.items()}
-        elif isinstance(node, Choice):
-            if node.sender not in blocked:
-                for b in node.branches:
-                    step = (
-                        node,
-                        SyncEvent(node.sender, b.receiver, b.message),
-                        b.continuation,
-                    )
-                    inner = walk(b.continuation, blocked, unfolded)
-                    for ev, sfx in inner.items():
-                        if ev.active == node.sender and ev.peer == b.receiver:
-                            # The branch exchange itself is the first message
-                            # on this channel; later sends on it are hidden.
-                            continue
-                        table.setdefault(ev, (step,) + sfx)
-                    head = send(node.sender, b.receiver, b.message)
-                    table.setdefault(head, (step,))
-            else:
-                for b in node.branches:
-                    step = (
-                        node,
-                        SyncEvent(node.sender, b.receiver, b.message),
-                        b.continuation,
-                    )
-                    inner = walk(b.continuation, blocked | {b.receiver}, unfolded)
-                    for ev, sfx in inner.items():
-                        table.setdefault(ev, (step,) + sfx)
-        memo[key] = table
-        return table
-
-    table = walk(q.subterm, q.blocked, q.unfolded)
+    table = walks.table(q.subterm, q.blocked, q.unfolded)
     return AvailableMessageResult(frozenset(table), dict(table))
 
 
@@ -259,29 +312,52 @@ class ValidityViolation:
         )
 
 
-def _send_violations(
-    m: SubsetMachine, nfa: LocalNfa
-) -> Iterator[ValidityViolation]:
-    # A member can send x exactly when its silent closure meets sources[x],
-    # the mask of the nodes with an x-labeled edge.
-    bit, closures = nfa.bit, nfa.closures
-    sources: dict[AsyncEvent, int] = {}
-    for src, label, _ in nfa.transitions:
-        if label is not None and label.direction is Direction.SEND:
-            sources[label] = sources.get(label, 0) | 1 << bit[src]
-    for state in m.states:
-        for event, target in m.out(state):
-            if event.direction is not Direction.SEND:
+def _sendable(nfa: LocalNfa) -> list[Optional[int]]:
+    """Per rank of ``nfa.events``: for a send x, the mask of the nodes that
+    can perform x after silent steps, that is whose silent closure meets an
+    x-labeled edge's source; ``None`` for a receive.
+
+    The mask is the union of those sources' co-closures (the nodes whose
+    closure contains the source), one union per x-labeled edge.
+    """
+    can: list[Optional[int]] = [
+        0 if e.direction is Direction.SEND else None for e in nfa.events
+    ]
+    back = [0] * len(nfa.nodes)
+    sources: list[tuple[int, int]] = []
+    for src, r, tgt in nfa.edges:
+        if r is None:
+            back[tgt] |= 1 << src
+        elif can[r] is not None:
+            sources.append((r, src))
+    # a silent step mostly goes from a parent to a child, which is interned
+    # first; descending bit order closes a node's predecessors first
+    co = _closures(back, range(len(back) - 1, -1, -1)) if any(back) else None
+    for r, src in sources:
+        can[r] |= co[src] if co is not None else 1 << src
+    return can
+
+
+def _send_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolation]:
+    # A send from a state is valid when every member can perform it: the
+    # state's mask lies inside the send's mask from _sendable (the machine's
+    # label ranks are the view's).
+    can = _sendable(nfa)
+    for number, (mask, moves) in enumerate(zip(m.masks, m.arcs)):
+        for r, target in moves:
+            able = can[r]
+            if able is None or not mask & ~able:
                 continue
-            can = sources[event]
-            missing = tuple(g for g in state if not closures[bit[g]] & can)
-            if missing:
-                yield ValidityViolation(
-                    ViolationKind.SEND_VALIDITY,
-                    m.role,
-                    state,
-                    SendViolationDetails((state, event, target), missing),
-                )
+            states = m.states
+            state = states[number]
+            yield ValidityViolation(
+                ViolationKind.SEND_VALIDITY,
+                m.role,
+                state,
+                SendViolationDetails(
+                    (state, m.events[r], states[target]), nfa.members(mask & ~able)
+                ),
+            )
 
 
 def check_send_validity(m: SubsetMachine, nfa: LocalNfa) -> Optional[ValidityViolation]:
@@ -291,45 +367,65 @@ def check_send_validity(m: SubsetMachine, nfa: LocalNfa) -> Optional[ValidityVio
 
 
 def _receive_violations(m: SubsetMachine, g: GlobalType) -> Iterator[ValidityViolation]:
-    available_cache: dict[int, AvailableMessageResult] = {}
+    role, events, nodes, masks = m.role, m.events, m.nodes, m.masks
+    # per rank of a receive: the send that must not stay available after
+    # a receive from another sender
+    offending = [
+        None if e.direction is Direction.SEND else send(e.peer, role, e.message)
+        for e in events
+    ]
+    peers = [e.peer.name for e in events]
+    blocked = frozenset((role,))
+    walks: Optional[_AvailableWalks] = None  # made at the first query
+    results: dict[int, AvailableMessageResult] = {}
+    asked = 0  # the nodes queried so far
+    available: dict[AsyncEvent, int] = {}  # per send, the queried nodes offering it
 
-    def available_at(subterm: GlobalType) -> AvailableMessageResult:
-        cached = available_cache.get(subterm.intern_id)
-        if cached is None:
-            cached = available_messages(
-                g, AvailableMessageQuery(subterm, frozenset((m.role,)))
+    def first_available(x: AsyncEvent, destinations: int) -> Optional[int]:
+        """The lowest destination at which ``x`` is available, querying
+        unasked destinations in ascending order, up to the first hit."""
+        nonlocal asked, walks
+        known = destinations & available.get(x, 0)
+        below = destinations & ((known & -known) - 1) if known else destinations
+        for i in _select(range(len(nodes)), below & ~asked):
+            if walks is None:
+                walks = _AvailableWalks(g)
+            result = available_messages(
+                g, AvailableMessageQuery(nodes[i], blocked), _walks=walks
             )
-            available_cache[subterm.intern_id] = cached
-        return cached
+            results[i] = result
+            asked |= 1 << i
+            for ev in result.events:
+                available[ev] = available.get(ev, 0) | 1 << i
+            if x in result.events:
+                return i
+        return (known & -known).bit_length() - 1 if known else None
 
-    for state in m.states:
-        receives = [
-            (event, target)
-            for event, target in m.out(state)
-            if event.direction is Direction.RECEIVE
-        ]
-        for first, target_one in receives:
-            for second, target_two in receives:
-                if first.peer == second.peer:
+    for number, moves in enumerate(m.arcs):
+        receives = [(r, t) for r, t in moves if offending[r] is not None]
+        for r1, t1 in receives:
+            x = offending[r1]
+            for r2, t2 in receives:
+                if peers[r2] == peers[r1]:
                     continue
-                offending = send(first.peer, m.role, first.message)
                 # the destinations of the second receive are its target's members
-                for witness in target_two:
-                    result = available_at(witness)
-                    if offending in result.events:
-                        yield ValidityViolation(
-                            ViolationKind.RECEIVE_VALIDITY,
-                            m.role,
-                            state,
-                            ReceiveViolationDetails(
-                                (state, first, target_one),
-                                (state, second, target_two),
-                                witness,
-                                offending,
-                                result.witness[offending],
-                            ),
-                        )
-                        break  # one witness per transition pair is enough
+                w = first_available(x, masks[t2])
+                if w is None:
+                    continue
+                states = m.states
+                state = states[number]
+                yield ValidityViolation(
+                    ViolationKind.RECEIVE_VALIDITY,
+                    role,
+                    state,
+                    ReceiveViolationDetails(
+                        (state, events[r1], states[t1]),
+                        (state, events[r2], states[t2]),
+                        nodes[w],
+                        x,
+                        results[w].witness[x],
+                    ),
+                )
 
 
 def check_receive_validity(
@@ -353,8 +449,8 @@ def check_no_mixed_choice(m: SubsetMachine) -> bool:
     a state between different peers, but mixedness is the part that matters
     for comparing against classical projection.
     """
-    for state in m.states:
-        directions = {event.direction for event, _ in m.out(state)}
+    for moves in m.arcs:
+        directions = {m.events[r].direction for r, _ in moves}
         if len(directions) > 1:
             return False
     return True

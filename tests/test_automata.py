@@ -1,6 +1,8 @@
 """Protocol automaton, event splitting/erasure, traces, DOT output."""
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from gtproj import (
@@ -25,6 +27,7 @@ from gtproj import (
     split_word,
     sync_to_dot,
 )
+from gtproj.automata import _closures, _select
 from gtproj.corpus import load
 
 P, Q, R = Role("p"), Role("q"), Role("r")
@@ -183,6 +186,39 @@ def test_eps_closure_of_is_reflexive_and_transitive():
     closure = nfa.eps_closure_of(g)
     assert closure == frozenset(nfa.states) - {END}
 
+
+
+def test_select_reads_only_the_set_bits():
+    seq = list(range(200))
+    assert list(_select(seq, 0)) == []
+    assert list(_select(seq, 1)) == [0]
+    assert list(_select(seq, 1 << 150 | 1 << 70)) == [70, 150]
+    rng = Random(5)
+    for _ in range(200):
+        mask = rng.getrandbits(200)
+        assert list(_select(seq, mask)) == [i for i in seq if mask >> i & 1]
+
+
+def test_closures_in_any_order_match_a_plain_search():
+    rng = Random(9)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        step = [0] * n
+        for _ in range(rng.randint(0, 2 * n)):  # cycles and self-loops included
+            step[rng.randrange(n)] |= 1 << rng.randrange(n)
+        expected = []
+        for i in range(n):
+            seen, stack = {i}, [i]
+            while stack:
+                j = stack.pop()
+                for k in range(n):
+                    if step[j] >> k & 1 and k not in seen:
+                        seen.add(k)
+                        stack.append(k)
+            expected.append(sum(1 << k for k in seen))
+        order = list(range(n))
+        rng.shuffle(order)
+        assert _closures(step, order) == expected
 
 # --------------------------------------------------------------------------- #
 # DOT rendering

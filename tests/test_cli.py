@@ -6,9 +6,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from gtproj import cli, validity
+from gtproj import SubsetState, cli, generate_gk, pretty, validity
 from gtproj.cli import RunConfig, main, run_command
-from gtproj.corpus import names, text
+from gtproj.corpus import entries, names, text
 
 runner = CliRunner()
 
@@ -73,6 +73,28 @@ def test_check_json_lists_projections_when_implementable(tmp_path):
     for row in doc["projections"]:
         assert row["states"] >= 1 and row["final_states"] >= 1
 
+
+def test_check_of_implementable_protocols_makes_no_state_objects(tmp_path, monkeypatch):
+    made = []
+    post_init = SubsetState.__post_init__
+
+    def counted(state):
+        made.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(SubsetState, "__post_init__", counted)
+    gk = tmp_path / "gk6.gt"
+    gk.write_text(pretty(generate_gk(6)))
+    sources = [str(gk)]
+    sources += [corpus_path(e.name, tmp_path) for e in entries() if e.implementable]
+    for source in sources:
+        assert run_command(RunConfig(command="check", source=source, fmt="json")) == 0
+    assert made == []
+    # a counterexample replays on the machines, so a rejection makes them
+    assert run_command(
+        RunConfig(command="check", source=corpus_path("g_s", tmp_path), fmt="json")
+    ) == 1
+    assert made
 
 def test_check_all_reports_every_violation(tmp_path):
     result = runner.invoke(main, ["check", corpus_path("g_s", tmp_path), "--all"])
@@ -149,7 +171,16 @@ def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys, monkeypat
 
 def test_check_accepts_a_long_chain(tmp_path):
     path = tmp_path / "chain.gt"
-    path.write_text(" . ".join(f"p->q:m{i}" for i in range(3000)) + " . 0\n")
+    path.write_text(" . ".join(f"p->q:m{i}" for i in range(10_000)) + " . 0\n")
+    assert run_command(RunConfig(command="check", source=str(path))) == 0
+
+
+def test_check_asks_for_available_messages_deep_in_a_chain(tmp_path):
+    # r's first state receives from p and from q; receive validity asks
+    # about every node of the shared chain behind q's message to r
+    chain = " . ".join(f"p->q:m{i}" for i in range(3000))
+    path = tmp_path / "fork.gt"
+    path.write_text(f"+ {{ p->r:a . {chain} . 0, p->q:b . q->r:c . {chain} . 0 }}\n")
     assert run_command(RunConfig(command="check", source=str(path))) == 0
 
 

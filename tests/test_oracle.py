@@ -221,7 +221,7 @@ def test_fidelity_reports_missing_machine_behaviour_as_replay():
     # cripple q: remove its only transition so the protocol cannot replay
     q_machine = machines[Q]
     machines[Q] = SubsetMachine(
-        Q, (q_machine.initial,), {}, q_machine.initial, frozenset()
+        Q, q_machine.nodes, q_machine.masks[:1], ((),), q_machine.events, 0
     )
     report = bounded_fidelity_check(g, Csm(machines))
     assert not report.ok
@@ -236,15 +236,7 @@ def test_fidelity_reports_a_pure_deadlock():
     # in a non-final configuration with no enabled event
     q_machine = machines[Q]
     machines[Q] = SubsetMachine(
-        Q,
-        q_machine.states,
-        {
-            (state, event): target
-            for state in q_machine.states
-            for event, target in q_machine.out(state)
-        },
-        q_machine.initial,
-        frozenset(),
+        Q, q_machine.nodes, q_machine.masks, q_machine.arcs, q_machine.events, 0
     )
     report = bounded_fidelity_check(g, Csm(machines))
     assert not report.ok

@@ -271,13 +271,13 @@ def _reference_determinize(nfa):
     return states, transitions, initial, finals
 
 
-def _reference_inputs():
+def _reference_inputs(draws=500):
     for entry in entries():
         yield entry.name, entry.load()
     for k in range(1, 7):
         yield f"gk({k})", generate_gk(k)
     rng = Random(7)
-    for draw in range(500):
+    for draw in range(draws):
         yield f"draw {draw}", random_global_type(rng, max_size=25)
 
 

@@ -8,12 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from gtproj import (
     AvailableMessageQuery,
+    AvailableMessageResult,
+    Choice,
     Csm,
+    Direction,
     END,
     IllFormedProtocolError,
     InternalError,
     Message,
+    Rec,
+    ReceiveViolationDetails,
     Role,
+    SendViolationDetails,
+    SyncEvent,
+    ValidityViolation,
+    Var,
     ViolationKind,
     available_messages,
     build_projections,
@@ -33,7 +42,8 @@ from gtproj import (
     validate_well_formedness,
 )
 from gtproj.corpus import entries, load
-from gtproj.validity import _send_violations
+from gtproj.syntax import binders
+from gtproj.validity import _AvailableWalks, _send_violations
 
 from .strategies import random_global_type, rename_consistently
 from .test_projection import _reference_closure, _reference_inputs
@@ -180,6 +190,78 @@ def test_blocked_roles_never_appear_as_senders():
             assert all(e.active not in blocked for e in result.events)
 
 
+def _reference_available_messages(g_root, q):
+    """The recursive walk that :func:`available_messages` replaced, as a
+    reference: one memo per query, one Python frame per protocol step."""
+    bind = binders(g_root)
+    memo = {}
+
+    def walk(node, blocked, unfolded):
+        key = (node.intern_id, blocked, unfolded)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        table = {}
+        if isinstance(node, Rec):
+            inner = walk(node.body, blocked, unfolded | {node.var})
+            step = (node, None, node.body)
+            table = {ev: (step,) + sfx for ev, sfx in inner.items()}
+        elif isinstance(node, Var):
+            if node.var not in unfolded:
+                binder = bind[node.var]
+                inner = walk(binder.body, blocked, unfolded | {node.var})
+                hops = ((node, None, binder), (binder, None, binder.body))
+                table = {ev: hops + sfx for ev, sfx in inner.items()}
+        elif isinstance(node, Choice):
+            if node.sender not in blocked:
+                for b in node.branches:
+                    step = (node, SyncEvent(node.sender, b.receiver, b.message), b.continuation)
+                    inner = walk(b.continuation, blocked, unfolded)
+                    for ev, sfx in inner.items():
+                        if ev.active == node.sender and ev.peer == b.receiver:
+                            continue
+                        table.setdefault(ev, (step,) + sfx)
+                    table.setdefault(send(node.sender, b.receiver, b.message), (step,))
+            else:
+                for b in node.branches:
+                    step = (node, SyncEvent(node.sender, b.receiver, b.message), b.continuation)
+                    inner = walk(b.continuation, blocked | {b.receiver}, unfolded)
+                    for ev, sfx in inner.items():
+                        table.setdefault(ev, (step,) + sfx)
+        memo[key] = table
+        return table
+
+    table = walk(q.subterm, q.blocked, q.unfolded)
+    return AvailableMessageResult(frozenset(table), dict(table))
+
+
+def test_iterative_walk_matches_the_recursive_one():
+    rng = Random(3)
+    for name, g in _reference_inputs(300):
+        roles = roles_of(g)
+        walks = _AvailableWalks(g)
+        for sub in subterms(g):
+            blocked_sets = [frozenset((role,)) for role in roles]
+            blocked_sets.append(frozenset(rng.sample(roles, rng.randint(0, len(roles)))))
+            for blocked in blocked_sets:
+                q = AvailableMessageQuery(sub, blocked)
+                expected = _reference_available_messages(g, q)
+                for got in (available_messages(g, q), available_messages(g, q, _walks=walks)):
+                    assert got.events == expected.events, name
+                    # same witnesses, inserted in the same order
+                    assert list(got.witness.items()) == list(expected.witness.items()), name
+
+
+def test_available_messages_walks_deeper_than_the_recursion_limit():
+    chain = " . ".join(f"p->q:m{i}" for i in range(3000))
+    g = parse_global_type(f"p->r:a . {chain} . 0")
+    result = ask(g, g, Q)
+    # later sends on the p->q channel hide behind m0, but the walk still
+    # descends the whole chain
+    assert result.events == frozenset((send(P, R, Message("a")), send(P, Q, Message("m0"))))
+    assert len(result.witness[send(P, Q, Message("m0"))]) == 2
+
+
 def test_available_messages_rejects_foreign_subterm():
     g = load("g_s")
     other = parse_global_type("p->q:x . 0")
@@ -245,6 +327,117 @@ def test_same_sender_races_are_allowed():
     g = parse_global_type("+ { p->q:o . 0, p->q:m . 0 }")
     nfa, m = projection_of(g, Q)
     assert check_receive_validity(m, nfa, g) is None
+
+
+# --------------------------------------------------------------------------- #
+# Validity on masks against the object-based scan
+# --------------------------------------------------------------------------- #
+
+
+def _reference_send_violations(m, nfa):
+    """Send validity scanned over the machine's state objects, member by
+    member, as a reference for the mask test."""
+    bit, closures = nfa.bit, nfa.closures
+    sources = {}
+    for src, label, _ in nfa.transitions:
+        if label is not None and label.direction is Direction.SEND:
+            sources[label] = sources.get(label, 0) | 1 << bit[src]
+    for state in m.states:
+        for event, target in m.out(state):
+            if event.direction is not Direction.SEND:
+                continue
+            can = sources[event]
+            missing = tuple(g for g in state if not closures[bit[g]] & can)
+            if missing:
+                yield ValidityViolation(
+                    ViolationKind.SEND_VALIDITY,
+                    m.role,
+                    state,
+                    SendViolationDetails((state, event, target), missing),
+                )
+
+
+def _reference_receive_violations(m, g):
+    """Receive validity scanned over the machine's state objects, querying
+    each destination member in turn, as a reference for the mask test."""
+    available_cache = {}
+
+    def available_at(subterm):
+        cached = available_cache.get(subterm.intern_id)
+        if cached is None:
+            cached = available_messages(
+                g, AvailableMessageQuery(subterm, frozenset((m.role,)))
+            )
+            available_cache[subterm.intern_id] = cached
+        return cached
+
+    for state in m.states:
+        receives = [
+            (event, target)
+            for event, target in m.out(state)
+            if event.direction is Direction.RECEIVE
+        ]
+        for first, target_one in receives:
+            for second, target_two in receives:
+                if first.peer == second.peer:
+                    continue
+                offending = send(first.peer, m.role, first.message)
+                for witness in target_two:
+                    result = available_at(witness)
+                    if offending in result.events:
+                        yield ValidityViolation(
+                            ViolationKind.RECEIVE_VALIDITY,
+                            m.role,
+                            state,
+                            ReceiveViolationDetails(
+                                (state, first, target_one),
+                                (state, second, target_two),
+                                witness,
+                                offending,
+                                result.witness[offending],
+                            ),
+                        )
+                        break
+
+
+def _ids(nodes):
+    return tuple(n.intern_id for n in nodes)
+
+
+def _transition_fields(t):
+    source, event, target = t
+    return (source.ids, event, target.ids)
+
+
+def _violation_fields(v):
+    """What a violation reports: kind, role, state ids, transitions,
+    missing members, witness, offending event and suffix."""
+    fields = (v.kind, v.role, v.state.ids)
+    d = v.details
+    if v.kind is ViolationKind.SEND_VALIDITY:
+        return fields + (_transition_fields(d.transition), _ids(d.missing))
+    suffix = tuple((src.intern_id, label, tgt.intern_id) for src, label, tgt in d.witness_suffix)
+    return fields + (
+        _transition_fields(d.transition_one),
+        _transition_fields(d.transition_two),
+        d.witness_subterm.intern_id,
+        d.offending_event,
+        suffix,
+    )
+
+
+def test_mask_validity_matches_the_object_scan():
+    for name, g in _reference_inputs(1000):
+        _, table = build_projections(g)
+        expected = []
+        for nfa, m in table.values():
+            expected.extend(_reference_send_violations(m, nfa))
+            expected.extend(_reference_receive_violations(m, g))
+        verdict = check_implementability(g, all_violations=True)
+        assert list(map(_violation_fields, verdict.violations)) == list(
+            map(_violation_fields, expected)
+        ), name
+        assert verdict.implementable == (not expected), name
 
 
 # --------------------------------------------------------------------------- #
