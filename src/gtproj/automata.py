@@ -48,6 +48,7 @@ __all__ = [
     "Edge",
     "LocalEdge",
     "SyncAutomaton",
+    "Halves",
     "build_gaut",
     "LocalNfa",
     "erase",
@@ -260,11 +261,13 @@ class SyncAutomaton:
     is the state of bit ``i`` in a state mask, and ``bit`` maps back, so
     reading a mask's bits in ascending order lists its states by intern id.
     ``edges`` are the transitions over that index: ``(source bit, label,
-    target bit)``, in the same order.
+    target bit)``, in the same order.  ``halves`` numbers the roles and the
+    split labels for matching asynchronous traces against runs.
     """
 
     __slots__ = (
-        "states", "transitions", "initial", "finals", "nodes", "bit", "_edges", "_out"
+        "states", "transitions", "initial", "finals", "nodes", "bit", "_edges",
+        "_halves", "_out",
     )
 
     def __init__(
@@ -286,6 +289,7 @@ class SyncAutomaton:
         self.nodes = tuple(sorted(self.states, key=lambda s: s.intern_id))
         self.bit = {s: i for i, s in enumerate(self.nodes)}
         self._edges: Optional[tuple[tuple[int, Optional[SyncEvent], int], ...]] = None
+        self._halves: Optional[Halves] = None
         out: dict[GlobalType, list[Edge]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t[0]].append(t)
@@ -302,12 +306,72 @@ class SyncAutomaton:
             )
         return self._edges
 
+    @property
+    def halves(self) -> "Halves":
+        """The labels split into numbered halves, made on first use (trace
+        matching reads them: the oracles and the counterexample check)."""
+        if self._halves is None:
+            self._halves = Halves(self)
+        return self._halves
+
     def out(self, state: GlobalType) -> tuple[Edge, ...]:
         """Outgoing transitions of ``state``, in sorted label order."""
         return self._out[state]
 
     def __contains__(self, state: GlobalType) -> bool:
         return state in self._out
+
+
+class Halves:
+    """A synchronous automaton's labels split into numbered asynchronous
+    halves.
+
+    ``roles`` numbers every role of a label by name, and ``labels`` every
+    distinct label by its (sender, receiver, message) names, both in order
+    of first appearance in the transitions; the send half of label ``k`` is
+    event ``2 * k`` and its receive half event ``2 * k + 1``.  ``out[i]``
+    lists the transitions leaving the state of bit ``i``, in
+    :meth:`SyncAutomaton.out` order, as ``(edge, target bit, halves)``:
+    ``halves`` holds ``(role number, event number)`` for the send and then
+    the receive, and is empty for a silent edge.  Names rather than objects
+    key the tables, so numbering an automaton or an event hashes strings
+    only.
+    """
+
+    __slots__ = ("roles", "labels", "out")
+
+    def __init__(self, a: SyncAutomaton) -> None:
+        self.roles: dict[str, int] = {}
+        self.labels: dict[tuple[str, str, str], int] = {}
+        split: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        out: list[list[tuple[Edge, int, tuple[tuple[int, int], ...]]]] = [
+            [] for _ in a.nodes
+        ]
+        roles = self.roles
+        for edge, (src, label, tgt) in zip(a.transitions, a.edges):
+            if label is None:
+                out[src].append((edge, tgt, ()))
+                continue
+            sender, receiver = label.sender.name, label.receiver.name
+            key = (sender, receiver, label.message.label)
+            k = self.labels.setdefault(key, len(split))
+            if k == len(split):
+                split.append(
+                    (
+                        (roles.setdefault(sender, len(roles)), 2 * k),
+                        (roles.setdefault(receiver, len(roles)), 2 * k + 1),
+                    )
+                )
+            out[src].append((edge, tgt, split[k]))
+        self.out = tuple(map(tuple, out))
+
+    def number(self, e: AsyncEvent) -> int:
+        """The event number of half ``e``, or -1 when no label has it."""
+        if e.is_send:
+            k = self.labels.get((e.active.name, e.peer.name, e.message.label))
+            return -1 if k is None else 2 * k
+        k = self.labels.get((e.peer.name, e.active.name, e.message.label))
+        return -1 if k is None else 2 * k + 1
 
 
 def build_gaut(g: GlobalType) -> SyncAutomaton:

@@ -7,13 +7,20 @@ enabled only when the head matches.  A configuration is final when every
 machine sits in a final state and every channel is empty; a deadlock is a
 non-final configuration with no enabled event at all (moves suppressed only
 by an exploration bound do not count).
+
+Execution runs on numbers, not objects: a configuration is one state number
+per role (in role order) plus one channel slot per ordered pair of roles
+that the machines' events use, holding message numbers.  Moves are read off
+each machine's int tables (``arcs``, ``events``, ``final_mask``), so neither
+stepping nor exploring builds a machine's :class:`SubsetState` views; only
+:meth:`CsmConfiguration.state_of` does, on demand.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .automata import AsyncEvent
 from .projection import SubsetMachine, SubsetState
@@ -35,10 +42,44 @@ __all__ = [
 ]
 
 
-class Csm:
-    """One deterministic machine per role, communicating over FIFO channels."""
+class _Move(NamedTuple):
+    """One move of a machine from one state, in the system's numbers."""
 
-    __slots__ = ("machines", "roles")
+    successor: int  # state number
+    event: int  # index in ``Csm.events``
+    slot: int  # the channel written or read
+    message: int  # index in ``Csm.messages``
+    send: bool
+
+
+#: The int form of a configuration: (state numbers, channel contents).
+_Raw = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _names(e: AsyncEvent) -> tuple[str, str, str, bool]:
+    """``e`` by name: (sender, receiver, message, is a send), where the
+    channel it writes or reads is (sender, receiver)."""
+    if e.is_send:
+        return (e.active.name, e.peer.name, e.message.label, True)
+    return (e.peer.name, e.active.name, e.message.label, False)
+
+
+class Csm:
+    """One deterministic machine per role, communicating over FIFO channels.
+
+    The system is numbered once, when it is made: ``roles`` in name order,
+    with ``position`` mapping a role to its index; one channel ``slot`` per
+    ordered (sender, receiver) pair that some machine's events use; the
+    ``messages`` and the ``events`` of all machines, roles in name order.
+    Per role it reads off the machine's int tables each state number's
+    moves in label order, the same moves by event and state number, and the
+    final flags.
+    """
+
+    __slots__ = (
+        "machines", "roles", "position", "slot", "messages", "events",
+        "_moves", "_step", "_final",
+    )
 
     def __init__(self, machines: Mapping[Role, SubsetMachine]) -> None:
         self.machines: dict[Role, SubsetMachine] = dict(machines)
@@ -47,52 +88,103 @@ class Csm:
                 raise ValueError(
                     f"machine for role {role} was built for role {machine.role}"
                 )
-            # Stepping reads the machine's object views: build them here,
-            # with the system, rather than at its first step.
-            machine.initial
         self.roles: tuple[Role, ...] = tuple(sorted(self.machines, key=lambda r: r.name))
+        self.position: dict[Role, int] = {r: i for i, r in enumerate(self.roles)}
+        # channels and messages are numbered by name: hashing strings is cheap
+        slots: dict[tuple[str, str], int] = {}
+        message: dict[str, int] = {}
+        events: list[AsyncEvent] = []
+        self._moves: list[tuple[tuple[_Move, ...], ...]] = []
+        self._step: list[dict[tuple[str, str, str, bool], dict[int, _Move]]] = []
+        self._final: list[tuple[bool, ...]] = []
+        for role in self.roles:
+            m = self.machines[role]
+            names = [_names(e) for e in m.events]
+            # per label rank: the parts of a move that do not depend on the state
+            labels = [
+                (
+                    len(events) + r,
+                    slots.setdefault((sender, receiver), len(slots)),
+                    message.setdefault(label, len(message)),
+                    send,
+                )
+                for r, (sender, receiver, label, send) in enumerate(names)
+            ]
+            events.extend(m.events)
+            moves = tuple(tuple(_Move(t, *labels[r]) for r, t in arcs) for arcs in m.arcs)
+            self._moves.append(moves)
+            step: list[dict[int, _Move]] = [{} for _ in names]  # per rank
+            for s, (arcs, row) in enumerate(zip(m.arcs, moves)):
+                for (r, _), move in zip(arcs, row):
+                    step[r][s] = move
+            self._step.append(dict(zip(names, step)))
+            self._final.append(tuple(bool(mask & m.final_mask) for mask in m.masks))
+        self.slot: dict[tuple[Role, Role], int] = {
+            (Role(sender), Role(receiver)): k for (sender, receiver), k in slots.items()
+        }
+        self.messages: tuple[Message, ...] = tuple(map(Message, message))
+        self.events: tuple[AsyncEvent, ...] = tuple(events)
 
 
 @dataclass(frozen=True, slots=True)
 class CsmConfiguration:
     """A snapshot of the system: per-role machine states plus channel
-    contents.  ``states`` is sorted by role name; ``channels`` lists only
-    non-empty channels, sorted by (sender, receiver), so equal snapshots
-    are one value."""
+    contents, as numbers of ``system``.  ``states[i]`` is the state number
+    of role ``system.roles[i]``; ``channels[k]`` holds the message numbers
+    queued in channel slot ``k``, oldest first.  Equality and hashing read
+    only those two tuples."""
 
-    states: tuple[tuple[Role, SubsetState], ...]
-    channels: tuple[tuple[tuple[Role, Role], tuple[Message, ...]], ...]
+    system: Csm = field(compare=False, repr=False)
+    states: tuple[int, ...]
+    channels: tuple[tuple[int, ...], ...]
 
     def state_of(self, role: Role) -> SubsetState:
-        for r, s in self.states:
-            if r == role:
-                return s
-        raise KeyError(f"no machine for role {role}")
+        i = self.system.position.get(role)
+        if i is None:
+            raise KeyError(f"no machine for role {role}")
+        return self.system.machines[role].states[self.states[i]]
 
     def channel(self, sender: Role, receiver: Role) -> tuple[Message, ...]:
-        for pair, content in self.channels:
-            if pair == (sender, receiver):
-                return content
-        return ()
-
-    def _with_state(self, role: Role, state: SubsetState) -> "CsmConfiguration":
-        states = tuple((r, state if r == role else s) for r, s in self.states)
-        return CsmConfiguration(states, self.channels)
-
-    def _with_channel(
-        self, pair: tuple[Role, Role], content: tuple[Message, ...]
-    ) -> "CsmConfiguration":
-        rest = [(p, c) for p, c in self.channels if p != pair]
-        if content:
-            rest.append((pair, content))
-        rest.sort(key=lambda item: (item[0][0].name, item[0][1].name))
-        return CsmConfiguration(self.states, tuple(rest))
+        k = self.system.slot.get((sender, receiver))
+        if k is None:
+            return ()
+        messages = self.system.messages
+        return tuple(messages[n] for n in self.channels[k])
 
 
 def initial_configuration(c: Csm) -> CsmConfiguration:
     """All machines in their initial states, all channels empty."""
-    states = tuple((r, c.machines[r].initial) for r in c.roles)
-    return CsmConfiguration(states, ())
+    return CsmConfiguration(c, (0,) * len(c.roles), ((),) * len(c.slot))
+
+
+def _enabled(
+    c: Csm, states: tuple[int, ...], channels: tuple
+) -> Iterator[tuple[int, _Move]]:
+    """(role position, move) of every enabled move, roles in name order,
+    labels in machine order."""
+    for i, moves in enumerate(c._moves):
+        for move in moves[states[i]]:
+            if move.send:
+                yield i, move
+            else:
+                content = channels[move.slot]
+                if content and content[0] == move.message:
+                    yield i, move
+
+
+def _fire(states: tuple[int, ...], channels: tuple, i: int, move: _Move) -> _Raw:
+    """The configuration after role ``i`` makes an enabled ``move``."""
+    k = move.slot
+    content = channels[k]
+    content = content + (move.message,) if move.send else content[1:]
+    return (
+        states[:i] + (move.successor,) + states[i + 1 :],
+        channels[:k] + (content,) + channels[k + 1 :],
+    )
+
+
+def _is_final(c: Csm, states: tuple[int, ...], channels: tuple) -> bool:
+    return not any(channels) and all(final[s] for final, s in zip(c._final, states))
 
 
 class StepFailure(Enum):
@@ -119,47 +211,30 @@ def csm_step(c: Csm, cfg: CsmConfiguration, e: AsyncEvent) -> CsmConfiguration:
     requires its message at the head of the channel (sender, receiver).
     Raises :class:`NotEnabled` with the failure reason otherwise.
     """
-    machine = c.machines.get(e.active)
-    if machine is None:
+    i = c.position.get(e.active)
+    moves = None if i is None else c._step[i].get(_names(e))
+    move = None if moves is None else moves.get(cfg.states[i])
+    if move is None:
         raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
-    successor = machine.step(cfg.state_of(e.active), e)
-    if successor is None:
-        raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
-    if e.is_send:
-        pair = (e.active, e.peer)
-        content = cfg.channel(*pair) + (e.message,)
-    else:
-        pair = (e.peer, e.active)
-        content = cfg.channel(*pair)
+    if not move.send:
+        content = cfg.channels[move.slot]
         if not content:
             raise NotEnabled(StepFailure.EMPTY_CHANNEL, e)
-        if content[0] != e.message:
+        if content[0] != move.message:
             raise NotEnabled(StepFailure.WRONG_HEAD, e)
-        content = content[1:]
-    return cfg._with_state(e.active, successor)._with_channel(pair, content)
+    return CsmConfiguration(c, *_fire(cfg.states, cfg.channels, i, move))
 
 
 def enabled_events(c: Csm, cfg: CsmConfiguration) -> tuple[AsyncEvent, ...]:
     """Every event that can fire, roles in name order, labels in machine
     order."""
-    out: list[AsyncEvent] = []
-    for role in c.roles:
-        machine = c.machines[role]
-        for event, _ in machine.out(cfg.state_of(role)):
-            if event.is_send:
-                out.append(event)
-            else:
-                content = cfg.channel(event.peer, event.active)
-                if content and content[0] == event.message:
-                    out.append(event)
-    return tuple(out)
+    events = c.events
+    return tuple(events[move.event] for _, move in _enabled(c, cfg.states, cfg.channels))
 
 
 def is_final(c: Csm, cfg: CsmConfiguration) -> bool:
     """True when every machine is final and every channel is empty."""
-    if cfg.channels:
-        return False
-    return all(s in c.machines[r].finals for r, s in cfg.states)
+    return _is_final(c, cfg.states, cfg.channels)
 
 
 def replay_trace(
@@ -204,29 +279,31 @@ def explore(
     if depth < 0:
         raise ValueError("depth must be non-negative")
     init = initial_configuration(c)
-    visited = {init}
-    queue: deque[tuple[CsmConfiguration, tuple[AsyncEvent, ...]]] = deque(((init, ()),))
+    start = (init.states, init.channels)
+    visited = {start}
+    queue: deque[tuple[_Raw, tuple[AsyncEvent, ...]]] = deque(((start, ()),))
     deadlocks: list[tuple[CsmConfiguration, tuple[AsyncEvent, ...]]] = []
     traces: set[tuple[AsyncEvent, ...]] = {()} if keep_traces else set()
     frontier_cut = False
+    events = c.events
     while queue:
-        cfg, trace = queue.popleft()
-        enabled = enabled_events(c, cfg)
+        (states, channels), trace = queue.popleft()
+        enabled = list(_enabled(c, states, channels))
         if not enabled:
-            if not is_final(c, cfg):
-                deadlocks.append((cfg, trace))
+            if not _is_final(c, states, channels):
+                deadlocks.append((CsmConfiguration(c, states, channels), trace))
             continue
         if len(trace) >= depth:
             frontier_cut = True
             continue
-        for e in enabled:
-            if e.is_send and len(cfg.channel(e.active, e.peer)) >= channel_bound:
+        for i, move in enabled:
+            if move.send and len(channels[move.slot]) >= channel_bound:
                 frontier_cut = True
                 continue
-            successor = csm_step(c, cfg, e)
+            successor = _fire(states, channels, i, move)
             if successor not in visited:
                 visited.add(successor)
-                extended = trace + (e,)
+                extended = trace + (events[move.event],)
                 if keep_traces:
                     traces.add(extended)
                 queue.append((successor, extended))

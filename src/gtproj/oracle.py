@@ -13,6 +13,13 @@ suite can compare the fast checks against ground truth:
   deadlock.
 * :func:`generate_gk` — a scalable family whose per-role machine provably
   needs exponentially many states, for stress-testing the construction.
+
+The searches run on numbers: :func:`intersection_witness` matches a trace
+against the automaton's numbered halves (:attr:`SyncAutomaton.halves`) with
+product nodes of (state bit, per-role counts), and the fidelity check steps
+the machine system on its state and channel numbers and tells machine
+traces apart by interned per-role view ids.  No machine state objects are
+built.
 """
 from __future__ import annotations
 
@@ -27,16 +34,15 @@ from .automata import (
     _shortest_path,
     build_gaut,
     project_word,
-    receive,
-    send,
     split_event,
 )
 from .csm import (
     Csm,
     CsmConfiguration,
     NotEnabled,
+    _enabled,
+    _fire,
     csm_step,
-    enabled_events,
     explore,
     initial_configuration,
 )
@@ -50,7 +56,6 @@ from .syntax import (
     Role,
     Var,
     exchange,
-    roles_of,
 )
 
 __all__ = [
@@ -187,34 +192,34 @@ def intersection_witness(
     matches.
     """
     a = automaton if automaton is not None else build_gaut(g)
-    roles = roles_of(g)
-    w = tuple(w)
-    if any(e.active not in roles or e.peer not in roles for e in w):
-        return None
-    index = {r: i for i, r in enumerate(roles)}
-    targets = tuple(project_word(w, r) for r in roles)
-    goal = tuple(len(t) for t in targets)
+    halves = a.halves
+    roles = halves.roles
+    views: list[list[int]] = [[] for _ in roles]
+    for e in w:
+        i = roles.get(e.active.name)
+        if i is None or e.peer.name not in roles:
+            return None
+        views[i].append(halves.number(e))
+    targets = tuple(map(tuple, views))
+    goal = tuple(map(len, targets))
+    out = halves.out
 
-    def successors(node: tuple) -> Iterator[tuple[Edge, tuple]]:
+    def successors(node: tuple[int, tuple[int, ...]]) -> Iterator[tuple[Edge, tuple]]:
         state, counts = node
-        for edge in a.out(state):
-            label = edge[1]
-            if label is None:
-                yield edge, (edge[2], counts)
-                continue
-            nxt = list(counts)
-            for event in split_event(label):
-                i = index[event.active]
+        for edge, tgt, split in out[state]:
+            nxt = counts
+            for i, event in split:
+                n = nxt[i]
                 want = targets[i]
-                if nxt[i] < len(want):
-                    if want[nxt[i]] != event:
+                if n < len(want):
+                    if want[n] != event:
                         break
-                    nxt[i] += 1
+                    nxt = nxt[:i] + (n + 1,) + nxt[i + 1 :]
             else:
-                yield edge, (edge[2], tuple(nxt))
+                yield edge, (tgt, nxt)
 
     edges = _shortest_path(
-        (a.initial, (0,) * len(roles)), successors, lambda node: node[1] == goal
+        (a.bit[a.initial], (0,) * len(roles)), successors, lambda node: node[1] == goal
     )
     return None if edges is None else RunPrefix(a.initial, edges)
 
@@ -255,18 +260,18 @@ def bounded_fidelity_check(
     Returns the first failure with a witness trace.
     """
     a = build_gaut(g)
+    halves = a.halves
 
     # Obligation 1: protocol runs replay in the machine system.
     replayed = 0
-    seen_replay: set[tuple[GlobalType, object]] = set()
     init = initial_configuration(c)
-    queue = deque(((a.initial, init, ()),))
-    seen_replay.add((a.initial, init))
+    start = a.bit[a.initial]
+    seen_replay: set[tuple[int, CsmConfiguration]] = {(start, init)}
+    queue = deque(((start, init, ()),))
     while queue:
         state, cfg, trace = queue.popleft()
         replayed += 1
-        for edge in a.out(state):
-            _, label, tgt = edge
+        for (_, label, _), tgt, _ in halves.out[state]:
             if label is None:
                 nxt_cfg, nxt_trace = cfg, trace
             elif len(trace) + 2 <= depth:
@@ -288,30 +293,29 @@ def bounded_fidelity_check(
 
     # Obligation 2: machine traces are consistent with some protocol run,
     # deduplicated by per-role views (consistency only depends on those).
-    roles = tuple(sorted(c.machines, key=lambda r: r.name))
+    # A view is an id: ``views`` interns each one-event extension of a view.
     checked = 0
-    empty_key = ((),) * len(roles)
-    seen_views: set[tuple] = {empty_key}
-    frontier: deque[tuple[CsmConfiguration, tuple[AsyncEvent, ...], tuple]] = deque(
-        ((init, (), empty_key),)
-    )
+    views: dict[tuple[int, int], int] = {}
+    empty_key = (0,) * len(c.roles)
+    seen_views = {empty_key}
+    frontier = deque(((init.states, init.channels, (), empty_key),))
     while frontier:
-        cfg, trace, key = frontier.popleft()
+        states, channels, trace, key = frontier.popleft()
         if len(trace) >= depth:
             continue
-        for e in enabled_events(c, cfg):
-            if e.is_send and len(cfg.channel(e.active, e.peer)) >= channel_bound:
+        for i, move in _enabled(c, states, channels):
+            if move.send and len(channels[move.slot]) >= channel_bound:
                 continue
-            i = roles.index(e.active)
-            nxt_key = key[:i] + (key[i] + (e,),) + key[i + 1 :]
+            view = views.setdefault((key[i], move.event), len(views) + 1)
+            nxt_key = key[:i] + (view,) + key[i + 1 :]
             if nxt_key in seen_views:
                 continue
             seen_views.add(nxt_key)
-            nxt_trace = trace + (e,)
+            nxt_trace = trace + (c.events[move.event],)
             checked += 1
             if intersection_witness(g, nxt_trace, automaton=a) is None:
                 return FidelityReport(False, "intersection", nxt_trace, replayed, checked)
-            frontier.append((csm_step(c, cfg, e), nxt_trace, nxt_key))
+            frontier.append((*_fire(states, channels, i, move), nxt_trace, nxt_key))
 
     # Obligation 3: no deadlock within the bound.
     report = explore(c, channel_bound=channel_bound, depth=depth)

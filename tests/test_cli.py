@@ -6,7 +6,16 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from gtproj import SubsetState, cli, generate_gk, pretty, validity
+from gtproj import (
+    Csm,
+    SubsetState,
+    bounded_fidelity_check,
+    build_projections,
+    cli,
+    generate_gk,
+    pretty,
+    validity,
+)
 from gtproj.cli import RunConfig, main, run_command
 from gtproj.corpus import entries, names, text
 
@@ -74,7 +83,9 @@ def test_check_json_lists_projections_when_implementable(tmp_path):
         assert row["states"] >= 1 and row["final_states"] >= 1
 
 
-def test_check_of_implementable_protocols_makes_no_state_objects(tmp_path, monkeypatch):
+@pytest.fixture
+def state_objects(monkeypatch):
+    """The machine state objects made while the test runs."""
     made = []
     post_init = SubsetState.__post_init__
 
@@ -83,18 +94,37 @@ def test_check_of_implementable_protocols_makes_no_state_objects(tmp_path, monke
         post_init(state)
 
     monkeypatch.setattr(SubsetState, "__post_init__", counted)
+    return made
+
+
+def test_check_of_implementable_protocols_makes_no_state_objects(tmp_path, state_objects):
     gk = tmp_path / "gk6.gt"
     gk.write_text(pretty(generate_gk(6)))
     sources = [str(gk)]
     sources += [corpus_path(e.name, tmp_path) for e in entries() if e.implementable]
     for source in sources:
         assert run_command(RunConfig(command="check", source=source, fmt="json")) == 0
-    assert made == []
-    # a counterexample replays on the machines, so a rejection makes them
+    assert state_objects == []
+    # a violation names machine states, so a rejection makes them
     assert run_command(
         RunConfig(command="check", source=corpus_path("g_s", tmp_path), fmt="json")
     ) == 1
-    assert made
+    assert state_objects
+
+
+def test_simulation_and_the_oracle_make_no_state_objects(tmp_path, state_objects):
+    gk = tmp_path / "gk6.gt"
+    gk.write_text(pretty(generate_gk(6)))
+    cases = [(str(gk), generate_gk(6))]
+    cases += [(corpus_path(e.name, tmp_path), e.load()) for e in entries()]
+    out = str(tmp_path / "simulate.json")
+    for source, g in cases:
+        config = RunConfig(command="simulate", source=source, fmt="json", out=out)
+        assert run_command(config) == 0
+        _, table = build_projections(g)
+        bounded_fidelity_check(g, Csm({role: m for role, (_, m) in table.items()}))
+    assert state_objects == []
+
 
 def test_check_all_reports_every_violation(tmp_path):
     result = runner.invoke(main, ["check", corpus_path("g_s", tmp_path), "--all"])

@@ -1,6 +1,8 @@
 """Independent oracles: trace equivalence, run intersection, bounded fidelity."""
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -9,9 +11,13 @@ from gtproj import (
     BudgetExhausted,
     Csm,
     END,
+    ExplorationReport,
+    FidelityReport,
     Message,
+    NotEnabled,
     Role,
     RunPrefix,
+    StepFailure,
     SubsetMachine,
     SyncEvent,
     bounded_fidelity_check,
@@ -24,14 +30,19 @@ from gtproj import (
     intersection_witness,
     parse_global_type,
     parse_trace,
+    project_word,
     replay_trace,
     roles_of,
     send,
+    split_event,
     split_word,
     subset_construction,
     validate_well_formedness,
 )
-from gtproj.corpus import load
+from gtproj.automata import _shortest_path
+from gtproj.corpus import entries, load
+
+from .strategies import random_global_type
 
 P, Q, R = Role("p"), Role("q"), Role("r")
 
@@ -150,6 +161,12 @@ def test_cross_branch_mixture_is_inconsistent():
 def test_foreign_role_is_inconsistent():
     g = load("g_s")
     assert intersection_witness(g, parse_trace("z>p!o")) is None
+
+
+def test_events_the_protocol_lacks_are_inconsistent():
+    g = load("g_s")
+    for text in ("p>q!z", "r>q!z", "q>p!o", "q<r?z", "r>q!o.q<r?z"):
+        assert intersection_witness(g, parse_trace(text)) is None, text
 
 
 def test_inconsistency_is_stable_under_extension():
@@ -272,6 +289,20 @@ def test_family_blows_up_the_receiver_machine():
         assert sum(map(len, m.states)) == members, k
 
 
+#: run_prefixes_checked and csm_traces_checked of gk(k), k = 1..6, at depth
+#: 14 and channel bound 4.
+GK_FIDELITY = ((19, 2984), (47, 4100), (111, 5420), (159, 6844), (222, 8252), (284, 9500))
+
+
+def test_fidelity_confirms_the_family_at_depth_fourteen():
+    for k, (prefixes, traces) in enumerate(GK_FIDELITY, start=1):
+        g = generate_gk(k)
+        report = bounded_fidelity_check(g, system_for(g), 14, channel_bound=4)
+        assert report.ok, k
+        assert report.run_prefixes_checked == prefixes, k
+        assert report.csm_traces_checked == traces, k
+
+
 def test_family_choices_are_directed_at_one_receiver():
     g = generate_gk(3)
     stack, seen = [g], set()
@@ -298,3 +329,267 @@ def test_run_prefix_validates_edge_chaining():
     (first,) = [e for e in a.out(g) if e[1] == SyncEvent(P, Q, Message("o"))]
     with pytest.raises(ValueError):
         RunPrefix(g, (first, first))  # second edge does not start where first ends
+
+
+# --------------------------------------------------------------------------- #
+# The numbered oracle against the object-based one
+# --------------------------------------------------------------------------- #
+
+
+def _reference_intersection(g, w, a):
+    """Run-prefix edges of a run consistent with ``w``, searched over
+    ``a.out`` with freshly split events and a role index from
+    :func:`roles_of`: a reference for :func:`intersection_witness`."""
+    roles = roles_of(g)
+    w = tuple(w)
+    if any(e.active not in roles or e.peer not in roles for e in w):
+        return None
+    index = {r: i for i, r in enumerate(roles)}
+    targets = tuple(project_word(w, r) for r in roles)
+    goal = tuple(len(t) for t in targets)
+
+    def successors(node):
+        state, counts = node
+        for edge in a.out(state):
+            label = edge[1]
+            if label is None:
+                yield edge, (edge[2], counts)
+                continue
+            nxt = list(counts)
+            for event in split_event(label):
+                i = index[event.active]
+                want = targets[i]
+                if nxt[i] < len(want):
+                    if want[nxt[i]] != event:
+                        break
+                    nxt[i] += 1
+            else:
+                yield edge, (edge[2], tuple(nxt))
+
+    return _shortest_path(
+        (a.initial, (0,) * len(roles)), successors, lambda node: node[1] == goal
+    )
+
+
+def _name_pair(pair):
+    return (pair[0].name, pair[1].name)
+
+
+@dataclass(frozen=True)
+class _Configuration:
+    """Per-role machine states as objects, sorted by role name, and the
+    non-empty channels sorted by (sender, receiver): a reference for
+    :class:`CsmConfiguration`."""
+
+    states: tuple
+    channels: tuple
+
+    @staticmethod
+    def of(c, cfg):
+        """The reference form of a numbered configuration of ``c``."""
+        channels = [(pair, cfg.channel(*pair)) for pair in c.slot]
+        channels.sort(key=lambda item: _name_pair(item[0]))
+        return _Configuration(
+            tuple((r, cfg.state_of(r)) for r in c.roles),
+            tuple((pair, content) for pair, content in channels if content),
+        )
+
+    def state_of(self, role):
+        for r, s in self.states:
+            if r == role:
+                return s
+        raise KeyError(role)
+
+    def channel(self, sender, receiver):
+        for pair, content in self.channels:
+            if pair == (sender, receiver):
+                return content
+        return ()
+
+    def step(self, role, state, pair, content):
+        states = tuple((r, state if r == role else s) for r, s in self.states)
+        rest = [(p, m) for p, m in self.channels if p != pair]
+        if content:
+            rest.append((pair, content))
+        rest.sort(key=lambda item: _name_pair(item[0]))
+        return _Configuration(states, tuple(rest))
+
+
+def _reference_initial(c):
+    return _Configuration(tuple((r, c.machines[r].initial) for r in c.roles), ())
+
+
+def _reference_step(c, cfg, e):
+    machine = c.machines.get(e.active)
+    if machine is None:
+        raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
+    successor = machine.step(cfg.state_of(e.active), e)
+    if successor is None:
+        raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
+    if e.is_send:
+        pair = (e.active, e.peer)
+        content = cfg.channel(*pair) + (e.message,)
+    else:
+        pair = (e.peer, e.active)
+        content = cfg.channel(*pair)
+        if not content:
+            raise NotEnabled(StepFailure.EMPTY_CHANNEL, e)
+        if content[0] != e.message:
+            raise NotEnabled(StepFailure.WRONG_HEAD, e)
+        content = content[1:]
+    return cfg.step(e.active, successor, pair, content)
+
+
+def _reference_enabled(c, cfg):
+    out = []
+    for role in c.roles:
+        for event, _ in c.machines[role].out(cfg.state_of(role)):
+            if event.is_send:
+                out.append(event)
+            else:
+                content = cfg.channel(event.peer, event.active)
+                if content and content[0] == event.message:
+                    out.append(event)
+    return tuple(out)
+
+
+def _reference_explore(c, channel_bound, depth):
+    """Breadth-first search over object configurations with every trace
+    kept: a reference for :func:`explore`."""
+    init = _reference_initial(c)
+    visited = {init}
+    queue = deque(((init, ()),))
+    deadlocks, traces, frontier_cut = [], {()}, False
+    while queue:
+        cfg, trace = queue.popleft()
+        enabled = _reference_enabled(c, cfg)
+        if not enabled:
+            final = all(s in c.machines[r].finals for r, s in cfg.states)
+            if cfg.channels or not final:
+                deadlocks.append((cfg, trace))
+            continue
+        if len(trace) >= depth:
+            frontier_cut = True
+            continue
+        for e in enabled:
+            if e.is_send and len(cfg.channel(e.active, e.peer)) >= channel_bound:
+                frontier_cut = True
+                continue
+            successor = _reference_step(c, cfg, e)
+            if successor not in visited:
+                visited.add(successor)
+                traces.add(trace + (e,))
+                queue.append((successor, trace + (e,)))
+    return ExplorationReport(
+        len(visited), tuple(deadlocks), frontier_cut, frozenset(traces)
+    )
+
+
+def _reference_fidelity(g, c, depth, channel_bound):
+    """The three obligations over object configurations, freshly split
+    events and views as event tuples: a reference for
+    :func:`bounded_fidelity_check`."""
+    a = build_gaut(g)
+    replayed = 0
+    init = _reference_initial(c)
+    seen_replay = {(a.initial, init)}
+    queue = deque(((a.initial, init, ()),))
+    while queue:
+        state, cfg, trace = queue.popleft()
+        replayed += 1
+        for _, label, tgt in a.out(state):
+            if label is None:
+                nxt_cfg, nxt_trace = cfg, trace
+            elif len(trace) + 2 <= depth:
+                nxt_cfg, nxt_trace = cfg, trace
+                for event in split_event(label):
+                    try:
+                        nxt_cfg = _reference_step(c, nxt_cfg, event)
+                    except NotEnabled:
+                        witness = nxt_trace + (event,)
+                        return FidelityReport(False, "replay", witness, replayed, 0)
+                    nxt_trace = nxt_trace + (event,)
+            else:
+                continue
+            if (tgt, nxt_cfg) not in seen_replay:
+                seen_replay.add((tgt, nxt_cfg))
+                queue.append((tgt, nxt_cfg, nxt_trace))
+    roles = c.roles
+    checked = 0
+    empty_key = ((),) * len(roles)
+    seen_views = {empty_key}
+    frontier = deque(((init, (), empty_key),))
+    while frontier:
+        cfg, trace, key = frontier.popleft()
+        if len(trace) >= depth:
+            continue
+        for e in _reference_enabled(c, cfg):
+            if e.is_send and len(cfg.channel(e.active, e.peer)) >= channel_bound:
+                continue
+            i = roles.index(e.active)
+            nxt_key = key[:i] + (key[i] + (e,),) + key[i + 1 :]
+            if nxt_key in seen_views:
+                continue
+            seen_views.add(nxt_key)
+            checked += 1
+            if _reference_intersection(g, trace + (e,), a) is None:
+                witness = trace + (e,)
+                return FidelityReport(False, "intersection", witness, replayed, checked)
+            frontier.append((_reference_step(c, cfg, e), trace + (e,), nxt_key))
+    deadlocks = _reference_explore(c, channel_bound, depth).deadlocks
+    if deadlocks:
+        return FidelityReport(False, "deadlock", deadlocks[0][1], replayed, checked)
+    return FidelityReport(True, None, None, replayed, checked)
+
+
+def _differential_inputs():
+    for entry in entries():
+        yield entry.name, entry.load()
+    for k in range(1, 4):
+        yield f"gk({k})", generate_gk(k)
+    rng = Random(11)
+    for draw in range(150):
+        yield f"draw {draw}", random_global_type(rng, max_size=8)
+
+
+def test_fidelity_matches_the_object_based_reference():
+    outcomes = set()
+    for name, g in _differential_inputs():
+        c = system_for(g)
+        report = bounded_fidelity_check(g, c, 10, channel_bound=3)
+        assert report == _reference_fidelity(g, c, 10, 3), name
+        outcomes.add(report.obligation)
+    assert outcomes == {None, "intersection"}
+
+
+def test_exploration_matches_the_object_based_reference():
+    deadlocked = 0
+    for name, g in _differential_inputs():
+        c = system_for(g)
+        report = explore(c, channel_bound=3, depth=10, keep_traces=True)
+        reference = _reference_explore(c, 3, 10)
+        assert report.visited == reference.visited, name
+        assert report.frontier_cut == reference.frontier_cut, name
+        assert report.trace_prefixes == reference.trace_prefixes, name
+        assert [
+            (_Configuration.of(c, cfg), trace) for cfg, trace in report.deadlocks
+        ] == list(reference.deadlocks), name
+        deadlocked += bool(report.deadlocks)
+    assert deadlocked
+
+
+def test_intersection_matches_the_object_based_reference():
+    found = missed = 0
+    for name, g in _differential_inputs():
+        a = build_gaut(g)
+        rng = Random(name)
+        report = explore(system_for(g), channel_bound=3, depth=10, keep_traces=True)
+        traces = sorted(report.trace_prefixes, key=lambda t: (len(t), list(map(str, t))))
+        for trace in traces:
+            for w in (trace, tuple(rng.sample(trace, len(trace)))):
+                witness = intersection_witness(g, w, automaton=a)
+                edges = None if witness is None else witness.edges
+                assert edges == _reference_intersection(g, w, a), (name, w)
+                found += witness is not None
+                missed += witness is None
+    assert found and missed
