@@ -12,12 +12,13 @@ receive halves lives here too (:func:`split_word`).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .syntax import (
@@ -46,7 +47,6 @@ __all__ = [
     "format_trace",
     "parse_trace",
     "Edge",
-    "LocalEdge",
     "SyncAutomaton",
     "Halves",
     "build_gaut",
@@ -202,9 +202,6 @@ def parse_trace(text: str) -> tuple[AsyncEvent, ...]:
 #: A transition of the synchronous automaton; label ``None`` is silent.
 Edge = tuple[GlobalType, Optional[SyncEvent], GlobalType]
 
-#: A transition of a per-role view; label ``None`` is silent.
-LocalEdge = tuple[GlobalType, Optional[AsyncEvent], GlobalType]
-
 _Node = TypeVar("_Node", bound=Hashable)
 _T = TypeVar("_T")
 
@@ -243,6 +240,9 @@ def _shortest_path(
     return None
 
 
+_source = itemgetter(0)
+
+
 def _sync_label_key(label: Optional[SyncEvent]) -> tuple[str, str, str]:
     if label is None:
         return ("", "", "")
@@ -260,14 +260,18 @@ class SyncAutomaton:
     The dense index numbers the states by ascending intern id: ``nodes[i]``
     is the state of bit ``i`` in a state mask, and ``bit`` maps back, so
     reading a mask's bits in ascending order lists its states by intern id.
-    ``edges`` are the transitions over that index: ``(source bit, label,
-    target bit)``, in the same order.  ``halves`` numbers the roles and the
-    split labels for matching asynchronous traces against runs.
+    ``labels`` are the distinct exchange labels, numbered by (sender,
+    receiver, message) names in order of first appearance in the
+    transitions.  ``edges`` are the transitions over that index and that
+    numbering: ``(source bit, label number, target bit)``, in the same
+    order, label number ``None`` when silent.  The per-role views and
+    ``halves`` read ``edges``; ``halves`` numbers the roles and the split
+    labels for matching asynchronous traces against runs.
     """
 
     __slots__ = (
-        "states", "transitions", "initial", "finals", "nodes", "bit", "_edges",
-        "_halves", "_out",
+        "states", "transitions", "initial", "finals", "nodes", "bit", "labels",
+        "edges", "_halves",
     )
 
     def __init__(
@@ -278,33 +282,32 @@ class SyncAutomaton:
         finals: frozenset[GlobalType],
     ) -> None:
         self.states: tuple[GlobalType, ...] = tuple(states)
-        self.transitions: tuple[Edge, ...] = tuple(
-            sorted(
-                transitions,
-                key=lambda t: (t[0].intern_id, _sync_label_key(t[1]), t[2].intern_id),
-            )
-        )
+        given = list(transitions)
+        # each label's names are read once: they sort and number the labels
+        keys = [
+            (src.intern_id, _sync_label_key(label), tgt.intern_id)
+            for src, label, tgt in given
+        ]
+        order = sorted(range(len(given)), key=keys.__getitem__)
+        self.transitions: tuple[Edge, ...] = tuple(map(given.__getitem__, order))
         self.initial = initial
         self.finals = finals
         self.nodes = tuple(sorted(self.states, key=lambda s: s.intern_id))
-        self.bit = {s: i for i, s in enumerate(self.nodes)}
-        self._edges: Optional[tuple[tuple[int, Optional[SyncEvent], int], ...]] = None
+        self.bit = bit = {s: i for i, s in enumerate(self.nodes)}
+        number: dict[tuple[str, str, str], int] = {}
+        labels: list[SyncEvent] = []
+        edges: list[tuple[int, Optional[int], int]] = []
+        for i in order:
+            src, label, tgt = given[i]
+            k = None
+            if label is not None:
+                k = number.setdefault(keys[i][1], len(labels))
+                if k == len(labels):
+                    labels.append(label)
+            edges.append((bit[src], k, bit[tgt]))
+        self.labels: tuple[SyncEvent, ...] = tuple(labels)
+        self.edges = tuple(edges)
         self._halves: Optional[Halves] = None
-        out: dict[GlobalType, list[Edge]] = {s: [] for s in self.states}
-        for t in self.transitions:
-            out[t[0]].append(t)
-        self._out = {s: tuple(es) for s, es in out.items()}
-
-    @property
-    def edges(self) -> tuple[tuple[int, Optional[SyncEvent], int], ...]:
-        """The transitions over the dense index, made on first use (the
-        per-role views read them; the oracles do not)."""
-        if self._edges is None:
-            bit = self.bit
-            self._edges = tuple(
-                (bit[src], label, bit[tgt]) for src, label, tgt in self.transitions
-            )
-        return self._edges
 
     @property
     def halves(self) -> "Halves":
@@ -315,27 +318,33 @@ class SyncAutomaton:
         return self._halves
 
     def out(self, state: GlobalType) -> tuple[Edge, ...]:
-        """Outgoing transitions of ``state``, in sorted label order."""
-        return self._out[state]
+        """Outgoing transitions of ``state``, in sorted label order: the
+        run of ``transitions`` whose source has ``state``'s bit, since the
+        sort puts sources in bit order."""
+        i = self.bit[state]
+        return self.transitions[
+            bisect_left(self.edges, i, key=_source)
+            : bisect_left(self.edges, i + 1, key=_source)
+        ]
 
     def __contains__(self, state: GlobalType) -> bool:
-        return state in self._out
+        return state in self.bit
 
 
 class Halves:
     """A synchronous automaton's labels split into numbered asynchronous
     halves.
 
-    ``roles`` numbers every role of a label by name, and ``labels`` every
-    distinct label by its (sender, receiver, message) names, both in order
-    of first appearance in the transitions; the send half of label ``k`` is
-    event ``2 * k`` and its receive half event ``2 * k + 1``.  ``out[i]``
-    lists the transitions leaving the state of bit ``i``, in
-    :meth:`SyncAutomaton.out` order, as ``(edge, target bit, halves)``:
-    ``halves`` holds ``(role number, event number)`` for the send and then
-    the receive, and is empty for a silent edge.  Names rather than objects
-    key the tables, so numbering an automaton or an event hashes strings
-    only.
+    ``roles`` numbers every role of a label by name, in order of first
+    appearance in the automaton's ``labels``; ``labels`` maps a label's
+    (sender, receiver, message) names to its number there.  The send half
+    of label ``k`` is event ``2 * k`` and its receive half event
+    ``2 * k + 1``.  ``out[i]`` lists the transitions leaving the state of
+    bit ``i``, in :meth:`SyncAutomaton.out` order, as ``(edge, target bit,
+    halves)``: ``halves`` holds ``(role number, event number)`` for the
+    send and then the receive, and is empty for a silent edge.  Names
+    rather than objects key the tables, so numbering an event hashes
+    strings only.
     """
 
     __slots__ = ("roles", "labels", "out")
@@ -343,26 +352,22 @@ class Halves:
     def __init__(self, a: SyncAutomaton) -> None:
         self.roles: dict[str, int] = {}
         self.labels: dict[tuple[str, str, str], int] = {}
-        split: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        roles = self.roles
+        split: list[tuple[tuple[int, int], ...]] = []
+        for k, label in enumerate(a.labels):
+            sender, receiver = label.sender.name, label.receiver.name
+            self.labels[(sender, receiver, label.message.label)] = k
+            split.append(
+                (
+                    (roles.setdefault(sender, len(roles)), 2 * k),
+                    (roles.setdefault(receiver, len(roles)), 2 * k + 1),
+                )
+            )
         out: list[list[tuple[Edge, int, tuple[tuple[int, int], ...]]]] = [
             [] for _ in a.nodes
         ]
-        roles = self.roles
-        for edge, (src, label, tgt) in zip(a.transitions, a.edges):
-            if label is None:
-                out[src].append((edge, tgt, ()))
-                continue
-            sender, receiver = label.sender.name, label.receiver.name
-            key = (sender, receiver, label.message.label)
-            k = self.labels.setdefault(key, len(split))
-            if k == len(split):
-                split.append(
-                    (
-                        (roles.setdefault(sender, len(roles)), 2 * k),
-                        (roles.setdefault(receiver, len(roles)), 2 * k + 1),
-                    )
-                )
-            out[src].append((edge, tgt, split[k]))
+        for edge, (src, k, tgt) in zip(a.transitions, a.edges):
+            out[src].append((edge, tgt, () if k is None else split[k]))
         self.out = tuple(map(tuple, out))
 
     def number(self, e: AsyncEvent) -> int:
@@ -464,43 +469,35 @@ def _label_key(e: AsyncEvent) -> tuple[str, str, str]:
 class LocalNfa:
     """One role's (nondeterministic) view of a synchronous automaton.
 
-    States, initial state, final states and the dense index are exactly
-    those of the source automaton; each transition is the erasure image of
-    exactly one source transition, in the same order.  ``events`` are the
-    distinct labels sorted by (peer, message, direction), and ``edges`` are
-    the transitions over the dense index with labels as ranks in
-    ``events``: ``(source bit, rank, target bit)``, rank ``None`` when
-    silent.  ``closures[i]`` is the mask of the states reachable from
-    ``nodes[i]`` by silent steps.
+    States, initial state, final states and the dense index are shared with
+    the source automaton, and each edge is the erasure image of exactly one
+    source edge, in the same order.  ``events`` are the distinct labels
+    sorted by (peer, message, direction), and ``edges`` are the transitions
+    over the dense index with labels as ranks in ``events``: ``(source bit,
+    rank, target bit)``, rank ``None`` when silent.  ``closures[i]`` is the
+    mask of the states reachable from ``nodes[i]`` by silent steps.
     """
 
     __slots__ = (
-        "role", "states", "transitions", "initial", "finals", "nodes", "bit",
-        "events", "edges", "closures", "_out",
+        "role", "states", "initial", "finals", "nodes", "bit", "events", "edges",
+        "closures",
     )
 
     def __init__(
-        self, role: Role, a: SyncAutomaton, transitions: tuple[LocalEdge, ...]
+        self,
+        role: Role,
+        a: SyncAutomaton,
+        events: tuple[AsyncEvent, ...],
+        edges: tuple[tuple[int, Optional[int], int], ...],
     ) -> None:
         self.role = role
         self.states = a.states
-        self.transitions = transitions
         self.initial = a.initial
         self.finals = a.finals
         self.nodes = a.nodes
         self.bit = a.bit
-        self.events: tuple[AsyncEvent, ...] = tuple(
-            sorted({t[1] for t in transitions if t[1] is not None}, key=_label_key)
-        )
-        rank = {e: r for r, e in enumerate(self.events)}
-        self.edges: tuple[tuple[int, Optional[int], int], ...] = tuple(
-            (src, None if t[1] is None else rank[t[1]], tgt)
-            for (src, _, tgt), t in zip(a.edges, transitions)
-        )
-        out: dict[GlobalType, list[LocalEdge]] = {s: [] for s in self.states}
-        for t in transitions:
-            out[t[0]].append(t)
-        self._out = {s: tuple(es) for s, es in out.items()}
+        self.events = events
+        self.edges = edges
         silent = [0] * len(self.nodes)
         for src, label, tgt in self.edges:
             if label is None:
@@ -509,35 +506,36 @@ class LocalNfa:
         # order mostly closes a node's silent successors before the node
         self.closures: tuple[int, ...] = tuple(_closures(silent, range(len(silent))))
 
-    def out(self, state: GlobalType) -> tuple[LocalEdge, ...]:
-        """Outgoing transitions of ``state``."""
-        return self._out[state]
-
     def members(self, mask: int) -> tuple[GlobalType, ...]:
         """The states of ``mask``, by ascending intern id."""
         return tuple(_select(self.nodes, mask))
 
-    def closure_nodes(self, state: GlobalType) -> tuple[GlobalType, ...]:
-        """States reachable from ``state`` through silent transitions only
-        (including ``state`` itself), by ascending intern id."""
-        return self.members(self.closures[self.bit[state]])
-
     def eps_closure_of(self, state: GlobalType) -> frozenset[GlobalType]:
-        """The set of :meth:`closure_nodes`."""
-        return frozenset(self.closure_nodes(state))
+        """States reachable from ``state`` through silent transitions only
+        (including ``state`` itself)."""
+        return frozenset(self.members(self.closures[self.bit[state]]))
 
 
 def erase(a: SyncAutomaton, p: Role) -> LocalNfa:
     """Relabel ``a`` with role ``p``'s view of each transition.
 
     Exchanges not involving ``p`` become silent; states, initial state, and
-    final states are unchanged.
+    final states are unchanged.  Each distinct label is erased once, and
+    the edges take their ranks from that: distinct labels have distinct
+    views, so no two labels share a rank.
     """
-    transitions = tuple(
-        (src, erase_label(label, p) if label is not None else None, tgt)
-        for (src, label, tgt) in a.transitions
+    views = [erase_label(label, p) for label in a.labels]
+    order = sorted(
+        (k for k, view in enumerate(views) if view is not None),
+        key=lambda k: _label_key(views[k]),
     )
-    return LocalNfa(p, a, transitions)
+    rank: list[Optional[int]] = [None] * len(views)
+    for r, k in enumerate(order):
+        rank[k] = r
+    edges = tuple(
+        (src, None if k is None else rank[k], tgt) for src, k, tgt in a.edges
+    )
+    return LocalNfa(p, a, tuple(views[k] for k in order), edges)
 
 
 # --------------------------------------------------------------------------- #
@@ -591,4 +589,9 @@ def sync_to_dot(a: SyncAutomaton, name: str = "protocol") -> str:
 def nfa_to_dot(n: LocalNfa, name: Optional[str] = None) -> str:
     """Graphviz rendering of one role's view; silent edges show ε."""
     title = name if name is not None else f"view_{n.role}"
-    return _machine_dot(title, n.states, n.initial, n.finals, n.transitions)
+    nodes, events = n.nodes, n.events
+    edges = (
+        (nodes[src], None if r is None else events[r], nodes[tgt])
+        for src, r, tgt in n.edges
+    )
+    return _machine_dot(title, n.states, n.initial, n.finals, edges)

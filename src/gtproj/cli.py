@@ -125,6 +125,24 @@ def _projection_rows(projections: dict[Role, SubsetMachine]) -> list[dict]:
     return rows
 
 
+def _machine_json(role: Role, m: SubsetMachine) -> dict:
+    """One machine of ``project --format json``, read off its tables."""
+    events = [str(e) for e in m.events]
+    return {
+        "role": role.name,
+        "initial": 0,
+        "states": [
+            {"number": i, "members": list(s.ids), "final": bool(mask & m.final_mask)}
+            for i, (s, mask) in enumerate(zip(m.states, m.masks))
+        ],
+        "transitions": [
+            {"source": i, "event": events[r], "target": t}
+            for i, moves in enumerate(m.arcs)
+            for r, t in moves
+        ],
+    }
+
+
 def _verdict_json(verdict: Verdict, all_violations: bool) -> dict:
     body: dict = {"implementable": verdict.implementable}
     if verdict.violation is not None:
@@ -238,50 +256,26 @@ def _cmd_project(cfg: RunConfig) -> int:
                 "size": measure_size(g),
                 "roles": [r.name for r in roles_of(g)],
             },
-            "machines": [
-                {
-                    "role": r.name,
-                    "initial": machines[r].state_number(machines[r].initial),
-                    "states": [
-                        {
-                            "number": i,
-                            "members": list(s.ids),
-                            "final": s in machines[r].finals,
-                        }
-                        for i, s in enumerate(machines[r].states)
-                    ],
-                    "transitions": [
-                        {
-                            "source": machines[r].state_number(s),
-                            "event": str(event),
-                            "target": machines[r].state_number(t),
-                        }
-                        for s in machines[r].states
-                        for event, t in machines[r].out(s)
-                    ],
-                }
-                for r in roles
-            ],
+            "machines": [_machine_json(r, machines[r]) for r in roles],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
     else:
         lines = []
-        for r in roles:
-            m = machines[r]
+        for role in roles:
+            m = machines[role]
+            final = [bool(mask & m.final_mask) for mask in m.masks]
             lines.append(
-                f"machine for role {r}: {len(m.states)} states, "
-                f"{len(m.transitions)} transitions, {len(m.finals)} final"
+                f"machine for role {role}: {len(m.masks)} states, "
+                f"{sum(map(len, m.arcs))} transitions, {sum(final)} final"
             )
-            for i, s in enumerate(m.states):
-                marks = []
-                if s == m.initial:
-                    marks.append("initial")
-                if s in m.finals:
+            for i, (state, moves) in enumerate(zip(m.states, m.arcs)):
+                marks = ["initial"] if i == 0 else []
+                if final[i]:
                     marks.append("final")
                 suffix = f" ({', '.join(marks)})" if marks else ""
-                lines.append(f"  s{i} = {s}{suffix}")
-                for event, t in m.out(s):
-                    lines.append(f"    s{i} --{event}--> s{m.state_number(t)}")
+                lines.append(f"  s{i} = {state}{suffix}")
+                for r, t in moves:
+                    lines.append(f"    s{i} --{m.events[r]}--> s{t}")
         _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 

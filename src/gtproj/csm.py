@@ -12,8 +12,8 @@ Execution runs on numbers, not objects: a configuration is one state number
 per role (in role order) plus one channel slot per ordered pair of roles
 that the machines' events use, holding message numbers.  Moves are read off
 each machine's int tables (``arcs``, ``events``, ``final_mask``), so neither
-stepping nor exploring builds a machine's :class:`SubsetState` views; only
-:meth:`CsmConfiguration.state_of` does, on demand.
+stepping nor exploring makes a :class:`SubsetState`; only
+:meth:`CsmConfiguration.state_of` names one, on demand.
 """
 from __future__ import annotations
 
@@ -142,7 +142,7 @@ class CsmConfiguration:
         i = self.system.position.get(role)
         if i is None:
             raise KeyError(f"no machine for role {role}")
-        return self.system.machines[role].states[self.states[i]]
+        return SubsetState(self.system.machines[role], self.states[i])
 
     def channel(self, sender: Role, receiver: Role) -> tuple[Message, ...]:
         k = self.system.slot.get((sender, receiver))

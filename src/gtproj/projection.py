@@ -8,20 +8,20 @@ merged or minimized beyond the closure itself: keeping the member subterms
 visible is what later lets the validity checks reason about *which* branch
 of the protocol each member belongs to.
 
-A :class:`SubsetMachine` is int tables first: each state is a mask of
+A :class:`SubsetMachine` is int tables only: each state is a mask of
 members over the view's dense index, each move a (label rank, successor
 number) pair, exactly as :func:`determinize` finds them.  The validity
-checks read only those tables (see :mod:`gtproj.validity`).  The object
-views -- :class:`SubsetState` values and the ``(state, event)`` transition
-map -- are built on first use, by projection output, simulation, the oracle
-and counterexamples.
+checks, simulation, the oracle and ``gtproj project`` read those tables.
+A :class:`SubsetState` is a (machine, number) value that reads its members
+off the masks; violations and counterexamples name states with it, and the
+machine's ``states``, ``transitions`` and ``out`` are computed from the
+tables on each call.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .automata import (
     AsyncEvent,
@@ -45,51 +45,34 @@ __all__ = [
 ]
 
 
-_intern_id = attrgetter("intern_id")
-
-
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class SubsetState:
-    """A deterministic state: a non-empty, silent-closed set of subterms.
+    """A deterministic state: state ``number`` of ``machine``, a non-empty,
+    silent-closed set of subterms.
 
-    Members are kept sorted by intern id so equal sets are one value.
-    Equality and hashing read ``ids`` and a hash of it, both computed once.
+    Members are read off the machine's mask, by ascending intern id.  Two
+    states are equal when they are the same number of the same machine.
     """
 
-    members: tuple[GlobalType, ...]
-    ids: tuple[int, ...] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    machine: "SubsetMachine"
+    number: int
 
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("subset state must be non-empty")
-        ids = tuple(map(_intern_id, self.members))
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_hash", hash(ids))
+    @property
+    def members(self) -> tuple[GlobalType, ...]:
+        return tuple(self)
 
-    @staticmethod
-    def of(members: Iterable[GlobalType]) -> "SubsetState":
-        unique = {m.intern_id: m for m in members}
-        return SubsetState(tuple(unique[i] for i in sorted(unique)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, SubsetState):
-            return NotImplemented
-        return self._hash == other._hash and self.ids == other.ids
-
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(m.intern_id for m in self)
 
     def __iter__(self) -> Iterator[GlobalType]:
-        return iter(self.members)
+        return _select(self.machine.nodes, self.machine.masks[self.number])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.machine.masks[self.number].bit_count()
 
     def __contains__(self, node: object) -> bool:
-        return any(node == m for m in self.members)
+        return any(node == m for m in self)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.ids) + "}"
@@ -105,13 +88,14 @@ class SubsetMachine:
     label order, where a rank indexes the sorted ``events``; a state is
     final when its mask meets ``final_mask``, the terminated protocol's bit.
 
-    The object views -- ``states``, ``transitions`` (``(state, event)`` to
-    successor), ``initial``, ``finals``, :meth:`out`, :meth:`step` and
-    :meth:`state_number` -- are built together on first use, so a caller
-    that reads only the tables never makes a :class:`SubsetState`.
+    ``states``, ``transitions`` (``(state, event)`` to successor),
+    ``initial``, ``finals``, :meth:`out`, :meth:`step` and
+    :meth:`state_number` present the tables as :class:`SubsetState`
+    values, computed on each call.  :meth:`out`, :meth:`step` and
+    :meth:`state_number` raise ``KeyError`` for a state of another machine.
     """
 
-    __slots__ = ("role", "nodes", "masks", "arcs", "events", "final_mask", "_views")
+    __slots__ = ("role", "nodes", "masks", "arcs", "events", "final_mask")
 
     def __init__(
         self,
@@ -128,68 +112,51 @@ class SubsetMachine:
         self.arcs = arcs
         self.events = events
         self.final_mask = final_mask
-        self._views: Optional[_Views] = None
-
-    def _objects(self) -> "_Views":
-        if self._views is None:
-            self._views = _Views(self)
-        return self._views
 
     @property
     def states(self) -> tuple[SubsetState, ...]:
-        return (self._views or self._objects()).states
+        return tuple(SubsetState(self, i) for i in range(len(self.masks)))
 
     @property
     def transitions(self) -> dict[tuple[SubsetState, AsyncEvent], SubsetState]:
-        return (self._views or self._objects()).transitions
+        events = self.events
+        return {
+            (SubsetState(self, i), events[r]): SubsetState(self, t)
+            for i, moves in enumerate(self.arcs)
+            for r, t in moves
+        }
 
     @property
     def initial(self) -> SubsetState:
-        return (self._views or self._objects()).initial
+        return SubsetState(self, 0)
 
     @property
     def finals(self) -> frozenset[SubsetState]:
-        return (self._views or self._objects()).finals
+        final = self.final_mask
+        return frozenset(
+            SubsetState(self, i) for i, mask in enumerate(self.masks) if mask & final
+        )
 
     def out(self, state: SubsetState) -> tuple[tuple[AsyncEvent, SubsetState], ...]:
         """Outgoing (event, successor) pairs in label order."""
-        return (self._views or self._objects()).out[state]
+        events, moves = self.events, self.arcs[self.state_number(state)]
+        return tuple((events[r], SubsetState(self, t)) for r, t in moves)
 
     def step(self, state: SubsetState, event: AsyncEvent) -> Optional[SubsetState]:
         """Successor under ``event``, or ``None`` when not enabled."""
-        return (self._views or self._objects()).transitions.get((state, event))
+        for r, t in self.arcs[self.state_number(state)]:
+            if self.events[r] == event:
+                return SubsetState(self, t)
+        return None
 
     def state_number(self, state: SubsetState) -> int:
         """Breadth-first discovery index of ``state``."""
-        return (self._views or self._objects()).index[state]
+        if getattr(state, "machine", None) is not self:
+            raise KeyError(state)
+        return state.number
 
     def __len__(self) -> int:
         return len(self.masks)
-
-
-class _Views:
-    """The object views of one :class:`SubsetMachine`, built together."""
-
-    __slots__ = ("states", "transitions", "initial", "finals", "out", "index")
-
-    def __init__(self, m: SubsetMachine) -> None:
-        events = m.events
-        states = tuple(SubsetState(tuple(_select(m.nodes, mask))) for mask in m.masks)
-        self.states = states
-        self.out = {
-            state: tuple((events[r], states[t]) for r, t in moves)
-            for state, moves in zip(states, m.arcs)
-        }
-        self.transitions = {
-            (state, event): target
-            for state, moves in self.out.items()
-            for event, target in moves
-        }
-        self.initial = states[0]
-        self.finals = frozenset(
-            s for s, mask in zip(states, m.masks) if mask & m.final_mask
-        )
-        self.index = {s: i for i, s in enumerate(states)}
 
 
 def determinize(nfa: LocalNfa) -> SubsetMachine:
@@ -261,20 +228,23 @@ def build_projections(
 
 def _nfa_words(nfa: LocalNfa, depth: int) -> frozenset[tuple[AsyncEvent, ...]]:
     """Every event word of length <= depth spelled by some path of the view."""
+    out: list[list[tuple[Optional[int], int]]] = [[] for _ in nfa.nodes]
+    for src, r, tgt in nfa.edges:
+        out[src].append((r, tgt))
     words: set[tuple[AsyncEvent, ...]] = set()
-    seen: set[tuple[GlobalType, tuple[AsyncEvent, ...]]] = set()
-    queue: deque[tuple[GlobalType, tuple[AsyncEvent, ...]]] = deque()
-    start = (nfa.initial, ())
+    seen: set[tuple[int, tuple[AsyncEvent, ...]]] = set()
+    queue: deque[tuple[int, tuple[AsyncEvent, ...]]] = deque()
+    start = (nfa.bit[nfa.initial], ())
     seen.add(start)
     queue.append(start)
     while queue:
         state, word = queue.popleft()
         words.add(word)
-        for _, label, tgt in nfa.out(state):
-            if label is None:
+        for r, tgt in out[state]:
+            if r is None:
                 nxt = (tgt, word)
             elif len(word) < depth:
-                nxt = (tgt, word + (label,))
+                nxt = (tgt, word + (nfa.events[r],))
             else:
                 continue
             if nxt not in seen:
@@ -286,14 +256,14 @@ def _nfa_words(nfa: LocalNfa, depth: int) -> frozenset[tuple[AsyncEvent, ...]]:
 def _machine_words(m: SubsetMachine, depth: int) -> frozenset[tuple[AsyncEvent, ...]]:
     """Every event word of length <= depth accepted along the machine."""
     words: set[tuple[AsyncEvent, ...]] = set()
-    queue: deque[tuple[SubsetState, tuple[AsyncEvent, ...]]] = deque(((m.initial, ()),))
+    queue: deque[tuple[int, tuple[AsyncEvent, ...]]] = deque(((0, ()),))
     while queue:
         state, word = queue.popleft()
         words.add(word)
         if len(word) == depth:
             continue
-        for event, tgt in m.out(state):
-            queue.append((tgt, word + (event,)))
+        for r, tgt in m.arcs[state]:
+            queue.append((tgt, word + (m.events[r],)))
     return frozenset(words)
 
 
@@ -319,5 +289,10 @@ def bounded_local_language_check(g: GlobalType, p: Role, depth: int = 10) -> boo
 def machine_to_dot(m: SubsetMachine, name: Optional[str] = None) -> str:
     """Graphviz rendering; states are labeled with their member subterm ids."""
     title = name if name is not None else f"machine_{m.role}"
-    edges = ((s, event, tgt) for s in m.states for event, tgt in m.out(s))
-    return _machine_dot(title, m.states, m.initial, m.finals, edges, state_label=str)
+    states = m.states
+    edges = (
+        (states[i], m.events[r], states[t])
+        for i, moves in enumerate(m.arcs)
+        for r, t in moves
+    )
+    return _machine_dot(title, states, m.initial, m.finals, edges, state_label=str)

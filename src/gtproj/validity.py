@@ -348,14 +348,14 @@ def _send_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolat
             able = can[r]
             if able is None or not mask & ~able:
                 continue
-            states = m.states
-            state = states[number]
+            state = SubsetState(m, number)
             yield ValidityViolation(
                 ViolationKind.SEND_VALIDITY,
                 m.role,
                 state,
                 SendViolationDetails(
-                    (state, m.events[r], states[target]), nfa.members(mask & ~able)
+                    (state, m.events[r], SubsetState(m, target)),
+                    nfa.members(mask & ~able),
                 ),
             )
 
@@ -412,15 +412,14 @@ def _receive_violations(m: SubsetMachine, g: GlobalType) -> Iterator[ValidityVio
                 w = first_available(x, masks[t2])
                 if w is None:
                     continue
-                states = m.states
-                state = states[number]
+                state = SubsetState(m, number)
                 yield ValidityViolation(
                     ViolationKind.RECEIVE_VALIDITY,
                     role,
                     state,
                     ReceiveViolationDetails(
-                        (state, events[r1], states[t1]),
-                        (state, events[r2], states[t2]),
+                        (state, events[r1], SubsetState(m, t1)),
+                        (state, events[r2], SubsetState(m, t2)),
                         nodes[w],
                         x,
                         results[w].witness[x],
@@ -547,24 +546,29 @@ def _product_search(
     goal_state: SubsetState,
 ) -> tuple[Edge, ...]:
     """Shortest protocol path from the root to a node in ``goal_nodes``
-    along which the role's machine lands exactly in ``goal_state``."""
+    along which the role's machine lands exactly in ``goal_state``.  The
+    search pairs automaton states with the machine's state numbers."""
+    goal = m.state_number(goal_state)
+    rank = {e: r for r, e in enumerate(m.events)}
 
     def successors(node: tuple) -> Iterator[tuple[Edge, tuple]]:
-        g_state, m_state = node
+        g_state, number = node
         for edge in a.out(g_state):
             label = edge[1]
             local = None if label is None else erase_label(label, m.role)
             if local is None:
-                yield edge, (edge[2], m_state)
+                yield edge, (edge[2], number)
                 continue
-            stepped = m.step(m_state, local)
-            if stepped is not None:
-                yield edge, (edge[2], stepped)
+            r = rank[local]
+            for moved, successor in m.arcs[number]:
+                if moved == r:
+                    yield edge, (edge[2], successor)
+                    break
 
     path = _shortest_path(
-        (a.initial, m.initial),
+        (a.initial, 0),
         successors,
-        lambda node: node[0] in goal_nodes and node[1] == goal_state,
+        lambda node: node[0] in goal_nodes and node[1] == goal,
     )
     if path is None:
         raise InternalError("no protocol path realizes the violating state")
@@ -589,18 +593,20 @@ def _silent_path(
     return path
 
 
-def _member_steps(
-    nfa: LocalNfa, s: SubsetState, x: AsyncEvent
-) -> Iterator[tuple[GlobalType, GlobalType, GlobalType]]:
-    """Every way a member of ``s`` performs ``x``: ``(member, node,
-    target)`` for each ``x``-labeled edge ``node -> target`` out of the
-    member's silent closure.  Members come in state order, closure nodes by
-    ascending intern id."""
-    for member in s:
-        for node in nfa.closure_nodes(member):
-            for _, label, tgt in nfa.out(node):
-                if label == x:
-                    yield member, node, tgt
+def _member_steps(nfa: LocalNfa, mask: int, r: int) -> Iterator[tuple[int, int, int]]:
+    """Every way a member of the state ``mask`` performs the event of rank
+    ``r``: ``(member, node, target)`` bits for each rank-``r`` edge ``node
+    -> target`` out of the member's silent closure.  Members and closure
+    nodes come by ascending bit (intern id), edges in the view's order."""
+    targets: dict[int, list[int]] = {}
+    for src, rank, tgt in nfa.edges:
+        if rank == r:
+            targets.setdefault(src, []).append(tgt)
+    bits = range(len(nfa.nodes))
+    for member in _select(bits, mask):
+        for node in _select(bits, nfa.closures[member]):
+            for tgt in targets.get(node, ()):
+                yield member, node, tgt
 
 
 def build_counterexample(
@@ -642,15 +648,16 @@ def build_counterexample(
         _, second, _ = d.transition_two
         wanted = SyncEvent(second.peer, v.role, second.message)
         witness = 1 << nfa.bit[d.witness_subterm]
-        for _, origin, landing in _member_steps(nfa, state, second):
-            if nfa.closures[nfa.bit[landing]] & witness:
+        mask = machine.masks[machine.state_number(state)]
+        for _, origin, landing in _member_steps(nfa, mask, nfa.events.index(second)):
+            if nfa.closures[landing] & witness:
                 break
         else:
             raise InternalError("second receive has no matching protocol exchange")
-        alpha = _product_search(a, machine, frozenset((origin,)), state)
+        alpha = _product_search(a, machine, frozenset((nfa.nodes[origin],)), state)
         events: list[AsyncEvent] = list(split_word(e[1] for e in alpha if e[1] is not None))
         events.append(send(wanted.sender, wanted.receiver, wanted.message))
-        silent = _silent_path(a, v.role, landing, d.witness_subterm)
+        silent = _silent_path(a, v.role, nfa.nodes[landing], d.witness_subterm)
         events.extend(split_word(e[1] for e in silent if e[1] is not None))
         # Replay the witness suffix, dropping steps of roles frozen behind
         # the role under test: a frozen sender's exchange freezes its

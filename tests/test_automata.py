@@ -156,6 +156,27 @@ def test_gaut_out_groups_by_source():
 # --------------------------------------------------------------------------- #
 
 
+def view_edges(nfa) -> list:
+    """The view's edges as (state, event or None, state), in edge order."""
+    nodes, events = nfa.nodes, nfa.events
+    return [
+        (nodes[src], None if r is None else events[r], nodes[tgt])
+        for src, r, tgt in nfa.edges
+    ]
+
+
+def test_gaut_edges_number_the_distinct_labels():
+    a = build_gaut(load("g_s"))
+    # each distinct label once, in order of first appearance
+    labels = [label for _, label, _ in a.transitions if label is not None]
+    assert list(a.labels) == list(dict.fromkeys(labels))
+    assert len(a.labels) == 4
+    assert [
+        (a.nodes[src], None if k is None else a.labels[k], a.nodes[tgt])
+        for src, k, tgt in a.edges
+    ] == list(a.transitions)
+
+
 def test_erase_relabels_one_to_one():
     g = load("g_s")
     a = build_gaut(g)
@@ -164,7 +185,7 @@ def test_erase_relabels_one_to_one():
 
     for_r = erase(a, R)
     assert for_r.role == R
-    assert set(for_r.transitions) == {
+    assert set(view_edges(for_r)) == {
         (g, None, top_o),
         (g, None, top_m),
         (top_o, send(R, Q, O), END),
@@ -172,7 +193,7 @@ def test_erase_relabels_one_to_one():
     }
 
     for_p = erase(a, P)
-    assert set(for_p.transitions) == {
+    assert set(view_edges(for_p)) == {
         (g, send(P, Q, O), top_o),
         (g, send(P, Q, M), top_m),
         (top_o, None, END),

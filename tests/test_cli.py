@@ -85,15 +85,16 @@ def test_check_json_lists_projections_when_implementable(tmp_path):
 
 @pytest.fixture
 def state_objects(monkeypatch):
-    """The machine state objects made while the test runs."""
+    """The machine state objects made while the test runs, counted at
+    construction."""
     made = []
-    post_init = SubsetState.__post_init__
+    init = SubsetState.__init__
 
-    def counted(state):
+    def counted(state, *args, **kwargs):
+        init(state, *args, **kwargs)
         made.append(state)
-        post_init(state)
 
-    monkeypatch.setattr(SubsetState, "__post_init__", counted)
+    monkeypatch.setattr(SubsetState, "__init__", counted)
     return made
 
 

@@ -16,6 +16,7 @@ from gtproj import (
     build_gaut,
     build_projections,
     erase,
+    erase_label,
     generate_gk,
     machine_to_dot,
     parse_global_type,
@@ -46,18 +47,29 @@ def members(state: SubsetState) -> set:
 # --------------------------------------------------------------------------- #
 
 
-def test_subset_state_dedups_and_orders_members():
+def test_subset_state_reads_its_members_from_the_mask():
     g = load("g_s")
-    s = SubsetState.of((g, END, g))
+    m = subset_construction(g, P)
+    top_o = parse_global_type("r->q:o . 0")
+    s = m.step(m.initial, send(P, Q, O))
+    assert s == SubsetState(m, m.state_number(s))
+    assert s.members == tuple(sorted((top_o, END), key=lambda n: n.intern_id))
     assert len(s) == 2
-    assert s == SubsetState.of((END, g))
-    assert s.ids == tuple(sorted(n.intern_id for n in (g, END)))
+    assert top_o in s and g not in s
+    assert s.ids == tuple(sorted(n.intern_id for n in (top_o, END)))
     assert str(s) == "{" + ",".join(str(i) for i in s.ids) + "}"
 
 
-def test_subset_state_rejects_empty():
-    with pytest.raises(ValueError):
-        SubsetState.of(())
+def test_machine_rejects_states_of_another_machine():
+    g = load("g_s")
+    m, other = subset_construction(g, Q), subset_construction(g, Q)
+    assert [s.ids for s in m.states] == [s.ids for s in other.states]
+    assert m.initial != other.initial
+    event, _ = m.out(m.initial)[0]
+    for ask in (m.out, m.state_number, lambda state: m.step(state, event)):
+        with pytest.raises(KeyError):
+            ask(other.initial)
+    assert m.transitions.get((other.initial, event)) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -126,15 +138,15 @@ def test_step_returns_none_for_missing_transition():
 
 def test_subset_state_built_by_hand_is_the_discovered_state():
     m = subset_construction(load("g_s"), Q)
-    for state in m.states:
-        twin = SubsetState.of(reversed(state.members))
+    for number, state in enumerate(m.states):
+        twin = SubsetState(m, number)
         assert twin is not state
         assert twin == state and hash(twin) == hash(state)
         assert m.state_number(twin) == m.state_number(state)
         for event, target in m.out(state):
-            assert m.step(twin, event) is target
-            assert m.transitions[(twin, event)] is target
-    assert SubsetState.of(m.initial.members[:1] + (END,)) != m.initial
+            assert m.step(twin, event) == target
+            assert m.transitions[(twin, event)] == target
+    assert SubsetState(m, 1) != m.initial
 
 
 def test_state_numbers_follow_discovery_order():
@@ -228,28 +240,45 @@ def test_machine_to_dot_shape():
 # --------------------------------------------------------------------------- #
 
 
-def _reference_closure(nfa, seed):
-    """Silently reachable states of ``seed``, walked over ``nfa.out``."""
+def _reference_view(a, role):
+    """Role ``role``'s view of automaton ``a``: per state, its outgoing
+    transitions ``(source, event or None, target)``, each label of
+    ``a.transitions`` erased on its own."""
+    out = {state: [] for state in a.states}
+    for src, label, tgt in a.transitions:
+        out[src].append((src, None if label is None else erase_label(label, role), tgt))
+    return out
+
+
+def _reference_closure(view, seed):
+    """Silently reachable states of ``seed``, walked over ``view``."""
     seen = set(seed)
     stack = list(seed)
     while stack:
-        for _, label, tgt in nfa.out(stack.pop()):
+        for _, label, tgt in view[stack.pop()]:
             if label is None and tgt not in seen:
                 seen.add(tgt)
                 stack.append(tgt)
     return seen
 
 
+def _subset(nodes):
+    """A set of subterms as one value: its members by ascending intern id."""
+    unique = {n.intern_id: n for n in nodes}
+    return tuple(unique[i] for i in sorted(unique))
+
+
 def _label_key(e):
     return (e.peer.name, e.message.label, e.direction.value)
 
 
-def _reference_determinize(nfa):
+def _reference_determinize(a, role):
     """The textbook subset construction over sets of subterms, as a
     reference for :func:`determinize`: (states, transitions, initial,
-    finals) with transitions keyed by (state, event), each state's in
-    label order."""
-    initial = SubsetState.of(_reference_closure(nfa, (nfa.initial,)))
+    finals) with states as :func:`_subset` values and transitions keyed by
+    (state, event), each state's in label order."""
+    view = _reference_view(a, role)
+    initial = _subset(_reference_closure(view, (a.initial,)))
     order = {initial: 0}
     transitions = {}
     queue = deque((initial,))
@@ -257,17 +286,17 @@ def _reference_determinize(nfa):
         state = queue.popleft()
         moves = {}
         for member in state:
-            for _, label, tgt in nfa.out(member):
+            for _, label, tgt in view[member]:
                 if label is not None:
                     moves.setdefault(label, set()).add(tgt)
         for label in sorted(moves, key=_label_key):
-            successor = SubsetState.of(_reference_closure(nfa, moves[label]))
+            successor = _subset(_reference_closure(view, moves[label]))
             transitions[(state, label)] = successor
             if successor not in order:
                 order[successor] = len(order)
                 queue.append(successor)
     states = tuple(order)
-    finals = frozenset(s for s in states if any(m in nfa.finals for m in s))
+    finals = frozenset(s for s in states if any(m in a.finals for m in s))
     return states, transitions, initial, finals
 
 
@@ -283,17 +312,18 @@ def _reference_inputs(draws=500):
 
 def test_determinize_matches_the_set_based_reference():
     for name, g in _reference_inputs():
-        _, table = build_projections(g)
-        for role, (nfa, m) in table.items():
-            states, transitions, initial, finals = _reference_determinize(nfa)
+        a, table = build_projections(g)
+        for role, (_, m) in table.items():
+            states, transitions, initial, finals = _reference_determinize(a, role)
             where = (name, role.name)
-            assert [s.ids for s in m.states] == [s.ids for s in states], where
-            assert m.states == states, where
-            assert m.transitions == transitions, where
+            assert [s.members for s in m.states] == list(states), where
+            assert {
+                (s.members, e): t.members for (s, e), t in m.transitions.items()
+            } == transitions, where
             out = {s: [] for s in states}
             for (src, e), t in transitions.items():
-                out[src].append((e, t.ids))
-            for s in states:
-                assert [(e, t.ids) for e, t in m.out(s)] == out[s], where
-            assert m.initial.ids == initial.ids, where
-            assert m.finals == finals, where
+                out[src].append((e, t))
+            for s in m.states:
+                assert [(e, t.members) for e, t in m.out(s)] == out[s.members], where
+            assert m.initial.members == initial, where
+            assert {s.members for s in m.finals} == finals, where

@@ -30,6 +30,7 @@ from gtproj import (
     check_no_mixed_choice,
     check_receive_validity,
     check_send_validity,
+    erase_label,
     format_trace,
     intersection_witness,
     parse_global_type,
@@ -46,7 +47,7 @@ from gtproj.syntax import binders
 from gtproj.validity import _AvailableWalks, _send_violations
 
 from .strategies import random_global_type, rename_consistently
-from .test_projection import _reference_closure, _reference_inputs
+from .test_projection import _reference_closure, _reference_inputs, _reference_view
 
 P, Q, R = Role("p"), Role("q"), Role("r")
 O, M = Message("o"), Message("m")
@@ -67,29 +68,31 @@ def projection_of(g, role):
 # --------------------------------------------------------------------------- #
 
 
-def _reference_origins_destinations(nfa, state, x):
+def _reference_origins_destinations(view, state, x):
     """For machine transition ``state --x--> s'``: the members of ``state``
     that perform ``x`` after silent steps (origins), and the silent closure
-    of the nodes they land in (destinations), computed on sets."""
+    of the nodes they land in (destinations), computed on sets over the
+    role's ``view`` (see ``_reference_view``)."""
     origins, landing = set(), set()
     for member in state:
-        for node in _reference_closure(nfa, (member,)):
-            for _, label, tgt in nfa.out(node):
+        for node in _reference_closure(view, (member,)):
+            for _, label, tgt in view[node]:
                 if label == x:
                     origins.add(member)
                     landing.add(tgt)
-    return origins, _reference_closure(nfa, landing)
+    return origins, _reference_closure(view, landing)
 
 
 def test_validity_reads_the_reference_origins_and_destinations():
     for name, g in _reference_inputs():
-        _, table = build_projections(g)
+        a, table = build_projections(g)
         for role, (nfa, m) in table.items():
+            view = _reference_view(a, role)
             expected = []
             for state in m.states:
                 for event, target in m.out(state):
                     origins, destinations = _reference_origins_destinations(
-                        nfa, state, event
+                        view, state, event
                     )
                     if event.is_send:
                         missing = tuple(g2 for g2 in state if g2 not in origins)
@@ -334,12 +337,14 @@ def test_same_sender_races_are_allowed():
 # --------------------------------------------------------------------------- #
 
 
-def _reference_send_violations(m, nfa):
+def _reference_send_violations(m, nfa, a):
     """Send validity scanned over the machine's state objects, member by
-    member, as a reference for the mask test."""
+    member, as a reference for the mask test; the sends are erased from
+    automaton ``a``'s transitions label by label."""
     bit, closures = nfa.bit, nfa.closures
     sources = {}
-    for src, label, _ in nfa.transitions:
+    for src, sync, _ in a.transitions:
+        label = None if sync is None else erase_label(sync, m.role)
         if label is not None and label.direction is Direction.SEND:
             sources[label] = sources.get(label, 0) | 1 << bit[src]
     for state in m.states:
@@ -428,10 +433,10 @@ def _violation_fields(v):
 
 def test_mask_validity_matches_the_object_scan():
     for name, g in _reference_inputs(1000):
-        _, table = build_projections(g)
+        a, table = build_projections(g)
         expected = []
         for nfa, m in table.values():
-            expected.extend(_reference_send_violations(m, nfa))
+            expected.extend(_reference_send_violations(m, nfa, a))
             expected.extend(_reference_receive_violations(m, g))
         verdict = check_implementability(g, all_violations=True)
         assert list(map(_violation_fields, verdict.violations)) == list(
