@@ -262,7 +262,7 @@ class SyncAutomaton:
     reading a mask's bits in ascending order lists its states by intern id.
     ``labels`` are the distinct exchange labels, numbered by (sender,
     receiver, message) names in order of first appearance in the
-    transitions.  ``edges`` are the transitions over that index and that
+    transitions; ``label_number`` maps those names to the number.  ``edges`` are the transitions over that index and that
     numbering: ``(source bit, label number, target bit)``, in the same
     order, label number ``None`` when silent.  The per-role views and
     ``halves`` read ``edges``; ``halves`` numbers the roles and the split
@@ -271,7 +271,7 @@ class SyncAutomaton:
 
     __slots__ = (
         "states", "transitions", "initial", "finals", "nodes", "bit", "labels",
-        "edges", "_halves",
+        "label_number", "edges", "_halves",
     )
 
     def __init__(
@@ -294,7 +294,8 @@ class SyncAutomaton:
         self.finals = finals
         self.nodes = tuple(sorted(self.states, key=lambda s: s.intern_id))
         self.bit = bit = {s: i for i, s in enumerate(self.nodes)}
-        number: dict[tuple[str, str, str], int] = {}
+        self.label_number: dict[tuple[str, str, str], int] = {}
+        number = self.label_number
         labels: list[SyncEvent] = []
         edges: list[tuple[int, Optional[int], int]] = []
         for i in order:
@@ -336,10 +337,9 @@ class Halves:
     halves.
 
     ``roles`` numbers every role of a label by name, in order of first
-    appearance in the automaton's ``labels``; ``labels`` maps a label's
-    (sender, receiver, message) names to its number there.  The send half
-    of label ``k`` is event ``2 * k`` and its receive half event
-    ``2 * k + 1``.  ``out[i]`` lists the transitions leaving the state of
+    appearance in the automaton's ``labels``; ``labels`` is the
+    automaton's ``label_number``.  The send half of label ``k`` is event
+    ``2 * k`` and its receive half event ``2 * k + 1``.  ``out[i]`` lists the transitions leaving the state of
     bit ``i``, in :meth:`SyncAutomaton.out` order, as ``(edge, target bit,
     halves)``: ``halves`` holds ``(role number, event number)`` for the
     send and then the receive, and is empty for a silent edge.  Names
@@ -351,18 +351,13 @@ class Halves:
 
     def __init__(self, a: SyncAutomaton) -> None:
         self.roles: dict[str, int] = {}
-        self.labels: dict[tuple[str, str, str], int] = {}
+        self.labels = a.label_number
         roles = self.roles
         split: list[tuple[tuple[int, int], ...]] = []
         for k, label in enumerate(a.labels):
-            sender, receiver = label.sender.name, label.receiver.name
-            self.labels[(sender, receiver, label.message.label)] = k
-            split.append(
-                (
-                    (roles.setdefault(sender, len(roles)), 2 * k),
-                    (roles.setdefault(receiver, len(roles)), 2 * k + 1),
-                )
-            )
+            sender = roles.setdefault(label.sender.name, len(roles))
+            receiver = roles.setdefault(label.receiver.name, len(roles))
+            split.append(((sender, 2 * k), (receiver, 2 * k + 1)))
         out: list[list[tuple[Edge, int, tuple[tuple[int, int], ...]]]] = [
             [] for _ in a.nodes
         ]

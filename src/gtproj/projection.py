@@ -20,6 +20,7 @@ tables on each call.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -118,13 +119,8 @@ class SubsetMachine:
         return tuple(SubsetState(self, i) for i in range(len(self.masks)))
 
     @property
-    def transitions(self) -> dict[tuple[SubsetState, AsyncEvent], SubsetState]:
-        events = self.events
-        return {
-            (SubsetState(self, i), events[r]): SubsetState(self, t)
-            for i, moves in enumerate(self.arcs)
-            for r, t in moves
-        }
+    def transitions(self) -> "_Transitions":
+        return _Transitions(self)
 
     @property
     def initial(self) -> SubsetState:
@@ -157,6 +153,31 @@ class SubsetMachine:
 
     def __len__(self) -> int:
         return len(self.masks)
+
+
+class _Transitions(Mapping):
+    """``SubsetMachine.transitions``: a mapping whose lookups step the
+    machine's arcs; nothing is stored."""
+
+    __slots__ = ("machine",)
+
+    def __init__(self, machine: SubsetMachine) -> None:
+        self.machine = machine
+
+    def __getitem__(self, key: tuple[SubsetState, AsyncEvent]) -> SubsetState:
+        target = self.machine.step(*key)
+        if target is None:
+            raise KeyError(key)
+        return target
+
+    def __iter__(self) -> Iterator[tuple[SubsetState, AsyncEvent]]:
+        m = self.machine
+        for i, moves in enumerate(m.arcs):
+            for r, _ in moves:
+                yield SubsetState(m, i), m.events[r]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.machine.arcs))
 
 
 def determinize(nfa: LocalNfa) -> SubsetMachine:

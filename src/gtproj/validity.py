@@ -543,12 +543,11 @@ def _product_search(
     a: SyncAutomaton,
     m: SubsetMachine,
     goal_nodes: frozenset[GlobalType],
-    goal_state: SubsetState,
+    goal: int,
 ) -> tuple[Edge, ...]:
     """Shortest protocol path from the root to a node in ``goal_nodes``
-    along which the role's machine lands exactly in ``goal_state``.  The
-    search pairs automaton states with the machine's state numbers."""
-    goal = m.state_number(goal_state)
+    along which the role's machine lands exactly in state number ``goal``.
+    The search pairs automaton states with the machine's state numbers."""
     rank = {e: r for r, e in enumerate(m.events)}
 
     def successors(node: tuple) -> Iterator[tuple[Edge, tuple]]:
@@ -635,26 +634,27 @@ def build_counterexample(
     """
     a, table = _projections if _projections is not None else build_projections(g)
     nfa, machine = table[v.role]
+    # by members: ``v`` may name a state of other machines built from ``g``
+    number = machine.masks.index(sum(1 << nfa.bit[node] for node in v.state))
 
     if v.kind is ViolationKind.SEND_VALIDITY:
         details: SendViolationDetails = v.details  # type: ignore[assignment]
-        state, event, _ = details.transition
-        alpha = _product_search(a, machine, frozenset(details.missing), state)
+        _, event, _ = details.transition
+        alpha = _product_search(a, machine, frozenset(details.missing), number)
         trace = split_word(e[1] for e in alpha if e[1] is not None) + (event,)
     else:
         d: ReceiveViolationDetails = v.details  # type: ignore[assignment]
-        state = v.state
         _, first, _ = d.transition_one
         _, second, _ = d.transition_two
         wanted = SyncEvent(second.peer, v.role, second.message)
         witness = 1 << nfa.bit[d.witness_subterm]
-        mask = machine.masks[machine.state_number(state)]
+        mask = machine.masks[number]
         for _, origin, landing in _member_steps(nfa, mask, nfa.events.index(second)):
             if nfa.closures[landing] & witness:
                 break
         else:
             raise InternalError("second receive has no matching protocol exchange")
-        alpha = _product_search(a, machine, frozenset((nfa.nodes[origin],)), state)
+        alpha = _product_search(a, machine, frozenset((nfa.nodes[origin],)), number)
         events: list[AsyncEvent] = list(split_word(e[1] for e in alpha if e[1] is not None))
         events.append(send(wanted.sender, wanted.receiver, wanted.message))
         silent = _silent_path(a, v.role, nfa.nodes[landing], d.witness_subterm)

@@ -175,6 +175,11 @@ def test_gaut_edges_number_the_distinct_labels():
         (a.nodes[src], None if k is None else a.labels[k], a.nodes[tgt])
         for src, k, tgt in a.edges
     ] == list(a.transitions)
+    assert a.label_number == {
+        (e.sender.name, e.receiver.name, e.message.label): k
+        for k, e in enumerate(a.labels)
+    }
+    assert a.halves.labels is a.label_number
 
 
 def test_erase_relabels_one_to_one():

@@ -70,6 +70,8 @@ def test_machine_rejects_states_of_another_machine():
         with pytest.raises(KeyError):
             ask(other.initial)
     assert m.transitions.get((other.initial, event)) is None
+    assert (other.initial, event) not in m.transitions
+    assert len(m.transitions) == sum(len(m.out(s)) for s in m.states)
 
 
 # --------------------------------------------------------------------------- #

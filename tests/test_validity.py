@@ -25,6 +25,7 @@ from gtproj import (
     Var,
     ViolationKind,
     available_messages,
+    build_counterexample,
     build_projections,
     check_implementability,
     check_no_mixed_choice,
@@ -519,6 +520,19 @@ def _counterexample_is_verified(g):
 def test_counterexamples_replay_but_are_not_protocol_behaviour():
     for name in ("g_s", "g_r"):
         _counterexample_is_verified(load(name))
+
+
+def test_counterexample_from_a_violation_on_other_machines():
+    # Called on its own, build_counterexample builds fresh machines: the
+    # violation's state belongs to the checker's machines, not to these.
+    for name in ("g_s", "g_r"):
+        g = load(name)
+        verdict = check_implementability(g)
+        for v in verdict.violations:
+            assert build_counterexample(g, v) == build_counterexample(
+                g, v, _projections=build_projections(g)
+            )
+        assert build_counterexample(g, verdict.violation) == verdict.counterexample
 
 
 def test_receive_counterexample_keeps_the_exchanges_of_its_silent_path():
