@@ -29,9 +29,8 @@ from .syntax import (
     Role,
     Var,
     Choice,
-    binders,
+    _walk,
     pretty_inline,
-    subterms,
 )
 
 __all__ = [
@@ -243,6 +242,13 @@ def _shortest_path(
 _source = itemgetter(0)
 
 
+def _span(edges: Sequence[tuple[int, Optional[int], int]], i: int) -> range:
+    """Where the edges leaving bit ``i`` sit in ``edges`` (sorted by source)."""
+    return range(
+        bisect_left(edges, i, key=_source), bisect_left(edges, i + 1, key=_source)
+    )
+
+
 def _sync_label_key(label: Optional[SyncEvent]) -> tuple[str, str, str]:
     if label is None:
         return ("", "", "")
@@ -262,16 +268,19 @@ class SyncAutomaton:
     reading a mask's bits in ascending order lists its states by intern id.
     ``labels`` are the distinct exchange labels, numbered by (sender,
     receiver, message) names in order of first appearance in the
-    transitions; ``label_number`` maps those names to the number.  ``edges`` are the transitions over that index and that
-    numbering: ``(source bit, label number, target bit)``, in the same
-    order, label number ``None`` when silent.  The per-role views and
-    ``halves`` read ``edges``; ``halves`` numbers the roles and the split
-    labels for matching asynchronous traces against runs.
+    transitions; ``label_number`` maps those names to the number.
+    ``edges`` are the transitions over that index and that numbering:
+    ``(source bit, label number, target bit)``, in the same order, label
+    number ``None`` when silent.  The per-role views and ``halves`` read
+    ``edges``; ``halves`` numbers the roles and the split labels for
+    matching asynchronous traces against runs.  :func:`build_gaut` walks
+    the protocol once and sets ``roles`` (first-occurrence order) and
+    ``binder`` (each variable's ``mu`` node), so later layers walk nothing.
     """
 
     __slots__ = (
         "states", "transitions", "initial", "finals", "nodes", "bit", "labels",
-        "label_number", "edges", "_halves",
+        "label_number", "edges", "roles", "binder", "_halves",
     )
 
     def __init__(
@@ -308,6 +317,8 @@ class SyncAutomaton:
             edges.append((bit[src], k, bit[tgt]))
         self.labels: tuple[SyncEvent, ...] = tuple(labels)
         self.edges = tuple(edges)
+        self.roles: tuple[Role, ...] = ()
+        self.binder: dict[str, Rec] = {}
         self._halves: Optional[Halves] = None
 
     @property
@@ -318,15 +329,20 @@ class SyncAutomaton:
             self._halves = Halves(self)
         return self._halves
 
+    @property
+    def size(self) -> int:
+        """:func:`~gtproj.syntax.measure_size`: the states reached from
+        ``initial`` (not an unreachable terminated protocol) plus edges."""
+        reached = {tgt for _, _, tgt in self.edges}
+        reached.add(self.bit[self.initial])
+        return len(reached) + len(self.edges)
+
     def out(self, state: GlobalType) -> tuple[Edge, ...]:
         """Outgoing transitions of ``state``, in sorted label order: the
         run of ``transitions`` whose source has ``state``'s bit, since the
         sort puts sources in bit order."""
-        i = self.bit[state]
-        return self.transitions[
-            bisect_left(self.edges, i, key=_source)
-            : bisect_left(self.edges, i + 1, key=_source)
-        ]
+        span = _span(self.edges, self.bit[state])
+        return self.transitions[span.start : span.stop]
 
     def __contains__(self, state: GlobalType) -> bool:
         return state in self.bit
@@ -339,12 +355,12 @@ class Halves:
     ``roles`` numbers every role of a label by name, in order of first
     appearance in the automaton's ``labels``; ``labels`` is the
     automaton's ``label_number``.  The send half of label ``k`` is event
-    ``2 * k`` and its receive half event ``2 * k + 1``.  ``out[i]`` lists the transitions leaving the state of
-    bit ``i``, in :meth:`SyncAutomaton.out` order, as ``(edge, target bit,
-    halves)``: ``halves`` holds ``(role number, event number)`` for the
-    send and then the receive, and is empty for a silent edge.  Names
-    rather than objects key the tables, so numbering an event hashes
-    strings only.
+    ``2 * k`` and its receive half event ``2 * k + 1``.  ``out[i]`` lists
+    the transitions leaving the state of bit ``i``, in
+    :meth:`SyncAutomaton.out` order, as ``(edge, target bit, halves)``:
+    ``halves`` holds ``(role number, event number)`` for the send and then
+    the receive, and is empty for a silent edge.  Names rather than objects
+    key the tables, so numbering an event hashes strings only.
     """
 
     __slots__ = ("roles", "labels", "out")
@@ -381,14 +397,21 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
     text never reaches it (it is then an isolated, unreachable final state).
     Transitions: one labeled edge per choice branch, one silent edge from
     each ``mu`` node to its body and from each variable to its binder.
+
+    The one walk of ``g``.  Raises ``ValueError`` for a variable without a
+    binder, and for two binders of one variable (only hand-built ASTs).
     """
-    subs = subterms(g)
-    bind = binders(g)
-    states = list(subs)
-    if END not in set(subs):
+    index = _walk(g)
+    bind: dict[str, Rec] = {}
+    for rec in index.binders:
+        if rec.var in bind:
+            raise ValueError(f"duplicate binder for recursion variable {rec.var!r}")
+        bind[rec.var] = rec
+    states = list(index.nodes)
+    if END not in set(states):
         states.append(END)
     transitions: list[Edge] = []
-    for node in subs:
+    for node in index.nodes:
         if isinstance(node, Choice):
             for b in node.branches:
                 transitions.append(
@@ -401,7 +424,9 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
             if binder is None:
                 raise ValueError(f"unbound recursion variable {node.var!r}")
             transitions.append((node, None, binder))
-    return SyncAutomaton(states, transitions, g, frozenset((END,)))
+    a = SyncAutomaton(states, transitions, g, frozenset((END,)))
+    a.roles, a.binder = index.roles, bind
+    return a
 
 
 # --------------------------------------------------------------------------- #
@@ -464,18 +489,19 @@ def _label_key(e: AsyncEvent) -> tuple[str, str, str]:
 class LocalNfa:
     """One role's (nondeterministic) view of a synchronous automaton.
 
-    States, initial state, final states and the dense index are shared with
-    the source automaton, and each edge is the erasure image of exactly one
-    source edge, in the same order.  ``events`` are the distinct labels
-    sorted by (peer, message, direction), and ``edges`` are the transitions
-    over the dense index with labels as ranks in ``events``: ``(source bit,
-    rank, target bit)``, rank ``None`` when silent.  ``closures[i]`` is the
-    mask of the states reachable from ``nodes[i]`` by silent steps.
+    States, initial state, final states, the dense index and the binders
+    are the source automaton's, so the view walks no protocol either.
+    ``edges[i]`` is the erasure image of the automaton's ``transitions[i]``.
+    ``events`` are the distinct labels sorted by (peer, message,
+    direction), and ``edges`` are the transitions over the dense index with
+    labels as ranks in ``events``: ``(source bit, rank, target bit)``, rank
+    ``None`` when silent.  ``closures[i]`` is the mask of the states
+    reachable from ``nodes[i]`` by silent steps.
     """
 
     __slots__ = (
-        "role", "states", "initial", "finals", "nodes", "bit", "events", "edges",
-        "closures",
+        "role", "states", "initial", "finals", "nodes", "bit", "binder", "events",
+        "edges", "closures",
     )
 
     def __init__(
@@ -491,6 +517,7 @@ class LocalNfa:
         self.finals = a.finals
         self.nodes = a.nodes
         self.bit = a.bit
+        self.binder = a.binder
         self.events = events
         self.edges = edges
         silent = [0] * len(self.nodes)

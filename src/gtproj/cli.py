@@ -26,7 +26,7 @@ from typing import Optional
 import click
 
 from . import __version__, corpus
-from .automata import format_trace
+from .automata import SyncAutomaton, format_trace
 from .csm import Csm, explore
 from .oracle import generate_gk
 from .projection import SubsetMachine, build_projections, machine_to_dot
@@ -34,11 +34,9 @@ from .syntax import (
     GlobalType,
     ParseError,
     Role,
-    measure_size,
     parse_global_type,
     pretty,
     pretty_inline,
-    roles_of,
     validate_well_formedness,
 )
 from .validity import (
@@ -74,11 +72,12 @@ class RunConfig:
 
 
 def _read_source(source: str) -> tuple[str, str]:
-    """Return (protocol name, text).  ``-`` reads stdin."""
+    """Return (protocol name, text), a file read as UTF-8; ``-`` is stdin."""
     if source == "-":
         return "stdin", sys.stdin.read()
     path = Path(source)
-    return path.stem, path.read_text()
+    return path.stem, path.read_text(encoding="utf-8")
+
 
 def _emit(payload: str, out: Optional[str]) -> None:
     if out is None:
@@ -154,6 +153,11 @@ def _verdict_json(verdict: Verdict, all_violations: bool) -> dict:
     return body
 
 
+def _protocol_json(name: str, a: SyncAutomaton) -> dict:
+    """The ``protocol`` object of the json output, read off the automaton."""
+    return {"name": name, "size": a.size, "roles": [r.name for r in a.roles]}
+
+
 def _check_payload(name: str, g: GlobalType, all_violations: bool) -> tuple[dict, Verdict]:
     """Check ``g``, which :func:`_parse_checked` has validated."""
     t0 = time.perf_counter()
@@ -164,11 +168,7 @@ def _check_payload(name: str, g: GlobalType, all_violations: bool) -> tuple[dict
     )
     t2 = time.perf_counter()
     payload = {
-        "protocol": {
-            "name": name,
-            "size": measure_size(g),
-            "roles": [r.name for r in roles_of(g)],
-        },
+        "protocol": _protocol_json(name, projections[0]),
         "verdict": _verdict_json(verdict, all_violations),
         "projections": _projection_rows(verdict.projections)
         if verdict.projections is not None
@@ -242,7 +242,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 def _cmd_project(cfg: RunConfig) -> int:
     name, text_value = _read_source(cfg.source or "-")
     g = _parse_checked(name, text_value)
-    _, table = build_projections(g)
+    a, table = build_projections(g)
     machines = {role: machine for role, (_, machine) in table.items()}
     roles = sorted(machines, key=lambda r: r.name)
     if cfg.fmt == "dot":
@@ -251,11 +251,7 @@ def _cmd_project(cfg: RunConfig) -> int:
     elif cfg.fmt == "json":
         payload = {
             "schema": 1,
-            "protocol": {
-                "name": name,
-                "size": measure_size(g),
-                "roles": [r.name for r in roles_of(g)],
-            },
+            "protocol": _protocol_json(name, a),
             "machines": [_machine_json(r, machines[r]) for r in roles],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
@@ -283,13 +279,13 @@ def _cmd_project(cfg: RunConfig) -> int:
 def _cmd_simulate(cfg: RunConfig) -> int:
     name, text_value = _read_source(cfg.source or "-")
     g = _parse_checked(name, text_value)
-    _, table = build_projections(g)
+    a, table = build_projections(g)
     system = Csm({role: machine for role, (_, machine) in table.items()})
     report = explore(system, channel_bound=cfg.channel_bound, depth=cfg.depth)
     if cfg.fmt == "json":
         payload = {
             "schema": 1,
-            "protocol": {"name": name, "roles": [r.name for r in roles_of(g)]},
+            "protocol": {"name": name, "roles": [r.name for r in a.roles]},
             "visited": report.visited,
             "deadlocks": [format_trace(trace) for _, trace in report.deadlocks],
             "frontier_cut": report.frontier_cut,
@@ -381,6 +377,10 @@ def run_command(cfg: RunConfig) -> int:
         return 2
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
+        return 2
+    except UnicodeDecodeError as exc:  # only the source text is decoded
+        source = "stdin" if cfg.source == "-" else cfg.source
+        click.echo(f"error: {source} is not {exc.encoding} text ({exc})", err=True)
         return 2
     except (InternalError, RecursionError) as exc:
         click.echo(f"error: internal error: {exc}", err=True)

@@ -33,7 +33,7 @@ from .automata import (
     build_gaut,
     erase,
 )
-from .syntax import GlobalType, Role, roles_of
+from .syntax import GlobalType, Role
 
 __all__ = [
     "SubsetState",
@@ -232,11 +232,11 @@ def build_projections(
     """One synchronous automaton plus, per role, its view and machine.
 
     Shares the automaton across roles; the returned mapping iterates in the
-    protocol's first-occurrence role order.
+    protocol's first-occurrence role order, which the automaton keeps.
     """
     a = build_gaut(g)
     table: dict[Role, tuple[LocalNfa, SubsetMachine]] = {}
-    for role in roles_of(g):
+    for role in a.roles:
         nfa = erase(a, role)
         table[role] = (nfa, determinize(nfa))
     return a, table

@@ -23,15 +23,21 @@ whole exchange head ``p->q:m .`` is one piece.  One loop turns the pieces
 into nodes with an explicit stack of open exchanges, binders and choices,
 and within one parse returns the existing node for a repeated subtree.  When
 the scanner finds no piece the grammar allows, ``_explain`` reads the tokens
-from there to name the wrong one.  The printers, ``roles_of``,
-``messages_of`` and ``validate_well_formedness`` walk with explicit stacks
-too, so no part of the front end is limited by the recursion limit.
+from there to name the wrong one.
+
+One pre-order walk, ``_walk``, reads a protocol's index: distinct nodes,
+roles, messages and ``mu`` binders; ``subterms``, ``roles_of``,
+``messages_of`` and ``measure_size`` read it.  The decision procedure walks
+once, in :func:`~gtproj.automata.build_gaut`; later layers read the
+automaton.  The walk, the printers and ``validate_well_formedness`` use
+explicit stacks, so nothing in the front end meets the recursion limit.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "Role",
@@ -44,11 +50,9 @@ __all__ = [
     "Branch",
     "Choice",
     "exchange",
-    "children",
     "subterms",
     "roles_of",
     "messages_of",
-    "binders",
     "ParseError",
     "parse_global_type",
     "pretty",
@@ -235,13 +239,42 @@ def exchange(
 # --------------------------------------------------------------------------- #
 
 
-def children(g: GlobalType) -> tuple[GlobalType, ...]:
-    """Immediate sub-protocols of ``g`` in branch order."""
-    if isinstance(g, Choice):
-        return tuple(b.continuation for b in g.branches)
-    if isinstance(g, Rec):
-        return (g.body,)
-    return ()
+class _Index(NamedTuple):
+    """A protocol as :func:`_walk` reads it, each part in pre-order."""
+
+    nodes: tuple[GlobalType, ...]
+    roles: tuple[Role, ...]
+    messages: tuple[Message, ...]
+    binders: tuple[Rec, ...]
+
+
+def _walk(g: GlobalType) -> _Index:
+    """The index of ``g`` from one pre-order walk, with an explicit stack:
+    each distinct node once; a choice's sender when the choice is met, and
+    a branch's receiver and message just before its continuation."""
+    seen: set[int] = set()
+    nodes: list[GlobalType] = []
+    roles: dict[Role, None] = {}
+    messages: dict[Message, None] = {}
+    recs: list[Rec] = []
+    stack: list = [g]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Branch:
+            roles.setdefault(node.receiver)
+            messages.setdefault(node.message)
+            node = node.continuation
+        if node.intern_id in seen:
+            continue
+        seen.add(node.intern_id)
+        nodes.append(node)
+        if isinstance(node, Choice):
+            roles.setdefault(node.sender)
+            stack.extend(reversed(node.branches))
+        elif isinstance(node, Rec):
+            recs.append(node)
+            stack.append(node.body)
+    return _Index(tuple(nodes), tuple(roles), tuple(messages), tuple(recs))
 
 
 def subterms(g: GlobalType) -> tuple[GlobalType, ...]:
@@ -250,77 +283,20 @@ def subterms(g: GlobalType) -> tuple[GlobalType, ...]:
     Shared subtrees are listed once; the walk is linear in the number of
     distinct nodes, so heavily shared protocols stay cheap.
     """
-    seen: set[int] = set()
-    out: list[GlobalType] = []
-    stack = [g]
-    while stack:
-        node = stack.pop()
-        if node.intern_id in seen:
-            continue
-        seen.add(node.intern_id)
-        out.append(node)
-        stack.extend(reversed(children(node)))
-    return tuple(out)
+    return _walk(g).nodes
 
 
 def roles_of(g: GlobalType) -> tuple[Role, ...]:
     """Every role of ``g`` in first-occurrence (pre-order) order: each
     choice contributes its sender, then per branch the receiver, read before
     that branch's continuation is walked."""
-    seen: set[int] = set()
-    order: dict[Role, None] = {}
-    stack: list = [g]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is Role:
-            order.setdefault(item)
-        elif item.intern_id not in seen:
-            seen.add(item.intern_id)
-            if isinstance(item, Choice):
-                order.setdefault(item.sender)
-                for b in reversed(item.branches):
-                    stack.append(b.continuation)
-                    stack.append(b.receiver)
-            elif isinstance(item, Rec):
-                stack.append(item.body)
-    return tuple(order)
+    return _walk(g).roles
 
 
 def messages_of(g: GlobalType) -> tuple[Message, ...]:
     """Every message label of ``g`` in first-occurrence order: per branch
     the label, read before that branch's continuation is walked."""
-    seen: set[int] = set()
-    order: dict[Message, None] = {}
-    stack: list = [g]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is Message:
-            order.setdefault(item)
-        elif item.intern_id not in seen:
-            seen.add(item.intern_id)
-            if isinstance(item, Choice):
-                for b in reversed(item.branches):
-                    stack.append(b.continuation)
-                    stack.append(b.message)
-            elif isinstance(item, Rec):
-                stack.append(item.body)
-    return tuple(order)
-
-
-def binders(g: GlobalType) -> dict[str, Rec]:
-    """Map each recursion variable to its unique binder.
-
-    Raises ``ValueError`` if two binders use the same variable name (the
-    parser never produces this; hand-built ASTs must avoid it too, since a
-    shadowed name would make the variable-to-binder edges ambiguous).
-    """
-    out: dict[str, Rec] = {}
-    for node in subterms(g):
-        if isinstance(node, Rec):
-            if node.var in out:
-                raise ValueError(f"duplicate binder for recursion variable {node.var!r}")
-            out[node.var] = node
-    return out
+    return _walk(g).messages
 
 
 # --------------------------------------------------------------------------- #
@@ -770,11 +746,8 @@ def measure_size(g: GlobalType) -> int:
     once) and contributes one transition per choice branch and one silent
     transition per ``mu`` node and per variable occurrence.
     """
-    subs = subterms(g)
-    edges = 0
-    for node in subs:
-        if isinstance(node, Choice):
-            edges += len(node.branches)
-        elif isinstance(node, (Rec, Var)):
-            edges += 1
-    return len(subs) + edges
+    nodes = _walk(g).nodes
+    return len(nodes) + sum(
+        len(n.branches) if isinstance(n, Choice) else isinstance(n, (Rec, Var))
+        for n in nodes
+    )

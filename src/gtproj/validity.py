@@ -47,7 +47,8 @@ from .automata import (
     _closures,
     _select,
     _shortest_path,
-    erase_label,
+    _span,
+    build_gaut,
     receive,
     send,
     split_word,
@@ -65,9 +66,7 @@ from .syntax import (
     Rec,
     Role,
     Var,
-    binders,
     pretty_inline,
-    subterms,
     validate_well_formedness,
     WellFormednessReport,
 )
@@ -144,14 +143,15 @@ class _AvailableWalks:
     The table of a walk from ``node`` with ``blocked`` roles and
     ``unfolded`` variables depends on nothing else, so one memo serves
     every query on the protocol.  Walks use an explicit stack, so a deep
-    protocol reaches no recursion limit.
+    protocol reaches no recursion limit.  States and binders are read off
+    the protocol's automaton or a view of it.
     """
 
     __slots__ = ("universe", "bind", "memo")
 
-    def __init__(self, g_root: GlobalType) -> None:
-        self.universe = {node.intern_id for node in subterms(g_root)}
-        self.bind = binders(g_root)
+    def __init__(self, a: SyncAutomaton | LocalNfa) -> None:
+        self.universe = a.bit
+        self.bind = a.binder
         self.memo: dict[tuple, dict[AsyncEvent, tuple[Edge, ...]]] = {}
 
     def _parts(
@@ -244,11 +244,11 @@ def available_messages(
     path, which suffices because availability is not increased by a second
     pass through a loop.
 
-    ``_walks``, when given, must be built from ``g_root``; callers that ask
-    many queries on one protocol pass one to share its memo.
+    ``_walks``, when given, must be built from ``g_root``'s automaton or
+    view; callers that ask many queries on one protocol share its memo.
     """
-    walks = _walks if _walks is not None else _AvailableWalks(g_root)
-    if q.subterm.intern_id not in walks.universe:
+    walks = _walks if _walks is not None else _AvailableWalks(build_gaut(g_root))
+    if q.subterm not in walks.universe:
         raise InternalError("queried subterm does not occur in the protocol")
     table = walks.table(q.subterm, q.blocked, q.unfolded)
     return AvailableMessageResult(frozenset(table), dict(table))
@@ -366,7 +366,9 @@ def check_send_validity(m: SubsetMachine, nfa: LocalNfa) -> Optional[ValidityVio
     return next(_send_violations(m, nfa), None)
 
 
-def _receive_violations(m: SubsetMachine, g: GlobalType) -> Iterator[ValidityViolation]:
+def _receive_violations(
+    m: SubsetMachine, nfa: LocalNfa, g: GlobalType
+) -> Iterator[ValidityViolation]:
     role, events, nodes, masks = m.role, m.events, m.nodes, m.masks
     # per rank of a receive: the send that must not stay available after
     # a receive from another sender
@@ -376,7 +378,7 @@ def _receive_violations(m: SubsetMachine, g: GlobalType) -> Iterator[ValidityVio
     ]
     peers = [e.peer.name for e in events]
     blocked = frozenset((role,))
-    walks: Optional[_AvailableWalks] = None  # made at the first query
+    walks = _AvailableWalks(nfa)
     results: dict[int, AvailableMessageResult] = {}
     asked = 0  # the nodes queried so far
     available: dict[AsyncEvent, int] = {}  # per send, the queried nodes offering it
@@ -384,12 +386,10 @@ def _receive_violations(m: SubsetMachine, g: GlobalType) -> Iterator[ValidityVio
     def first_available(x: AsyncEvent, destinations: int) -> Optional[int]:
         """The lowest destination at which ``x`` is available, querying
         unasked destinations in ascending order, up to the first hit."""
-        nonlocal asked, walks
+        nonlocal asked
         known = destinations & available.get(x, 0)
         below = destinations & ((known & -known) - 1) if known else destinations
         for i in _select(range(len(nodes)), below & ~asked):
-            if walks is None:
-                walks = _AvailableWalks(g)
             result = available_messages(
                 g, AvailableMessageQuery(nodes[i], blocked), _walks=walks
             )
@@ -434,10 +434,10 @@ def check_receive_validity(
 
     Only pairs of receives from *different* senders are constrained: same-
     sender alternatives arrive on one FIFO channel and cannot race.  The
-    destinations of a receive are its target state's members, so ``nfa``
-    is not read.
+    destinations of a receive are its target state's members; ``nfa``
+    gives the available-message walks the protocol's states and binders.
     """
-    return next(_receive_violations(m, g), None)
+    return next(_receive_violations(m, nfa, g), None)
 
 
 def check_no_mixed_choice(m: SubsetMachine) -> bool:
@@ -508,7 +508,7 @@ def check_implementability(
     for nfa, machine in table.values():
         if all_violations:
             found.extend(_send_violations(machine, nfa))
-            found.extend(_receive_violations(machine, g))
+            found.extend(_receive_violations(machine, nfa, g))
         else:
             violation = check_send_validity(machine, nfa) or check_receive_validity(
                 machine, nfa, g
@@ -540,34 +540,29 @@ def check_implementability(
 
 
 def _product_search(
-    a: SyncAutomaton,
-    m: SubsetMachine,
-    goal_nodes: frozenset[GlobalType],
-    goal: int,
+    a: SyncAutomaton, nfa: LocalNfa, m: SubsetMachine, goal_nodes: int, goal: int
 ) -> tuple[Edge, ...]:
-    """Shortest protocol path from the root to a node in ``goal_nodes``
-    along which the role's machine lands exactly in state number ``goal``.
-    The search pairs automaton states with the machine's state numbers."""
-    rank = {e: r for r, e in enumerate(m.events)}
+    """Shortest protocol path from the root to a node of mask ``goal_nodes``
+    that lands the role's machine in state number ``goal``.  It pairs bits
+    with state numbers; ``nfa.edges[i]`` gives ``a.transitions[i]``'s rank."""
+    transitions, edges = a.transitions, nfa.edges
 
-    def successors(node: tuple) -> Iterator[tuple[Edge, tuple]]:
-        g_state, number = node
-        for edge in a.out(g_state):
-            label = edge[1]
-            local = None if label is None else erase_label(label, m.role)
-            if local is None:
-                yield edge, (edge[2], number)
+    def successors(node: tuple[int, int]) -> Iterator[tuple[Edge, tuple[int, int]]]:
+        i, number = node
+        for j in _span(edges, i):
+            _, r, tgt = edges[j]
+            if r is None:
+                yield transitions[j], (tgt, number)
                 continue
-            r = rank[local]
             for moved, successor in m.arcs[number]:
                 if moved == r:
-                    yield edge, (edge[2], successor)
+                    yield transitions[j], (tgt, successor)
                     break
 
     path = _shortest_path(
-        (a.initial, 0),
+        (nfa.bit[nfa.initial], 0),
         successors,
-        lambda node: node[0] in goal_nodes and node[1] == goal,
+        lambda node: goal_nodes >> node[0] & 1 and node[1] == goal,
     )
     if path is None:
         raise InternalError("no protocol path realizes the violating state")
@@ -575,18 +570,19 @@ def _product_search(
 
 
 def _silent_path(
-    a: SyncAutomaton, role: Role, source: GlobalType, target: GlobalType
+    a: SyncAutomaton, nfa: LocalNfa, source: int, target: int
 ) -> tuple[Edge, ...]:
-    """Shortest path of ``role``-silent protocol transitions from ``source``
-    to ``target`` (empty when equal), with their exchange labels."""
+    """Shortest path of transitions silent in ``nfa`` from bit ``source`` to
+    bit ``target`` (empty when equal), with their exchange labels."""
+    transitions, edges = a.transitions, nfa.edges
 
-    def successors(node: GlobalType) -> Iterator[tuple[Edge, GlobalType]]:
-        for edge in a.out(node):
-            label = edge[1]
-            if label is None or erase_label(label, role) is None:
-                yield edge, edge[2]
+    def successors(i: int) -> Iterator[tuple[Edge, int]]:
+        for j in _span(edges, i):
+            _, r, tgt = edges[j]
+            if r is None:
+                yield transitions[j], tgt
 
-    path = _shortest_path(source, successors, lambda node: node == target)
+    path = _shortest_path(source, successors, lambda i: i == target)
     if path is None:
         raise InternalError("witness subterm is not silently reachable")
     return path
@@ -640,24 +636,25 @@ def build_counterexample(
     if v.kind is ViolationKind.SEND_VALIDITY:
         details: SendViolationDetails = v.details  # type: ignore[assignment]
         _, event, _ = details.transition
-        alpha = _product_search(a, machine, frozenset(details.missing), number)
+        missing = sum(1 << nfa.bit[node] for node in details.missing)
+        alpha = _product_search(a, nfa, machine, missing, number)
         trace = split_word(e[1] for e in alpha if e[1] is not None) + (event,)
     else:
         d: ReceiveViolationDetails = v.details  # type: ignore[assignment]
         _, first, _ = d.transition_one
         _, second, _ = d.transition_two
         wanted = SyncEvent(second.peer, v.role, second.message)
-        witness = 1 << nfa.bit[d.witness_subterm]
+        witness = nfa.bit[d.witness_subterm]
         mask = machine.masks[number]
         for _, origin, landing in _member_steps(nfa, mask, nfa.events.index(second)):
-            if nfa.closures[landing] & witness:
+            if nfa.closures[landing] >> witness & 1:
                 break
         else:
             raise InternalError("second receive has no matching protocol exchange")
-        alpha = _product_search(a, machine, frozenset((nfa.nodes[origin],)), number)
+        alpha = _product_search(a, nfa, machine, 1 << origin, number)
         events: list[AsyncEvent] = list(split_word(e[1] for e in alpha if e[1] is not None))
         events.append(send(wanted.sender, wanted.receiver, wanted.message))
-        silent = _silent_path(a, v.role, nfa.nodes[landing], d.witness_subterm)
+        silent = _silent_path(a, nfa, landing, witness)
         events.extend(split_word(e[1] for e in silent if e[1] is not None))
         # Replay the witness suffix, dropping steps of roles frozen behind
         # the role under test: a frozen sender's exchange freezes its

@@ -7,14 +7,19 @@ import pytest
 
 from gtproj import (
     AsyncEvent,
+    Branch,
+    Choice,
     Direction,
     END,
     Message,
+    Rec,
     Role,
     SyncEvent,
+    Var,
     build_gaut,
     erase,
     erase_label,
+    exchange,
     format_trace,
     measure_size,
     nfa_to_dot,
@@ -143,6 +148,39 @@ def test_gaut_of_recursion_uses_silent_unfold_and_loop_edges():
 def test_gaut_rejects_unbound_variable():
     with pytest.raises(ValueError):
         build_gaut(parse_global_type("p->q:m . t"))
+
+
+def test_gaut_rejects_a_hand_built_unbound_variable():
+    with pytest.raises(ValueError, match=r"^unbound recursion variable 't'$"):
+        build_gaut(exchange(P, Q, M, Var("t")))
+
+
+def test_gaut_rejects_a_hand_built_duplicate_binder():
+    # the parser refuses a reused binder name; a hand-built AST can have one
+    first = Rec("t", exchange(P, Q, O, Var("t")))
+    second = Rec("t", exchange(P, Q, M, Var("t")))
+    g = Choice(R, (Branch(P, O, first), Branch(Q, M, second)))
+    with pytest.raises(ValueError) as info:
+        build_gaut(g)
+    assert str(info.value) == "duplicate binder for recursion variable 't'"
+
+
+def test_gaut_links_a_variable_met_before_its_binder():
+    # branch order meets the variable first, outside its binder
+    var = Var("t")
+    inner = exchange(P, Q, O, var)
+    binder = Rec("t", inner)
+    g = Choice(R, (Branch(P, O, var), Branch(Q, M, binder)))
+    a = build_gaut(g)
+    assert a.states == (g, var, binder, inner, END)
+    assert a.out(var) == ((var, None, binder),)
+    assert a.transitions == (
+        (var, None, binder),
+        (inner, SyncEvent(P, Q, O), var),
+        (binder, None, inner),
+        (g, SyncEvent(R, P, O), var),
+        (g, SyncEvent(R, Q, M), binder),
+    )
 
 
 def test_gaut_out_groups_by_source():

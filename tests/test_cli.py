@@ -2,22 +2,31 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from gtproj import (
+    AvailableMessageQuery,
     Csm,
+    Role,
     SubsetState,
+    ViolationKind,
+    available_messages,
     bounded_fidelity_check,
+    build_gaut,
     build_projections,
+    check_implementability,
     cli,
     generate_gk,
     pretty,
+    syntax,
     validity,
 )
 from gtproj.cli import RunConfig, main, run_command
-from gtproj.corpus import entries, names, text
+from gtproj.corpus import entries, load, names, text
+from gtproj.validity import _AvailableWalks
 
 runner = CliRunner()
 
@@ -181,10 +190,80 @@ def test_check_validates_well_formedness_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Calls of the protocol's index walk and of its well-formedness walk,
+    counted under every module name bound to either function."""
+    calls = {"index": 0, "well-formedness": 0}
+    for key, original in (
+        ("index", syntax._walk),
+        ("well-formedness", syntax.validate_well_formedness),
+    ):
+
+        def counted(*args, _original=original, _key=key):
+            calls[_key] += 1
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "gtproj" or name.startswith("gtproj."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_check_walks_each_protocol_once(tmp_path, walks, capsys):
+    for name in names():
+        walks.update({"index": 0, "well-formedness": 0})
+        code = run_command(
+            RunConfig(command="check", source=corpus_path(name, tmp_path), fmt="json")
+        )
+        assert code in (0, 1), name
+        assert walks == {"index": 1, "well-formedness": 1}, name
+
+
+def test_a_receive_validity_rejection_walks_the_protocol_once(walks):
+    verdict = check_implementability(load("g_r"))
+    assert verdict.violation.kind is ViolationKind.RECEIVE_VALIDITY
+    assert walks == {"index": 1, "well-formedness": 1}
+
+
+def test_available_messages_with_shared_walks_walks_nothing(walks):
+    g = load("g_r")
+    shared = _AvailableWalks(build_gaut(g))
+    walks.update({"index": 0, "well-formedness": 0})
+    blocked = frozenset((Role("q"),))
+    for node in shared.universe:
+        available_messages(g, AvailableMessageQuery(node, blocked), _walks=shared)
+    assert walks == {"index": 0, "well-formedness": 0}
+
+
 def test_missing_file_exits_2(tmp_path):
     result = runner.invoke(main, ["check", str(tmp_path / "absent.gt")])
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+def _assert_one_error_line(result):
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "UTF-8" in result.stderr.upper()
+
+
+def test_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "latin.gt"
+    path.write_bytes(b"p->q:\xff . 0\n")
+    result = runner.invoke(main, ["check", str(path)])
+    _assert_one_error_line(result)
+    assert str(path) in result.stderr
+
+
+def test_non_utf8_stdin_exits_2():
+    result = runner.invoke(main, ["check", "-"], input=b"p->q:\xff . 0\n")
+    _assert_one_error_line(result)
+    assert result.stderr.startswith("error: stdin ")
 
 
 def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from gtproj import (
     Role,
     Var,
     WellFormednessRule,
+    build_gaut,
     exchange,
     generate_gk,
     measure_size,
@@ -433,6 +434,43 @@ def _reference_parse(text):
     return g
 
 
+def _reference_subterms(g):
+    seen_nodes, order = set(), []
+
+    def walk(node):
+        if node.intern_id in seen_nodes:
+            return
+        seen_nodes.add(node.intern_id)
+        order.append(node)
+        if isinstance(node, Choice):
+            for b in node.branches:
+                walk(b.continuation)
+        elif isinstance(node, Rec):
+            walk(node.body)
+
+    walk(g)
+    return tuple(order)
+
+
+def _reference_binders(g):
+    """Each variable's binder in subterm order, or the message of the
+    error the automaton raises: a duplicate binder, else the first
+    self-sent exchange or unbound variable in subterm order."""
+    nodes, bind = _reference_subterms(g), {}
+    for node in nodes:
+        if isinstance(node, Rec):
+            if node.var in bind:
+                return f"duplicate binder for recursion variable {node.var!r}"
+            bind[node.var] = node
+    for node in nodes:
+        if isinstance(node, Choice):
+            if any(b.receiver == node.sender for b in node.branches):
+                return f"role {node.sender} cannot message itself"
+        elif isinstance(node, Var) and node.var not in bind:
+            return f"unbound recursion variable {node.var!r}"
+    return bind
+
+
 def _reference_roles_of(g):
     seen_nodes, order = set(), {}
 
@@ -590,8 +628,17 @@ def _assert_parses_alike(text):
 
 
 def _assert_walks_alike(g):
+    assert subterms(g) == _reference_subterms(g)
     assert roles_of(g) == _reference_roles_of(g)
     assert messages_of(g) == _reference_messages_of(g)
+    try:
+        a = build_gaut(g)
+    except ValueError as exc:
+        assert str(exc) == _reference_binders(g)
+    else:
+        assert list(a.binder.items()) == list(_reference_binders(g).items())
+        assert a.roles == roles_of(g)
+        assert a.size == measure_size(g)
     assert _violations(g) == _reference_violations(g)
     assert pretty(g) == _reference_pretty(g)
     assert pretty_inline(g) == _reference_pretty_inline(g)
@@ -748,6 +795,12 @@ def test_walks_match_the_references():
         "mu t . + { p->q:a . p->p:b . t, p->q:a . mu u . u, p->r:c . v }",
     ):
         _assert_walks_alike(parse_global_type(text))
+    # hand-built: two binders of one variable, and a variable met first
+    # outside its binder
+    loop = Rec("t", exchange(P, Q, Message("a"), Var("t")))
+    other = Rec("t", exchange(P, Q, Message("b"), Var("t")))
+    _assert_walks_alike(Choice(R, (Branch(P, Message("c"), loop), Branch(Q, Message("d"), other))))
+    _assert_walks_alike(Choice(R, (Branch(P, Message("c"), Var("t")), Branch(Q, Message("d"), loop))))
 
 
 # --------------------------------------------------------------------------- #

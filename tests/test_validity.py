@@ -26,6 +26,7 @@ from gtproj import (
     ViolationKind,
     available_messages,
     build_counterexample,
+    build_gaut,
     build_projections,
     check_implementability,
     check_no_mixed_choice,
@@ -44,7 +45,6 @@ from gtproj import (
     validate_well_formedness,
 )
 from gtproj.corpus import entries, load
-from gtproj.syntax import binders
 from gtproj.validity import _AvailableWalks, _send_violations
 
 from .strategies import random_global_type, rename_consistently
@@ -194,10 +194,30 @@ def test_blocked_roles_never_appear_as_senders():
             assert all(e.active not in blocked for e in result.events)
 
 
+def _reference_binders(g_root):
+    """Each recursion variable's binder, from a recursive walk of its own
+    (the parser gives a variable one binder)."""
+    bind, seen = {}, set()
+
+    def walk(node):
+        if node.intern_id in seen:
+            return
+        seen.add(node.intern_id)
+        if isinstance(node, Rec):
+            bind[node.var] = node
+            walk(node.body)
+        elif isinstance(node, Choice):
+            for b in node.branches:
+                walk(b.continuation)
+
+    walk(g_root)
+    return bind
+
+
 def _reference_available_messages(g_root, q):
     """The recursive walk that :func:`available_messages` replaced, as a
     reference: one memo per query, one Python frame per protocol step."""
-    bind = binders(g_root)
+    bind = _reference_binders(g_root)
     memo = {}
 
     def walk(node, blocked, unfolded):
@@ -243,7 +263,7 @@ def test_iterative_walk_matches_the_recursive_one():
     rng = Random(3)
     for name, g in _reference_inputs(300):
         roles = roles_of(g)
-        walks = _AvailableWalks(g)
+        walks = _AvailableWalks(build_gaut(g))
         for sub in subterms(g):
             blocked_sets = [frozenset((role,)) for role in roles]
             blocked_sets.append(frozenset(rng.sample(roles, rng.randint(0, len(roles)))))
