@@ -249,29 +249,25 @@ def _span(edges: Sequence[tuple[int, Optional[int], int]], i: int) -> range:
     )
 
 
-def _sync_label_key(label: Optional[SyncEvent]) -> tuple[str, str, str]:
-    if label is None:
-        return ("", "", "")
-    return (label.sender.name, label.receiver.name, label.message.label)
-
-
 class SyncAutomaton:
     """The synchronous automaton of a protocol.
 
-    ``states`` are the protocol's distinct subterms (first-occurrence order)
-    together with the terminated protocol, which is the single final state;
-    ``transitions`` are stored sorted by (source id, label, target id).
-    Every non-final state has at least one outgoing transition.
+    ``states`` are the protocol's distinct subterms in the pre-order of
+    :func:`build_gaut`'s walk, then the terminated protocol when the walk
+    does not meet it; the terminated protocol is the single final state.
+    A state's position in ``states`` is its one number: bit ``i`` of a
+    state mask stands for ``states[i]``, ``bit`` maps a state back to its
+    position, and state names print positions.  ``transitions`` are stored
+    as given, which :func:`build_gaut` makes source by source in that
+    order, each choice's branches by (receiver, message) names.  Every
+    non-final state has at least one outgoing transition.
 
-    The dense index numbers the states by ascending intern id: ``nodes[i]``
-    is the state of bit ``i`` in a state mask, and ``bit`` maps back, so
-    reading a mask's bits in ascending order lists its states by intern id.
     ``labels`` are the distinct exchange labels, numbered by (sender,
     receiver, message) names in order of first appearance in the
     transitions; ``label_number`` maps those names to the number.
-    ``edges`` are the transitions over that index and that numbering:
-    ``(source bit, label number, target bit)``, in the same order, label
-    number ``None`` when silent.  The per-role views and ``halves`` read
+    ``edges`` are the transitions over the positions and that numbering:
+    ``(source, label number, target)``, in the same order, label number
+    ``None`` when silent.  The per-role views and ``halves`` read
     ``edges``; ``halves`` numbers the roles and the split labels for
     matching asynchronous traces against runs.  :func:`build_gaut` walks
     the protocol once and sets ``roles`` (first-occurrence order) and
@@ -279,7 +275,7 @@ class SyncAutomaton:
     """
 
     __slots__ = (
-        "states", "transitions", "initial", "finals", "nodes", "bit", "labels",
+        "states", "transitions", "initial", "finals", "bit", "labels",
         "label_number", "edges", "roles", "binder", "_halves",
     )
 
@@ -291,27 +287,19 @@ class SyncAutomaton:
         finals: frozenset[GlobalType],
     ) -> None:
         self.states: tuple[GlobalType, ...] = tuple(states)
-        given = list(transitions)
-        # each label's names are read once: they sort and number the labels
-        keys = [
-            (src.intern_id, _sync_label_key(label), tgt.intern_id)
-            for src, label, tgt in given
-        ]
-        order = sorted(range(len(given)), key=keys.__getitem__)
-        self.transitions: tuple[Edge, ...] = tuple(map(given.__getitem__, order))
+        self.transitions: tuple[Edge, ...] = tuple(transitions)
         self.initial = initial
         self.finals = finals
-        self.nodes = tuple(sorted(self.states, key=lambda s: s.intern_id))
-        self.bit = bit = {s: i for i, s in enumerate(self.nodes)}
+        self.bit = bit = {s: i for i, s in enumerate(self.states)}
         self.label_number: dict[tuple[str, str, str], int] = {}
         number = self.label_number
         labels: list[SyncEvent] = []
         edges: list[tuple[int, Optional[int], int]] = []
-        for i in order:
-            src, label, tgt = given[i]
+        for src, label, tgt in self.transitions:
             k = None
             if label is not None:
-                k = number.setdefault(keys[i][1], len(labels))
+                names = (label.sender.name, label.receiver.name, label.message.label)
+                k = number.setdefault(names, len(labels))
                 if k == len(labels):
                     labels.append(label)
             edges.append((bit[src], k, bit[tgt]))
@@ -338,9 +326,9 @@ class SyncAutomaton:
         return len(reached) + len(self.edges)
 
     def out(self, state: GlobalType) -> tuple[Edge, ...]:
-        """Outgoing transitions of ``state``, in sorted label order: the
-        run of ``transitions`` whose source has ``state``'s bit, since the
-        sort puts sources in bit order."""
+        """Outgoing transitions of ``state``, in label order: the run of
+        ``transitions`` whose source is ``state``, since they come source by
+        source."""
         span = _span(self.edges, self.bit[state])
         return self.transitions[span.start : span.stop]
 
@@ -356,7 +344,7 @@ class Halves:
     appearance in the automaton's ``labels``; ``labels`` is the
     automaton's ``label_number``.  The send half of label ``k`` is event
     ``2 * k`` and its receive half event ``2 * k + 1``.  ``out[i]`` lists
-    the transitions leaving the state of bit ``i``, in
+    the transitions leaving state ``i``, in
     :meth:`SyncAutomaton.out` order, as ``(edge, target bit, halves)``:
     ``halves`` holds ``(role number, event number)`` for the send and then
     the receive, and is empty for a silent edge.  Names rather than objects
@@ -374,9 +362,7 @@ class Halves:
             sender = roles.setdefault(label.sender.name, len(roles))
             receiver = roles.setdefault(label.receiver.name, len(roles))
             split.append(((sender, 2 * k), (receiver, 2 * k + 1)))
-        out: list[list[tuple[Edge, int, tuple[tuple[int, int], ...]]]] = [
-            [] for _ in a.nodes
-        ]
+        out: list[list] = [[] for _ in a.states]
         for edge, (src, k, tgt) in zip(a.transitions, a.edges):
             out[src].append((edge, tgt, () if k is None else split[k]))
         self.out = tuple(map(tuple, out))
@@ -393,10 +379,12 @@ class Halves:
 def build_gaut(g: GlobalType) -> SyncAutomaton:
     """Build the synchronous automaton of ``g``.
 
-    States: all distinct subterms, plus the terminated protocol even when the
-    text never reaches it (it is then an isolated, unreachable final state).
-    Transitions: one labeled edge per choice branch, one silent edge from
-    each ``mu`` node to its body and from each variable to its binder.
+    States: all distinct subterms in pre-order, plus the terminated protocol
+    even when the text never reaches it (it is then an isolated, unreachable
+    final state, numbered last).  Transitions, source by source in that
+    order: one labeled edge per choice branch, by (receiver, message) names,
+    and one silent edge from each ``mu`` node to its body and from each
+    variable to its binder.
 
     The one walk of ``g``.  Raises ``ValueError`` for a variable without a
     binder, and for two binders of one variable (only hand-built ASTs).
@@ -413,7 +401,7 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
     transitions: list[Edge] = []
     for node in index.nodes:
         if isinstance(node, Choice):
-            for b in node.branches:
+            for b in sorted(node.branches, key=lambda b: (b.receiver.name, b.message.label)):
                 transitions.append(
                     (node, SyncEvent(node.sender, b.receiver, b.message), b.continuation)
                 )
@@ -489,19 +477,19 @@ def _label_key(e: AsyncEvent) -> tuple[str, str, str]:
 class LocalNfa:
     """One role's (nondeterministic) view of a synchronous automaton.
 
-    States, initial state, final states, the dense index and the binders
+    States, their numbering, initial state, final states and the binders
     are the source automaton's, so the view walks no protocol either.
     ``edges[i]`` is the erasure image of the automaton's ``transitions[i]``.
     ``events`` are the distinct labels sorted by (peer, message,
-    direction), and ``edges`` are the transitions over the dense index with
-    labels as ranks in ``events``: ``(source bit, rank, target bit)``, rank
+    direction), and ``edges`` are the transitions over the state positions
+    with labels as ranks in ``events``: ``(source, rank, target)``, rank
     ``None`` when silent.  ``closures[i]`` is the mask of the states
-    reachable from ``nodes[i]`` by silent steps.
+    reachable from ``states[i]`` by silent steps.
     """
 
     __slots__ = (
-        "role", "states", "initial", "finals", "nodes", "bit", "binder", "events",
-        "edges", "closures",
+        "role", "states", "initial", "finals", "bit", "binder", "events", "edges",
+        "closures",
     )
 
     def __init__(
@@ -515,22 +503,24 @@ class LocalNfa:
         self.states = a.states
         self.initial = a.initial
         self.finals = a.finals
-        self.nodes = a.nodes
         self.bit = a.bit
         self.binder = a.binder
         self.events = events
         self.edges = edges
-        silent = [0] * len(self.nodes)
+        silent = [0] * len(self.states)
         for src, label, tgt in self.edges:
             if label is None:
                 silent[src] |= 1 << tgt
-        # children are interned before their parents, so ascending bit
-        # order mostly closes a node's silent successors before the node
-        self.closures: tuple[int, ...] = tuple(_closures(silent, range(len(silent))))
+        # a silent step mostly goes from a node to a child, which the
+        # pre-order numbers later: descending order mostly closes a node's
+        # silent successors before the node
+        self.closures: tuple[int, ...] = tuple(
+            _closures(silent, range(len(silent) - 1, -1, -1))
+        )
 
     def members(self, mask: int) -> tuple[GlobalType, ...]:
-        """The states of ``mask``, by ascending intern id."""
-        return tuple(_select(self.nodes, mask))
+        """The states of ``mask``, by ascending position."""
+        return tuple(_select(self.states, mask))
 
     def eps_closure_of(self, state: GlobalType) -> frozenset[GlobalType]:
         """States reachable from ``state`` through silent transitions only
@@ -569,51 +559,55 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _state_label(state: GlobalType, limit: int = 40) -> str:
-    text = pretty_inline(state)
-    if len(text) > limit:
-        text = text[: limit - 1] + "…"
-    return f"{state.intern_id}: {text}"
-
-
 def _machine_dot(
     name: str,
-    states: Iterable[Hashable],
-    initial: Hashable,
-    finals: frozenset,
-    edges: Iterable[tuple[Hashable, object, Hashable]],
-    state_label: Callable[[Hashable], str] = _state_label,
+    labels: Sequence[str],
+    initial: int,
+    final: Sequence[bool],
+    edges: Iterable[tuple[int, object, int]],
 ) -> str:
-    """The one Graphviz writer: states numbered in order, edge labels
-    rendered with ``str`` (``None`` as ε)."""
-    index = {s: i for i, s in enumerate(states)}
+    """The one Graphviz writer: state ``i`` is node ``n{i}``, labeled
+    ``labels[i]``; edge labels rendered with ``str`` (``None`` as ε)."""
     lines = [
         f"digraph {_quote(name)} {{",
         "  rankdir=LR;",
         '  __start [shape=point, label=""];',
-        f"  __start -> n{index[initial]};",
+        f"  __start -> n{initial};",
     ]
-    for s, i in index.items():
-        shape = "doublecircle" if s in finals else "circle"
-        lines.append(f"  n{i} [shape={shape}, label={_quote(state_label(s))}];")
+    for i, (label, is_final) in enumerate(zip(labels, final)):
+        shape = "doublecircle" if is_final else "circle"
+        lines.append(f"  n{i} [shape={shape}, label={_quote(label)}];")
     for src, label, tgt in edges:
         text = "ε" if label is None else str(label)
-        lines.append(f"  n{index[src]} -> n{index[tgt]} [label={_quote(text)}];")
+        lines.append(f"  n{src} -> n{tgt} [label={_quote(text)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def _view_dot(
+    name: str,
+    a: SyncAutomaton | LocalNfa,
+    labels: Sequence[object],
+    edges: Iterable[tuple[int, Optional[int], int]],
+) -> str:
+    """An automaton or a view drawn with each state's position and text (cut
+    at 40 characters); an edge's label number indexes ``labels``."""
+    texts = map(pretty_inline, a.states)
+    return _machine_dot(
+        name,
+        [f"{i}: {t if len(t) <= 40 else t[:39] + '…'}" for i, t in enumerate(texts)],
+        a.bit[a.initial],
+        [s in a.finals for s in a.states],
+        ((src, None if k is None else labels[k], tgt) for src, k, tgt in edges),
+    )
+
+
 def sync_to_dot(a: SyncAutomaton, name: str = "protocol") -> str:
     """Graphviz rendering of a synchronous automaton; silent edges show ε."""
-    return _machine_dot(name, a.states, a.initial, a.finals, a.transitions)
+    return _view_dot(name, a, a.labels, a.edges)
 
 
 def nfa_to_dot(n: LocalNfa, name: Optional[str] = None) -> str:
     """Graphviz rendering of one role's view; silent edges show ε."""
     title = name if name is not None else f"view_{n.role}"
-    nodes, events = n.nodes, n.events
-    edges = (
-        (nodes[src], None if r is None else events[r], nodes[tgt])
-        for src, r, tgt in n.edges
-    )
-    return _machine_dot(title, n.states, n.initial, n.finals, edges)
+    return _view_dot(title, n, n.events, n.edges)

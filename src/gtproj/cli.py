@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import click
 
@@ -72,9 +72,15 @@ class RunConfig:
 
 
 def _read_source(source: str) -> tuple[str, str]:
-    """Return (protocol name, text), a file read as UTF-8; ``-`` is stdin."""
+    """Return (protocol name, text) read as UTF-8; ``-`` is stdin.
+
+    Stdin's bytes are decoded here (strictly, as UTF-8), not by the stream's
+    own error handler; a stream without bytes underneath (a ``StringIO``)
+    is read as text.
+    """
     if source == "-":
-        return "stdin", sys.stdin.read()
+        buffer = getattr(sys.stdin, "buffer", None)
+        return "stdin", sys.stdin.read() if buffer is None else buffer.read().decode()
     path = Path(source)
     return path.stem, path.read_text(encoding="utf-8")
 
@@ -83,7 +89,8 @@ def _emit(payload: str, out: Optional[str]) -> None:
     if out is None:
         click.echo(payload, nl=not payload.endswith("\n"))
     else:
-        Path(out).write_text(payload if payload.endswith("\n") else payload + "\n")
+        text = payload if payload.endswith("\n") else payload + "\n"
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _ms(seconds: float) -> float:
@@ -110,18 +117,15 @@ def _violation_json(v: ValidityViolation) -> dict:
 
 
 def _projection_rows(projections: dict[Role, SubsetMachine]) -> list[dict]:
-    rows = []
-    for role in sorted(projections, key=lambda r: r.name):
-        m = projections[role]
-        rows.append(
-            {
-                "role": role.name,
-                "states": len(m.masks),
-                "transitions": sum(map(len, m.arcs)),
-                "final_states": sum(1 for mask in m.masks if mask & m.final_mask),
-            }
-        )
-    return rows
+    return [
+        {
+            "role": role.name,
+            "states": len(m.masks),
+            "transitions": sum(map(len, m.arcs)),
+            "final_states": sum(1 for mask in m.masks if mask & m.final_mask),
+        }
+        for role, m in sorted(projections.items(), key=lambda item: item[0].name)
+    ]
 
 
 def _machine_json(role: Role, m: SubsetMachine) -> dict:
@@ -158,22 +162,28 @@ def _protocol_json(name: str, a: SyncAutomaton) -> dict:
     return {"name": name, "size": a.size, "roles": [r.name for r in a.roles]}
 
 
-def _check_payload(name: str, g: GlobalType, all_violations: bool) -> tuple[dict, Verdict]:
-    """Check ``g``, which :func:`_parse_checked` has validated."""
+def _check_payload(
+    name: str, text_value: str, all_violations: bool
+) -> tuple[dict, Verdict]:
+    """Parse, validate and check ``text_value``, timing each stage."""
     t0 = time.perf_counter()
-    projections = build_projections(g)
+    g = _parse_checked(name, text_value)
     t1 = time.perf_counter()
+    projections = build_projections(g)
+    t2 = time.perf_counter()
     verdict = check_implementability(
         g, all_violations=all_violations, _projections=projections
     )
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     payload = {
         "protocol": _protocol_json(name, projections[0]),
         "verdict": _verdict_json(verdict, all_violations),
         "projections": _projection_rows(verdict.projections)
         if verdict.projections is not None
         else [],
-        "timings": {"project_ms": _ms(t1 - t0), "check_ms": _ms(t2 - t1)},
+        "timings": {
+            "parse_ms": _ms(t1 - t0), "project_ms": _ms(t2 - t1), "check_ms": _ms(t3 - t2)
+        },
     }
     return payload, verdict
 
@@ -225,13 +235,8 @@ class _Diagnostics(Exception):
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    name, text_value = _read_source(cfg.source or "-")
-    t0 = time.perf_counter()
-    g = _parse_checked(name, text_value)
-    parse_ms = _ms(time.perf_counter() - t0)
-    payload, verdict = _check_payload(name, g, cfg.all_violations)
+    payload, verdict = _check_payload(*_read_source(cfg.source or "-"), cfg.all_violations)
     payload["schema"] = 1
-    payload["timings"]["parse_ms"] = parse_ms
     if cfg.fmt == "json":
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
     else:
@@ -310,12 +315,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_bench(cfg: RunConfig) -> int:
     results = []
     for entry in corpus.entries():
-        text_value = entry.text()
-        t0 = time.perf_counter()
-        g = _parse_checked(entry.name, text_value)
-        parse_ms = _ms(time.perf_counter() - t0)
-        payload, verdict = _check_payload(entry.name, g, all_violations=False)
-        payload["timings"]["parse_ms"] = parse_ms
+        payload, verdict = _check_payload(entry.name, entry.text(), all_violations=False)
         payload["name"] = entry.name
         results.append((payload, verdict))
     if cfg.fmt == "json":
@@ -338,18 +338,33 @@ def _cmd_bench(cfg: RunConfig) -> int:
 
 
 def _cmd_gen_gk(cfg: RunConfig) -> int:
-    g = generate_gk(cfg.k or 1)
-    _emit(pretty(g) + "\n", cfg.out)
+    _emit(pretty(generate_gk(cfg.k)) + "\n", cfg.out)
     return 0
 
 
+#: Each command, the formats it renders, and the least value of each of its
+#: numeric fields.
 _COMMANDS = {
-    "check": _cmd_check,
-    "project": _cmd_project,
-    "simulate": _cmd_simulate,
-    "bench": _cmd_bench,
-    "gen-gk": _cmd_gen_gk,
+    "check": (_cmd_check, ("text", "json"), {}),
+    "project": (_cmd_project, ("text", "json", "dot"), {}),
+    "simulate": (_cmd_simulate, ("text", "json"), {"channel_bound": 1, "depth": 0}),
+    "bench": (_cmd_bench, ("text", "json"), {}),
+    "gen-gk": (_cmd_gen_gk, ("text",), {"k": 1}),
 }
+
+
+def _config_error(cfg: RunConfig) -> Optional[str]:
+    """Why ``cfg`` cannot run, or ``None``."""
+    if cfg.command not in _COMMANDS:
+        return f"unknown command {cfg.command!r}"
+    _, formats, least = _COMMANDS[cfg.command]
+    if cfg.fmt not in formats:
+        return f"{cfg.command} has no {cfg.fmt!r} format"
+    for field, low in least.items():
+        value = getattr(cfg, field)
+        if not isinstance(value, int) or value < low:
+            return f"{cfg.command} needs {field} >= {low}, got {value!r}"
+    return None
 
 
 def run_command(cfg: RunConfig) -> int:
@@ -357,14 +372,17 @@ def run_command(cfg: RunConfig) -> int:
 
     Exit codes: 0 success (``check``: implementable), 1 ``check`` on a
     protocol that is not implementable, 2 unreadable/malformed/ill-formed
-    input or bad usage, 3 internal error (:class:`InternalError`, or a
-    ``RecursionError`` in a later stage: the front end does not recurse),
-    reported in one line without a traceback.
+    input or bad usage (an unknown command, a format the command does not
+    render, ``k``, ``channel_bound`` or ``depth`` out of range), 3 internal
+    error (:class:`InternalError`, or a ``RecursionError`` in a later stage:
+    the front end does not recurse), reported in one line without a
+    traceback.
     """
-    handler = _COMMANDS.get(cfg.command)
-    if handler is None:
-        click.echo(f"error: unknown command {cfg.command!r}", err=True)
+    problem = _config_error(cfg)
+    if problem is not None:
+        click.echo(f"error: {problem}", err=True)
         return 2
+    handler = _COMMANDS[cfg.command][0]
     try:
         return handler(cfg)
     except ParseError as exc:
@@ -399,37 +417,35 @@ def main() -> None:
     machines."""
 
 
-_FORMAT = click.Choice(["text", "json"])
-_FORMAT_DOT = click.Choice(["text", "json", "dot"])
+_OUT = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+
+
+def _format(command: str) -> Callable:
+    """The ``--format`` option of ``command``, offering what it renders."""
+    choice = click.Choice(_COMMANDS[command][1])
+    return click.option("--format", "fmt", type=choice, default="text", show_default=True)
+
+
+# Each command's parameters are named after the RunConfig fields they set.
 
 
 @main.command()
 @click.argument("source")
-@click.option("--format", "fmt", type=_FORMAT, default="text", show_default=True)
+@_format("check")
 @click.option("--all", "all_violations", is_flag=True, help="Report every violation.")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def check(source: str, fmt: str, all_violations: bool, out: Optional[str]) -> None:
+@_OUT
+def check(**options: Any) -> None:
     """Decide implementability of the protocol in SOURCE ('-' = stdin)."""
-    sys.exit(
-        run_command(
-            RunConfig(
-                command="check",
-                source=source,
-                fmt=fmt,
-                all_violations=all_violations,
-                out=out,
-            )
-        )
-    )
+    sys.exit(run_command(RunConfig(command="check", **options)))
 
 
 @main.command()
 @click.argument("source")
-@click.option("--format", "fmt", type=_FORMAT_DOT, default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def project(source: str, fmt: str, out: Optional[str]) -> None:
+@_format("project")
+@_OUT
+def project(**options: Any) -> None:
     """Emit the per-role machines of the protocol in SOURCE."""
-    sys.exit(run_command(RunConfig(command="project", source=source, fmt=fmt, out=out)))
+    sys.exit(run_command(RunConfig(command="project", **options)))
 
 
 @main.command()
@@ -438,40 +454,27 @@ def project(source: str, fmt: str, out: Optional[str]) -> None:
               show_default=True, help="Channel capacity during exploration.")
 @click.option("--depth", type=click.IntRange(min=0), default=14, show_default=True,
               help="Maximum trace length during exploration.")
-@click.option("--format", "fmt", type=_FORMAT, default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def simulate(
-    source: str, channel_bound: int, depth: int, fmt: str, out: Optional[str]
-) -> None:
+@_format("simulate")
+@_OUT
+def simulate(**options: Any) -> None:
     """Explore the asynchronous executions of SOURCE's machines."""
-    sys.exit(
-        run_command(
-            RunConfig(
-                command="simulate",
-                source=source,
-                channel_bound=channel_bound,
-                depth=depth,
-                fmt=fmt,
-                out=out,
-            )
-        )
-    )
+    sys.exit(run_command(RunConfig(command="simulate", **options)))
 
 
 @main.command()
-@click.option("--format", "fmt", type=_FORMAT, default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def bench(fmt: str, out: Optional[str]) -> None:
+@_format("bench")
+@_OUT
+def bench(**options: Any) -> None:
     """Run check over the bundled corpus and report sizes and timings."""
-    sys.exit(run_command(RunConfig(command="bench", fmt=fmt, out=out)))
+    sys.exit(run_command(RunConfig(command="bench", **options)))
 
 
 @main.command("gen-gk")
 @click.argument("k", type=click.IntRange(min=1))
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def gen_gk(k: int, out: Optional[str]) -> None:
+@_OUT
+def gen_gk(**options: Any) -> None:
     """Emit a protocol whose role-q machine needs at least 2**K states."""
-    sys.exit(run_command(RunConfig(command="gen-gk", k=k, out=out)))
+    sys.exit(run_command(RunConfig(command="gen-gk", **options)))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ visible is what later lets the validity checks reason about *which* branch
 of the protocol each member belongs to.
 
 A :class:`SubsetMachine` is int tables only: each state is a mask of
-members over the view's dense index, each move a (label rank, successor
-number) pair, exactly as :func:`determinize` finds them.  The validity
+members over the protocol's state positions, each move a (label rank,
+successor number) pair, exactly as :func:`determinize` finds them.  The validity
 checks, simulation, the oracle and ``gtproj project`` read those tables.
 A :class:`SubsetState` is a (machine, number) value that reads its members
 off the masks; violations and counterexamples name states with it, and the
@@ -51,8 +51,10 @@ class SubsetState:
     """A deterministic state: state ``number`` of ``machine``, a non-empty,
     silent-closed set of subterms.
 
-    Members are read off the machine's mask, by ascending intern id.  Two
-    states are equal when they are the same number of the same machine.
+    Members are read off the machine's mask, by ascending position in the
+    protocol automaton's ``states``; ``ids`` are those positions, and the
+    state prints them.  Two states are equal when they are the same number
+    of the same machine.
     """
 
     machine: "SubsetMachine"
@@ -64,7 +66,8 @@ class SubsetState:
 
     @property
     def ids(self) -> tuple[int, ...]:
-        return tuple(m.intern_id for m in self)
+        m = self.machine
+        return tuple(_select(range(len(m.nodes)), m.masks[self.number]))
 
     def __iter__(self) -> Iterator[GlobalType]:
         return _select(self.machine.nodes, self.machine.masks[self.number])
@@ -82,9 +85,9 @@ class SubsetState:
 class SubsetMachine:
     """A deterministic machine for one role, held as int tables.
 
-    State ``i`` is ``masks[i]``, its members as a mask over the dense index
-    ``nodes`` (bit ``j`` stands for ``nodes[j]``).  States are numbered in
-    breadth-first discovery order, the initial state first.  ``arcs[i]``
+    State ``i`` is ``masks[i]``, its members as a mask over ``nodes``, the
+    protocol automaton's states (bit ``j`` stands for ``nodes[j]``).  States
+    are numbered in breadth-first discovery order, the initial state first.  ``arcs[i]``
     lists state ``i``'s moves as ``(label rank, successor number)`` pairs in
     label order, where a rank indexes the sorted ``events``; a state is
     final when its mask meets ``final_mask``, the terminated protocol's bit.
@@ -188,13 +191,13 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     state.  Empty sets are never created (a label is only followed where
     some member enables it), and every reachable state is kept.
 
-    The search runs on state masks over the view's dense index: a member's
-    steps are (label rank, target closure mask) pairs, ranks in the view's
-    ``events``, and a successor is the union of the target closures under
-    one label.  The machine keeps the masks and arcs as they are found.
+    The search runs on state masks over the view's state positions: a
+    member's steps are (label rank, target closure mask) pairs, ranks in the
+    view's ``events``, and a successor is the union of the target closures
+    under one label.  The machine keeps the masks and arcs as they are found.
     """
     bit, closures = nfa.bit, nfa.closures
-    steps: list[list[tuple[int, int]]] = [[] for _ in nfa.nodes]
+    steps: list[list[tuple[int, int]]] = [[] for _ in nfa.states]
     for src, r, tgt in nfa.edges:
         if r is not None:
             steps[src].append((r, closures[tgt]))
@@ -217,7 +220,7 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
         arcs.append(tuple(row))
     final_mask = sum(1 << bit[f] for f in nfa.finals)
     return SubsetMachine(
-        nfa.role, nfa.nodes, tuple(masks), tuple(arcs), nfa.events, final_mask
+        nfa.role, nfa.states, tuple(masks), tuple(arcs), nfa.events, final_mask
     )
 
 
@@ -249,7 +252,7 @@ def build_projections(
 
 def _nfa_words(nfa: LocalNfa, depth: int) -> frozenset[tuple[AsyncEvent, ...]]:
     """Every event word of length <= depth spelled by some path of the view."""
-    out: list[list[tuple[Optional[int], int]]] = [[] for _ in nfa.nodes]
+    out: list[list[tuple[Optional[int], int]]] = [[] for _ in nfa.states]
     for src, r, tgt in nfa.edges:
         out[src].append((r, tgt))
     words: set[tuple[AsyncEvent, ...]] = set()
@@ -308,12 +311,8 @@ def bounded_local_language_check(g: GlobalType, p: Role, depth: int = 10) -> boo
 
 
 def machine_to_dot(m: SubsetMachine, name: Optional[str] = None) -> str:
-    """Graphviz rendering; states are labeled with their member subterm ids."""
+    """Graphviz rendering; states are labeled with their members' positions."""
     title = name if name is not None else f"machine_{m.role}"
-    states = m.states
-    edges = (
-        (states[i], m.events[r], states[t])
-        for i, moves in enumerate(m.arcs)
-        for r, t in moves
-    )
-    return _machine_dot(title, states, m.initial, m.finals, edges, state_label=str)
+    final = [bool(mask & m.final_mask) for mask in m.masks]
+    edges = ((i, m.events[r], t) for i, moves in enumerate(m.arcs) for r, t in moves)
+    return _machine_dot(title, [str(s) for s in m.states], 0, final, edges)

@@ -13,9 +13,11 @@ A single-branch choice is written without the ``+ { }`` wrapper:
 ``p->q:m . G``.  ``//`` starts a line comment; whitespace is free-form.
 
 Subterms are hash-consed: structurally equal trees share one intern
-identifier (``intern_id``), equality and hashing go through that identifier,
-and the automata layers use it as state identity.  The intern table is
-process-global and append-only; nodes are immutable.
+identifier (``intern_id``), and equality and hashing go through that
+identifier, so a protocol parsed twice gives equal trees.  The intern table
+is process-global and append-only; nodes are immutable.  State names print
+no intern id: the automata number a protocol's states by the pre-order of
+its walk, which depends on the protocol alone.
 
 The parser reads the text with one compiled scanner, ``_SCAN``: each match
 at a position skips whitespace and comments and reads one piece, and a

@@ -27,8 +27,9 @@ Both are tests on the machine's masks (see
 mask ``s`` is valid when ``s & ~can[x]`` is empty, where ``can[x]`` masks
 the nodes whose silent closure meets an x-labeled edge.  Receive validity
 asks :func:`available_messages` about the members of the second receive's
-target mask, lowest first, up to the first at which the offending send is
-available, and remembers per send the mask of the members where it is.
+target mask, lowest position (nearest the root) first, up to the first at
+which the offending send is available, and remembers per send the mask of
+the members where it is.
 State objects are made only for a violation that is reported.
 """
 from __future__ import annotations
@@ -323,16 +324,16 @@ def _sendable(nfa: LocalNfa) -> list[Optional[int]]:
     can: list[Optional[int]] = [
         0 if e.direction is Direction.SEND else None for e in nfa.events
     ]
-    back = [0] * len(nfa.nodes)
+    back = [0] * len(nfa.states)
     sources: list[tuple[int, int]] = []
     for src, r, tgt in nfa.edges:
         if r is None:
             back[tgt] |= 1 << src
         elif can[r] is not None:
             sources.append((r, src))
-    # a silent step mostly goes from a parent to a child, which is interned
-    # first; descending bit order closes a node's predecessors first
-    co = _closures(back, range(len(back) - 1, -1, -1)) if any(back) else None
+    # a silent step mostly goes from a node to a child, which the pre-order
+    # numbers later; ascending order mostly closes a node's predecessors first
+    co = _closures(back, range(len(back))) if any(back) else None
     for r, src in sources:
         can[r] |= co[src] if co is not None else 1 << src
     return can
@@ -590,14 +591,14 @@ def _silent_path(
 
 def _member_steps(nfa: LocalNfa, mask: int, r: int) -> Iterator[tuple[int, int, int]]:
     """Every way a member of the state ``mask`` performs the event of rank
-    ``r``: ``(member, node, target)`` bits for each rank-``r`` edge ``node
-    -> target`` out of the member's silent closure.  Members and closure
-    nodes come by ascending bit (intern id), edges in the view's order."""
+    ``r``: ``(member, node, target)`` positions for each rank-``r`` edge
+    ``node -> target`` out of the member's silent closure.  Members and
+    closure nodes come by ascending position, edges in the view's order."""
     targets: dict[int, list[int]] = {}
     for src, rank, tgt in nfa.edges:
         if rank == r:
             targets.setdefault(src, []).append(tgt)
-    bits = range(len(nfa.nodes))
+    bits = range(len(nfa.states))
     for member in _select(bits, mask):
         for node in _select(bits, nfa.closures[member]):
             for tgt in targets.get(node, ()):

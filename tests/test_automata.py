@@ -174,13 +174,15 @@ def test_gaut_links_a_variable_met_before_its_binder():
     a = build_gaut(g)
     assert a.states == (g, var, binder, inner, END)
     assert a.out(var) == ((var, None, binder),)
+    # source by source in state order, the positions of ``states``
     assert a.transitions == (
-        (var, None, binder),
-        (inner, SyncEvent(P, Q, O), var),
-        (binder, None, inner),
         (g, SyncEvent(R, P, O), var),
         (g, SyncEvent(R, Q, M), binder),
+        (var, None, binder),
+        (binder, None, inner),
+        (inner, SyncEvent(P, Q, O), var),
     )
+    assert a.edges == ((0, 0, 1), (0, 1, 2), (1, None, 2), (2, None, 3), (3, 2, 1))
 
 
 def test_gaut_out_groups_by_source():
@@ -196,9 +198,9 @@ def test_gaut_out_groups_by_source():
 
 def view_edges(nfa) -> list:
     """The view's edges as (state, event or None, state), in edge order."""
-    nodes, events = nfa.nodes, nfa.events
+    states, events = nfa.states, nfa.events
     return [
-        (nodes[src], None if r is None else events[r], nodes[tgt])
+        (states[src], None if r is None else events[r], states[tgt])
         for src, r, tgt in nfa.edges
     ]
 
@@ -210,7 +212,7 @@ def test_gaut_edges_number_the_distinct_labels():
     assert list(a.labels) == list(dict.fromkeys(labels))
     assert len(a.labels) == 4
     assert [
-        (a.nodes[src], None if k is None else a.labels[k], a.nodes[tgt])
+        (a.states[src], None if k is None else a.labels[k], a.states[tgt])
         for src, k, tgt in a.edges
     ] == list(a.transitions)
     assert a.label_number == {

@@ -1,6 +1,7 @@
 """The command-line interface end to end."""
 from __future__ import annotations
 
+import io
 import json
 import sys
 
@@ -266,6 +267,23 @@ def test_non_utf8_stdin_exits_2():
     assert result.stderr.startswith("error: stdin ")
 
 
+def test_stdin_bytes_are_decoded_strictly(monkeypatch, capsys):
+    # a C or POSIX locale opens stdin with this error handler
+    stdin = io.TextIOWrapper(io.BytesIO(b"p->q:\xff . 0\n"), errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_command(RunConfig(command="check", source="-")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stdin is not utf-8 text")
+    assert captured.err.count("\n") == 1
+
+
+def test_stdin_without_a_byte_buffer_is_read_as_text(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text("g_s")))
+    assert run_command(RunConfig(command="check", source="-")) == 1
+    assert "verdict: not implementable" in capsys.readouterr().out
+
+
 def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
@@ -399,6 +417,42 @@ def test_simulate_json_and_bounds(tmp_path):
     doc = json.loads(result.stdout)
     assert doc["channel_bound"] == 2 and doc["depth"] == 8
     assert "p>q!o.q<p?o.r>q!m" in doc["deadlocks"]
+
+
+# --------------------------------------------------------------------------- #
+# Out-of-range configurations
+# --------------------------------------------------------------------------- #
+
+
+def _assert_rejected(cfg, capsys, reason):
+    assert run_command(cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", [0, -1, None])
+def test_gen_gk_config_rejects_sizes_below_1(k, capsys):
+    _assert_rejected(RunConfig(command="gen-gk", k=k), capsys, "k >= 1")
+
+
+@pytest.mark.parametrize(
+    ("field", "value"), [("channel_bound", 0), ("depth", -1)]
+)
+def test_simulate_config_rejects_out_of_range_bounds(field, value, tmp_path, capsys):
+    cfg = RunConfig(command="simulate", source=corpus_path("g_s", tmp_path), **{field: value})
+    _assert_rejected(cfg, capsys, f"got {value}")
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "bench", "gen-gk"])
+def test_config_rejects_a_format_the_command_does_not_render(command, tmp_path, capsys):
+    cfg = RunConfig(command=command, source=corpus_path("g_s", tmp_path), k=1, fmt="dot")
+    _assert_rejected(cfg, capsys, f"{command} has no 'dot' format")
+
+
+def test_config_rejects_an_unknown_command(capsys):
+    _assert_rejected(RunConfig(command="verify"), capsys, "unknown command 'verify'")
 
 
 # --------------------------------------------------------------------------- #

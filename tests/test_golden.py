@@ -1,11 +1,12 @@
 """Byte-identity gate: CLI output on the corpus and gk(3) against goldens.
 
-Each output comes from a fresh interpreter, because the numbers in state
-names are intern ids, and those depend on what the process parsed before.
-``check --format json`` output drops ``timings``, the only part that varies
-between runs.  Besides the CLI, the gate covers the DOT renders of each
-protocol's synchronous automaton and per-role views, and the verdicts on the
-first 1000 seeded random draws.
+Everything renders in this process.  A state's number is its position in
+the pre-order of the protocol's walk, so the output does not depend on what
+the process parsed before; ``test_output_ignores_what_was_parsed_before``
+holds that.  ``check --format json`` output drops ``timings``, the only part
+that varies between runs.  Besides the CLI, the gate covers the DOT renders
+of each protocol's synchronous automaton and per-role views, and the
+verdicts on the first 1000 seeded random draws.
 
 Regenerate the goldens (only for a deliberate output change, and say so in
 CHANGES.md) from the repository root with::
@@ -14,20 +15,23 @@ CHANGES.md) from the repository root with::
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
+from random import Random
 
 import pytest
+from click.testing import CliRunner
 
-from gtproj import generate_gk, pretty
-from gtproj.corpus import names, text
+import gtproj
+from gtproj import END, generate_gk, parse_global_type, pretty, syntax
+from gtproj.cli import main
+from gtproj.corpus import entries, names, text
+
+from .strategies import random_global_type
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 
 #: (golden file suffix, CLI arguments before the source path)
 OUTPUTS = (
@@ -61,9 +65,6 @@ RENDERS = (
 #: and the counterexample.
 DRAWS = ("random7.draws.txt", 1000)
 DRAWS_SCRIPT = """
-from random import Random
-from gtproj import check_implementability, format_trace
-from tests.strategies import random_global_type
 rng = Random(7)
 for draw in range(%d):
     v = check_implementability(random_global_type(rng, max_size=25))
@@ -83,23 +84,21 @@ def protocols() -> dict[str, str]:
     return cases
 
 
-def run_python(script: str, *argv: str) -> subprocess.CompletedProcess:
-    """``script`` run by a new interpreter, from the repository root."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(ROOT))))
-    return subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
+def run_script(script: str, **names: object) -> str:
+    """What ``script`` prints, run with the public names of ``gtproj`` and
+    ``names`` in scope."""
+    scope = {name: getattr(gtproj, name) for name in gtproj.__all__}
+    scope.update(names)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(script, scope)
+    return out.getvalue()
 
 
 def render(path: Path, args: tuple[str, ...]) -> str:
-    """One CLI invocation on ``path`` in a new process."""
-    done = run_python("from gtproj.cli import main; main()", *args, str(path))
-    assert done.returncode in (0, 1), done.stderr
+    """One CLI invocation on ``path``."""
+    done = CliRunner().invoke(main, [*args, str(path)])
+    assert done.exit_code in (0, 1), done.output
     if args[0] == "check" and "json" in args:
         doc = json.loads(done.stdout)
         doc.pop("timings")
@@ -108,21 +107,15 @@ def render(path: Path, args: tuple[str, ...]) -> str:
 
 
 def render_script(path: Path, script: str) -> str:
-    """What ``script`` prints about the protocol ``g`` parsed from ``path``,
-    in a new process."""
-    done = run_python(
-        "import sys\nfrom gtproj import *\n"
-        "g = parse_global_type(open(sys.argv[1]).read())\n" + script,
-        str(path),
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    """What ``script`` prints about the protocol ``g`` parsed from ``path``."""
+    g = parse_global_type(path.read_text(encoding="utf-8"))
+    return run_script(script, g=g)
 
 
 def render_draws(count: int) -> str:
-    done = run_python(DRAWS_SCRIPT % count)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    return run_script(
+        DRAWS_SCRIPT % count, Random=Random, random_global_type=random_global_type
+    )
 
 
 def cases() -> list[tuple[str, str, tuple[str, ...]]]:
@@ -165,6 +158,27 @@ def test_dot_render_matches_golden(name, suffix, script, tmp_path):
 def test_random_draws_match_golden():
     suffix, count = DRAWS
     assert render_draws(count) == (GOLDEN / suffix).read_text()
+
+
+def test_output_ignores_what_was_parsed_before(tmp_path, monkeypatch):
+    # A new intern table, as in a process that parsed other protocols first:
+    # gk(5), 200 draws and the corpus take the low ids.  Only the terminated
+    # protocol keeps its id, the first one, so no new id meets it.
+    assert END.intern_id == 0
+    monkeypatch.setattr(syntax, "_INTERN", {("end",): 0})
+    parse_global_type(pretty(generate_gk(5)))
+    rng = Random(7)
+    for _ in range(200):
+        parse_global_type(pretty(random_global_type(rng, max_size=25)))
+    for entry in entries():
+        parse_global_type(entry.text())
+    for name in ("g_r", "gk3"):
+        path = tmp_path / f"{name}.gt"
+        path.write_text(protocols()[name])
+        for suffix, args in OUTPUTS + (ALL_VIOLATIONS,) + TEXT_OUTPUTS:
+            assert render(path, args) == (GOLDEN / f"{name}.{suffix}").read_text()
+        for suffix, script in RENDERS:
+            assert render_script(path, script) == (GOLDEN / f"{name}.{suffix}").read_text()
 
 
 def regenerate(workdir: Path) -> None:

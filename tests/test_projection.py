@@ -53,10 +53,12 @@ def test_subset_state_reads_its_members_from_the_mask():
     top_o = parse_global_type("r->q:o . 0")
     s = m.step(m.initial, send(P, Q, O))
     assert s == SubsetState(m, m.state_number(s))
-    assert s.members == tuple(sorted((top_o, END), key=lambda n: n.intern_id))
+    # members and ids by position in the automaton's states
+    states = build_gaut(g).states
+    assert s.members == (top_o, END)
     assert len(s) == 2
     assert top_o in s and g not in s
-    assert s.ids == tuple(sorted(n.intern_id for n in (top_o, END)))
+    assert s.ids == (states.index(top_o), states.index(END))
     assert str(s) == "{" + ",".join(str(i) for i in s.ids) + "}"
 
 
@@ -264,10 +266,10 @@ def _reference_closure(view, seed):
     return seen
 
 
-def _subset(nodes):
-    """A set of subterms as one value: its members by ascending intern id."""
-    unique = {n.intern_id: n for n in nodes}
-    return tuple(unique[i] for i in sorted(unique))
+def _subset(position, nodes):
+    """A set of subterms as one value: its members by ascending
+    ``position``, the index of each in the automaton's ``states``."""
+    return tuple(sorted(set(nodes), key=position.__getitem__))
 
 
 def _label_key(e):
@@ -280,7 +282,8 @@ def _reference_determinize(a, role):
     finals) with states as :func:`_subset` values and transitions keyed by
     (state, event), each state's in label order."""
     view = _reference_view(a, role)
-    initial = _subset(_reference_closure(view, (a.initial,)))
+    position = {state: i for i, state in enumerate(a.states)}
+    initial = _subset(position, _reference_closure(view, (a.initial,)))
     order = {initial: 0}
     transitions = {}
     queue = deque((initial,))
@@ -292,7 +295,7 @@ def _reference_determinize(a, role):
                 if label is not None:
                     moves.setdefault(label, set()).add(tgt)
         for label in sorted(moves, key=_label_key):
-            successor = _subset(_reference_closure(view, moves[label]))
+            successor = _subset(position, _reference_closure(view, moves[label]))
             transitions[(state, label)] = successor
             if successor not in order:
                 order[successor] = len(order)
