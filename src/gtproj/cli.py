@@ -86,11 +86,14 @@ def _read_source(source: str) -> tuple[str, str]:
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
+    """Print ``payload`` or write it to ``out``, ending it with a newline
+    unless it is empty."""
+    if payload and not payload.endswith("\n"):
+        payload += "\n"
     if out is None:
-        click.echo(payload, nl=not payload.endswith("\n"))
+        click.echo(payload, nl=False)
     else:
-        text = payload if payload.endswith("\n") else payload + "\n"
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(payload, encoding="utf-8")
 
 
 def _ms(seconds: float) -> float:
@@ -191,7 +194,8 @@ def _check_payload(
 def _render_check_text(payload: dict, verdict: Verdict, all_violations: bool) -> str:
     info = payload["protocol"]
     lines = [
-        f"protocol {info['name']}: roles {', '.join(info['roles'])}; size {info['size']}"
+        f"protocol {info['name']}: roles {', '.join(info['roles']) or '(none)'}; "
+        f"size {info['size']}"
     ]
     if verdict.implementable:
         lines.append("verdict: implementable")
@@ -277,7 +281,7 @@ def _cmd_project(cfg: RunConfig) -> int:
                 lines.append(f"  s{i} = {state}{suffix}")
                 for r, t in moves:
                     lines.append(f"    s{i} --{m.events[r]}--> s{t}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines or ["no machines: the protocol has no roles"]), cfg.out)
     return 0
 
 

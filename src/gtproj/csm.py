@@ -10,10 +10,10 @@ by an exploration bound do not count).
 
 Execution runs on numbers, not objects: a configuration is one state number
 per role (in role order) plus one channel slot per ordered pair of roles
-that the machines' events use, holding message numbers.  Moves are read off
-each machine's int tables (``arcs``, ``events``, ``final_mask``), so neither
-stepping nor exploring makes a :class:`SubsetState`; only
-:meth:`CsmConfiguration.state_of` names one, on demand.
+that the machines' events use, holding message numbers.  No machine table
+is copied: moves are read off each machine's own ``arcs``, finality off its
+``masks`` and ``final_mask``.  Neither stepping nor exploring makes a
+:class:`SubsetState`; only :meth:`CsmConfiguration.state_of` names one.
 """
 from __future__ import annotations
 
@@ -42,10 +42,9 @@ __all__ = [
 ]
 
 
-class _Move(NamedTuple):
-    """One move of a machine from one state, in the system's numbers."""
+class _Label(NamedTuple):
+    """What one label rank of a machine means in the system's numbers."""
 
-    successor: int  # state number
     event: int  # index in ``Csm.events``
     slot: int  # the channel written or read
     message: int  # index in ``Csm.messages``
@@ -67,18 +66,18 @@ def _names(e: AsyncEvent) -> tuple[str, str, str, bool]:
 class Csm:
     """One deterministic machine per role, communicating over FIFO channels.
 
-    The system is numbered once, when it is made: ``roles`` in name order,
-    with ``position`` mapping a role to its index; one channel ``slot`` per
-    ordered (sender, receiver) pair that some machine's events use; the
-    ``messages`` and the ``events`` of all machines, roles in name order.
-    Per role it reads off the machine's int tables each state number's
-    moves in label order, the same moves by event and state number, and the
-    final flags.
+    The system is a numbering over its machines, made once: ``roles`` in
+    name order, with ``position`` mapping a role to its index; one channel
+    ``slot`` per ordered (sender, receiver) pair that some machine's events
+    use; the ``messages`` and the ``events`` of all machines, roles in name
+    order.  Per role it keeps what each label rank means in those numbers,
+    and it maps an event's names to its (role position, rank).  It copies
+    no state or move, so it costs O(events) to make.
     """
 
     __slots__ = (
         "machines", "roles", "position", "slot", "messages", "events",
-        "_moves", "_step", "_final",
+        "_rank", "_labels", "_arcs", "_ends",
     )
 
     def __init__(self, machines: Mapping[Role, SubsetMachine]) -> None:
@@ -90,35 +89,28 @@ class Csm:
                 )
         self.roles: tuple[Role, ...] = tuple(sorted(self.machines, key=lambda r: r.name))
         self.position: dict[Role, int] = {r: i for i, r in enumerate(self.roles)}
+        ordered = [self.machines[r] for r in self.roles]
         # channels and messages are numbered by name: hashing strings is cheap
         slots: dict[tuple[str, str], int] = {}
         message: dict[str, int] = {}
         events: list[AsyncEvent] = []
-        self._moves: list[tuple[tuple[_Move, ...], ...]] = []
-        self._step: list[dict[tuple[str, str, str, bool], dict[int, _Move]]] = []
-        self._final: list[tuple[bool, ...]] = []
-        for role in self.roles:
-            m = self.machines[role]
-            names = [_names(e) for e in m.events]
-            # per label rank: the parts of a move that do not depend on the state
-            labels = [
-                (
-                    len(events) + r,
+        self._rank: dict[tuple[str, str, str, bool], tuple[int, int]] = {}
+        self._labels: list[tuple[_Label, ...]] = []
+        for i, m in enumerate(ordered):
+            labels = []
+            for r, e in enumerate(m.events):
+                names = sender, receiver, label, send = _names(e)
+                self._rank[names] = (i, r)
+                labels.append(_Label(
+                    len(events),
                     slots.setdefault((sender, receiver), len(slots)),
                     message.setdefault(label, len(message)),
                     send,
-                )
-                for r, (sender, receiver, label, send) in enumerate(names)
-            ]
-            events.extend(m.events)
-            moves = tuple(tuple(_Move(t, *labels[r]) for r, t in arcs) for arcs in m.arcs)
-            self._moves.append(moves)
-            step: list[dict[int, _Move]] = [{} for _ in names]  # per rank
-            for s, (arcs, row) in enumerate(zip(m.arcs, moves)):
-                for (r, _), move in zip(arcs, row):
-                    step[r][s] = move
-            self._step.append(dict(zip(names, step)))
-            self._final.append(tuple(bool(mask & m.final_mask) for mask in m.masks))
+                ))
+                events.append(e)
+            self._labels.append(tuple(labels))
+        self._arcs = tuple(m.arcs for m in ordered)
+        self._ends = tuple((m.masks, m.final_mask) for m in ordered)
         self.slot: dict[tuple[Role, Role], int] = {
             (Role(sender), Role(receiver)): k for (sender, receiver), k in slots.items()
         }
@@ -159,32 +151,36 @@ def initial_configuration(c: Csm) -> CsmConfiguration:
 
 def _enabled(
     c: Csm, states: tuple[int, ...], channels: tuple
-) -> Iterator[tuple[int, _Move]]:
-    """(role position, move) of every enabled move, roles in name order,
-    labels in machine order."""
-    for i, moves in enumerate(c._moves):
-        for move in moves[states[i]]:
-            if move.send:
-                yield i, move
-            else:
-                content = channels[move.slot]
-                if content and content[0] == move.message:
-                    yield i, move
+) -> Iterator[tuple[int, int, _Label]]:
+    """(role position, successor, label) of every enabled move, roles in
+    name order, labels in machine order."""
+    for i, (arcs, labels) in enumerate(zip(c._arcs, c._labels)):
+        for r, successor in arcs[states[i]]:
+            label = labels[r]
+            if label.send or (queue := channels[label.slot]) and queue[0] == label.message:
+                yield i, successor, label
 
 
-def _fire(states: tuple[int, ...], channels: tuple, i: int, move: _Move) -> _Raw:
-    """The configuration after role ``i`` makes an enabled ``move``."""
-    k = move.slot
+def _fire(states: tuple, channels: tuple, i: int, successor: int, label: _Label) -> _Raw:
+    """The configuration after role ``i`` makes an enabled move."""
+    k = label.slot
     content = channels[k]
-    content = content + (move.message,) if move.send else content[1:]
+    content = content + (label.message,) if label.send else content[1:]
     return (
-        states[:i] + (move.successor,) + states[i + 1 :],
+        states[:i] + (successor,) + states[i + 1 :],
         channels[:k] + (content,) + channels[k + 1 :],
     )
 
 
 def _is_final(c: Csm, states: tuple[int, ...], channels: tuple) -> bool:
-    return not any(channels) and all(final[s] for final, s in zip(c._final, states))
+    return not any(channels) and all(m[s] & f for (m, f), s in zip(c._ends, states))
+
+
+def _check_bounds(channel_bound: int, depth: int) -> None:
+    if channel_bound < 1:
+        raise ValueError("channel_bound must be at least 1")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
 
 
 class StepFailure(Enum):
@@ -211,25 +207,26 @@ def csm_step(c: Csm, cfg: CsmConfiguration, e: AsyncEvent) -> CsmConfiguration:
     requires its message at the head of the channel (sender, receiver).
     Raises :class:`NotEnabled` with the failure reason otherwise.
     """
-    i = c.position.get(e.active)
-    moves = None if i is None else c._step[i].get(_names(e))
-    move = None if moves is None else moves.get(cfg.states[i])
-    if move is None:
+    i, r = c._rank.get(_names(e), (None, None))
+    successor = None if i is None else dict(c._arcs[i][cfg.states[i]]).get(r)
+    if successor is None:
         raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
-    if not move.send:
-        content = cfg.channels[move.slot]
+    label = c._labels[i][r]
+    if not label.send:
+        content = cfg.channels[label.slot]
         if not content:
             raise NotEnabled(StepFailure.EMPTY_CHANNEL, e)
-        if content[0] != move.message:
+        if content[0] != label.message:
             raise NotEnabled(StepFailure.WRONG_HEAD, e)
-    return CsmConfiguration(c, *_fire(cfg.states, cfg.channels, i, move))
+    return CsmConfiguration(c, *_fire(cfg.states, cfg.channels, i, successor, label))
 
 
 def enabled_events(c: Csm, cfg: CsmConfiguration) -> tuple[AsyncEvent, ...]:
     """Every event that can fire, roles in name order, labels in machine
     order."""
     events = c.events
-    return tuple(events[move.event] for _, move in _enabled(c, cfg.states, cfg.channels))
+    enabled = _enabled(c, cfg.states, cfg.channels)
+    return tuple(events[label.event] for _, _, label in enabled)
 
 
 def is_final(c: Csm, cfg: CsmConfiguration) -> bool:
@@ -274,10 +271,7 @@ def explore(
     configuration whose only moves were suppressed is not a deadlock:
     deadlock means no event is enabled at all.
     """
-    if channel_bound < 1:
-        raise ValueError("channel_bound must be at least 1")
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _check_bounds(channel_bound, depth)
     init = initial_configuration(c)
     start = (init.states, init.channels)
     visited = {start}
@@ -296,17 +290,17 @@ def explore(
         if len(trace) >= depth:
             frontier_cut = True
             continue
-        for i, move in enabled:
-            if move.send and len(channels[move.slot]) >= channel_bound:
+        for i, successor, label in enabled:
+            if label.send and len(channels[label.slot]) >= channel_bound:
                 frontier_cut = True
                 continue
-            successor = _fire(states, channels, i, move)
-            if successor not in visited:
-                visited.add(successor)
-                extended = trace + (events[move.event],)
+            nxt = _fire(states, channels, i, successor, label)
+            if nxt not in visited:
+                visited.add(nxt)
+                extended = trace + (events[label.event],)
                 if keep_traces:
                     traces.add(extended)
-                queue.append((successor, extended))
+                queue.append((nxt, extended))
     return ExplorationReport(
         visited=len(visited),
         deadlocks=tuple(deadlocks),

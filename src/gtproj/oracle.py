@@ -16,10 +16,10 @@ suite can compare the fast checks against ground truth:
 
 The searches run on numbers: :func:`intersection_witness` matches a trace
 against the automaton's numbered halves (:attr:`SyncAutomaton.halves`) with
-product nodes of (state bit, per-role counts), and the fidelity check steps
-the machine system on its state and channel numbers and tells machine
-traces apart by interned per-role view ids.  No machine state objects are
-built.
+product nodes of (state bit, per-role counts).  The fidelity check rejects
+bad bounds on entry, then steps the machine system on its state and channel
+numbers; one search, keyed by interned per-role view ids, finds both the
+inconsistent traces and the deadlocks.  No machine state objects are built.
 """
 from __future__ import annotations
 
@@ -40,10 +40,11 @@ from .csm import (
     Csm,
     CsmConfiguration,
     NotEnabled,
+    _check_bounds,
     _enabled,
     _fire,
+    _is_final,
     csm_step,
-    explore,
     initial_configuration,
 )
 from .syntax import (
@@ -257,8 +258,11 @@ def bounded_fidelity_check(
        ``channel_bound``) is consistent with some protocol run;
     3. *deadlock* — the machine system reaches no deadlock.
 
-    Returns the first failure with a witness trace.
+    Returns the first failure with a witness trace.  One search serves 2
+    and 3, and a deadlock is reported only when no trace fails 2.  Raises
+    ``ValueError`` for a ``channel_bound`` below 1 or a negative ``depth``.
     """
+    _check_bounds(channel_bound, depth)
     a = build_gaut(g)
     halves = a.halves
 
@@ -291,38 +295,41 @@ def bounded_fidelity_check(
                 seen_replay.add(key)
                 queue.append((tgt, nxt_cfg, nxt_trace))
 
-    # Obligation 2: machine traces are consistent with some protocol run,
-    # deduplicated by per-role views (consistency only depends on those).
-    # A view is an id: ``views`` interns each one-event extension of a view.
+    # Obligations 2 and 3 in one search: machine traces, deduplicated by
+    # per-role views (consistency only depends on those), are consistent
+    # with some protocol run, and none ends in a deadlock.  A view is an id:
+    # ``views`` interns each one-event extension of a view.  Views determine
+    # the configuration, so deadlocks come in ``explore``'s order.
     checked = 0
+    deadlock = None
     views: dict[tuple[int, int], int] = {}
     empty_key = (0,) * len(c.roles)
     seen_views = {empty_key}
     frontier = deque(((init.states, init.channels, (), empty_key),))
     while frontier:
         states, channels, trace, key = frontier.popleft()
-        if len(trace) >= depth:
-            continue
-        for i, move in _enabled(c, states, channels):
-            if move.send and len(channels[move.slot]) >= channel_bound:
+        stuck, cut = True, len(trace) >= depth
+        for i, successor, label in _enabled(c, states, channels):
+            stuck = False
+            if cut:
+                break
+            if label.send and len(channels[label.slot]) >= channel_bound:
                 continue
-            view = views.setdefault((key[i], move.event), len(views) + 1)
+            view = views.setdefault((key[i], label.event), len(views) + 1)
             nxt_key = key[:i] + (view,) + key[i + 1 :]
             if nxt_key in seen_views:
                 continue
             seen_views.add(nxt_key)
-            nxt_trace = trace + (c.events[move.event],)
+            nxt_trace = trace + (c.events[label.event],)
             checked += 1
             if intersection_witness(g, nxt_trace, automaton=a) is None:
                 return FidelityReport(False, "intersection", nxt_trace, replayed, checked)
-            frontier.append((*_fire(states, channels, i, move), nxt_trace, nxt_key))
-
-    # Obligation 3: no deadlock within the bound.
-    report = explore(c, channel_bound=channel_bound, depth=depth)
-    if report.deadlocks:
-        _, witness = report.deadlocks[0]
-        return FidelityReport(False, "deadlock", witness, replayed, checked)
-
+            nxt = _fire(states, channels, i, successor, label)
+            frontier.append((*nxt, nxt_trace, nxt_key))
+        if stuck and deadlock is None and not _is_final(c, states, channels):
+            deadlock = trace
+    if deadlock is not None:
+        return FidelityReport(False, "deadlock", deadlock, replayed, checked)
     return FidelityReport(True, None, None, replayed, checked)
 
 

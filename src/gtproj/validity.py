@@ -28,8 +28,7 @@ mask ``s`` is valid when ``s & ~can[x]`` is empty, where ``can[x]`` masks
 the nodes whose silent closure meets an x-labeled edge.  Receive validity
 asks :func:`available_messages` about the members of the second receive's
 target mask, lowest position (nearest the root) first, up to the first at
-which the offending send is available, and remembers per send the mask of
-the members where it is.
+which the offending send is available, and asks about each member once.
 State objects are made only for a violation that is reported.
 """
 from __future__ import annotations
@@ -380,27 +379,20 @@ def _receive_violations(
     peers = [e.peer.name for e in events]
     blocked = frozenset((role,))
     walks = _AvailableWalks(nfa)
-    results: dict[int, AvailableMessageResult] = {}
-    asked = 0  # the nodes queried so far
-    available: dict[AsyncEvent, int] = {}  # per send, the queried nodes offering it
+    results: dict[int, AvailableMessageResult] = {}  # per node asked
 
     def first_available(x: AsyncEvent, destinations: int) -> Optional[int]:
-        """The lowest destination at which ``x`` is available, querying
-        unasked destinations in ascending order, up to the first hit."""
-        nonlocal asked
-        known = destinations & available.get(x, 0)
-        below = destinations & ((known & -known) - 1) if known else destinations
-        for i in _select(range(len(nodes)), below & ~asked):
-            result = available_messages(
-                g, AvailableMessageQuery(nodes[i], blocked), _walks=walks
-            )
-            results[i] = result
-            asked |= 1 << i
-            for ev in result.events:
-                available[ev] = available.get(ev, 0) | 1 << i
+        """The lowest destination at which ``x`` is available, asking each
+        node once, in ascending order, up to the first hit."""
+        for i in _select(range(len(nodes)), destinations):
+            result = results.get(i)
+            if result is None:
+                result = results[i] = available_messages(
+                    g, AvailableMessageQuery(nodes[i], blocked), _walks=walks
+                )
             if x in result.events:
                 return i
-        return (known & -known).bit_length() - 1 if known else None
+        return None
 
     for number, moves in enumerate(m.arcs):
         receives = [(r, t) for r, t in moves if offending[r] is not None]

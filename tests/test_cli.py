@@ -382,6 +382,30 @@ def test_project_json_describes_machines(tmp_path):
     assert any(s["final"] for s in machine_r["states"])
 
 
+ROLELESS = pytest.mark.parametrize("protocol", ["0\n", "mu t . 0\n"])
+
+
+@ROLELESS
+def test_check_names_no_roles(protocol):
+    result = runner.invoke(main, ["check", "-"], input=protocol)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[0].startswith("protocol stdin: roles (none); size ")
+
+
+@ROLELESS
+def test_project_text_says_there_are_no_machines(protocol):
+    result = runner.invoke(main, ["project", "-"], input=protocol)
+    assert result.exit_code == 0
+    assert result.stdout == "no machines: the protocol has no roles\n"
+
+
+@ROLELESS
+def test_project_dot_prints_nothing_without_roles(protocol):
+    result = runner.invoke(main, ["project", "-", "--format", "dot"], input=protocol)
+    assert result.exit_code == 0
+    assert result.stdout == ""
+
+
 # --------------------------------------------------------------------------- #
 # simulate
 # --------------------------------------------------------------------------- #

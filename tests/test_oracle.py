@@ -47,9 +47,13 @@ from .strategies import random_global_type
 P, Q, R = Role("p"), Role("q"), Role("r")
 
 
-def system_for(g) -> Csm:
+def machines_for(g) -> dict[Role, SubsetMachine]:
     _, table = build_projections(g)
-    return Csm({role: machine for role, (_, machine) in table.items()})
+    return {role: machine for role, (_, machine) in table.items()}
+
+
+def system_for(g) -> Csm:
+    return Csm(machines_for(g))
 
 
 # --------------------------------------------------------------------------- #
@@ -243,6 +247,28 @@ def test_fidelity_reports_missing_machine_behaviour_as_replay():
     report = bounded_fidelity_check(g, Csm(machines))
     assert not report.ok
     assert report.obligation == "replay"
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"channel_bound": 0}, "channel_bound must be at least 1"),
+        ({"depth": -1}, "depth must be non-negative"),
+    ],
+)
+def test_fidelity_rejects_bad_bounds_before_any_search(bounds, message):
+    g = parse_global_type("p->q:m . 0")
+    machines = machines_for(g)
+    # q cannot replay the protocol: without the bound check the search
+    # would report "replay" instead of raising
+    q_machine = machines[Q]
+    crippled = dict(machines)
+    crippled[Q] = SubsetMachine(
+        Q, q_machine.nodes, q_machine.masks[:1], ((),), q_machine.events, 0
+    )
+    for system in (Csm(machines), Csm(crippled)):
+        with pytest.raises(ValueError, match=message):
+            bounded_fidelity_check(g, system, **bounds)
 
 
 def test_fidelity_reports_a_pure_deadlock():
@@ -552,6 +578,23 @@ def _differential_inputs():
         yield f"draw {draw}", random_global_type(rng, max_size=8)
 
 
+def _deadlocking_systems():
+    """Crippled systems whose fidelity check ends in ``"deadlock"``, with
+    the depths to check them at: no differential input ends in one."""
+    g = parse_global_type("p->q:m . 0")
+    machines = machines_for(g)
+    q_machine = machines[Q]
+    machines[Q] = SubsetMachine(
+        Q, q_machine.nodes, q_machine.masks, q_machine.arcs, q_machine.events, 0
+    )
+    yield "p->q:m with q never final", g, Csm(machines), 10
+    g = parse_global_type("p->q:a . r->q:x . 0")
+    machines = machines_for(g)
+    del machines[R]
+    for depth in (2, 3):
+        yield f"p->q:a . r->q:x without r, depth {depth}", g, Csm(machines), depth
+
+
 def test_fidelity_matches_the_object_based_reference():
     outcomes = set()
     for name, g in _differential_inputs():
@@ -559,7 +602,11 @@ def test_fidelity_matches_the_object_based_reference():
         report = bounded_fidelity_check(g, c, 10, channel_bound=3)
         assert report == _reference_fidelity(g, c, 10, 3), name
         outcomes.add(report.obligation)
-    assert outcomes == {None, "intersection"}
+    for name, g, c, depth in _deadlocking_systems():
+        report = bounded_fidelity_check(g, c, depth, channel_bound=3)
+        assert report == _reference_fidelity(g, c, depth, 3), name
+        outcomes.add(report.obligation)
+    assert outcomes == {None, "intersection", "deadlock"}
 
 
 def test_exploration_matches_the_object_based_reference():
