@@ -268,15 +268,17 @@ class SyncAutomaton:
     ``edges`` are the transitions over the positions and that numbering:
     ``(source, label number, target)``, in the same order, label number
     ``None`` when silent.  The per-role views and ``halves`` read
-    ``edges``; ``halves`` numbers the roles and the split labels for
+    ``edges``; ``halves`` splits the labels into numbered halves for
     matching asynchronous traces against runs.  :func:`build_gaut` walks
-    the protocol once and sets ``roles`` (first-occurrence order) and
-    ``binder`` (each variable's ``mu`` node), so later layers walk nothing.
+    the protocol once and sets ``roles`` (first-occurrence order; a role's
+    position is its one number) and ``variables`` (the mask of the
+    recursion-variable states, whose silent edge leads back to their
+    binder), so later layers read the tree nowhere.
     """
 
     __slots__ = (
         "states", "transitions", "initial", "finals", "bit", "labels",
-        "label_number", "edges", "roles", "binder", "_halves",
+        "label_number", "edges", "roles", "variables", "_halves",
     )
 
     def __init__(
@@ -306,7 +308,7 @@ class SyncAutomaton:
         self.labels: tuple[SyncEvent, ...] = tuple(labels)
         self.edges = tuple(edges)
         self.roles: tuple[Role, ...] = ()
-        self.binder: dict[str, Rec] = {}
+        self.variables = 0
         self._halves: Optional[Halves] = None
 
     @property
@@ -340,11 +342,10 @@ class Halves:
     """A synchronous automaton's labels split into numbered asynchronous
     halves.
 
-    ``roles`` numbers every role of a label by name, in order of first
-    appearance in the automaton's ``labels``; ``labels`` is the
-    automaton's ``label_number``.  The send half of label ``k`` is event
-    ``2 * k`` and its receive half event ``2 * k + 1``.  ``out[i]`` lists
-    the transitions leaving state ``i``, in
+    ``roles`` maps a role's name to its position in the automaton's
+    ``roles``; ``labels`` is the automaton's ``label_number``.  The send
+    half of label ``k`` is event ``2 * k`` and its receive half event
+    ``2 * k + 1``.  ``out[i]`` lists the transitions leaving state ``i``, in
     :meth:`SyncAutomaton.out` order, as ``(edge, target bit, halves)``:
     ``halves`` holds ``(role number, event number)`` for the send and then
     the receive, and is empty for a silent edge.  Names rather than objects
@@ -354,14 +355,12 @@ class Halves:
     __slots__ = ("roles", "labels", "out")
 
     def __init__(self, a: SyncAutomaton) -> None:
-        self.roles: dict[str, int] = {}
+        self.roles = roles = {r.name: i for i, r in enumerate(a.roles)}
         self.labels = a.label_number
-        roles = self.roles
-        split: list[tuple[tuple[int, int], ...]] = []
-        for k, label in enumerate(a.labels):
-            sender = roles.setdefault(label.sender.name, len(roles))
-            receiver = roles.setdefault(label.receiver.name, len(roles))
-            split.append(((sender, 2 * k), (receiver, 2 * k + 1)))
+        split = [
+            ((roles[label.sender.name], 2 * k), (roles[label.receiver.name], 2 * k + 1))
+            for k, label in enumerate(a.labels)
+        ]
         out: list[list] = [[] for _ in a.states]
         for edge, (src, k, tgt) in zip(a.transitions, a.edges):
             out[src].append((edge, tgt, () if k is None else split[k]))
@@ -399,7 +398,8 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
     if END not in set(states):
         states.append(END)
     transitions: list[Edge] = []
-    for node in index.nodes:
+    variables = 0
+    for i, node in enumerate(index.nodes):
         if isinstance(node, Choice):
             for b in sorted(node.branches, key=lambda b: (b.receiver.name, b.message.label)):
                 transitions.append(
@@ -412,8 +412,9 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
             if binder is None:
                 raise ValueError(f"unbound recursion variable {node.var!r}")
             transitions.append((node, None, binder))
+            variables |= 1 << i
     a = SyncAutomaton(states, transitions, g, frozenset((END,)))
-    a.roles, a.binder = index.roles, bind
+    a.roles, a.variables = index.roles, variables
     return a
 
 
@@ -477,9 +478,10 @@ def _label_key(e: AsyncEvent) -> tuple[str, str, str]:
 class LocalNfa:
     """One role's (nondeterministic) view of a synchronous automaton.
 
-    States, their numbering, initial state, final states and the binders
-    are the source automaton's, so the view walks no protocol either.
-    ``edges[i]`` is the erasure image of the automaton's ``transitions[i]``.
+    States, their numbering, initial state and final states are those of
+    ``automaton``, the source automaton, so the view walks no protocol
+    either.  ``edges[i]`` is the erasure image of the automaton's
+    ``transitions[i]``.
     ``events`` are the distinct labels sorted by (peer, message,
     direction), and ``edges`` are the transitions over the state positions
     with labels as ranks in ``events``: ``(source, rank, target)``, rank
@@ -488,8 +490,8 @@ class LocalNfa:
     """
 
     __slots__ = (
-        "role", "states", "initial", "finals", "bit", "binder", "events", "edges",
-        "closures",
+        "role", "automaton", "states", "initial", "finals", "bit", "events",
+        "edges", "closures",
     )
 
     def __init__(
@@ -500,11 +502,11 @@ class LocalNfa:
         edges: tuple[tuple[int, Optional[int], int], ...],
     ) -> None:
         self.role = role
+        self.automaton = a
         self.states = a.states
         self.initial = a.initial
         self.finals = a.finals
         self.bit = a.bit
-        self.binder = a.binder
         self.events = events
         self.edges = edges
         silent = [0] * len(self.states)

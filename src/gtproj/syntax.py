@@ -632,11 +632,13 @@ class WellFormednessRule(Enum):
     SELF_COMMUNICATION = "SelfCommunication"
     UNGUARDED = "Unguarded"
     UNBOUND_VARIABLE = "UnboundVariable"
+    DUPLICATE_BINDER = "DuplicateBinder"
 
 
 @dataclass(frozen=True, slots=True)
 class WellFormednessViolation:
-    """One broken rule; ``location`` is the intern id of the offending node."""
+    """One broken rule; ``location`` is the offending node's position in
+    :func:`subterms`, the number that state names print."""
 
     rule: WellFormednessRule
     location: int
@@ -666,17 +668,16 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
       ``t`` must cross at least one message exchange (``mu t . t`` and
       ``mu t . mu u . t`` are rejected);
     * ``UnboundVariable`` — every variable occurrence is inside a binder for
-      it.  An unused binder is accepted.
+      it.  An unused binder is accepted;
+    * ``DuplicateBinder`` — no two distinct ``mu`` nodes bind one variable
+      (the parser refuses such text, so only hand-built protocols break it).
     """
-    found: list[WellFormednessViolation] = []
-    reported: set[tuple[WellFormednessRule, int, str]] = set()
+    found: dict[tuple[WellFormednessRule, int, str], None] = {}
     visited: set[tuple[int, frozenset[str]]] = set()
+    binders: dict[str, int] = {}
 
     def report(rule: WellFormednessRule, node: GlobalType, message: str) -> None:
-        key = (rule, node.intern_id, message)
-        if key not in reported:
-            reported.add(key)
-            found.append(WellFormednessViolation(rule, node.intern_id, message))
+        found.setdefault((rule, node.intern_id, message))
 
     # Pending work, last first: a node to visit under a scope of bound
     # names, or the check of one branch of a choice, made after the
@@ -713,6 +714,12 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
                 stack.append((b.continuation, scope))
                 stack.append((node, b, pairs))
         elif isinstance(node, Rec):
+            if binders.setdefault(node.var, node.intern_id) != node.intern_id:
+                report(
+                    WellFormednessRule.DUPLICATE_BINDER,
+                    node,
+                    f"recursion variable {node.var!r} has more than one binder",
+                )
             spine: GlobalType = node.body
             while isinstance(spine, Rec):
                 spine = spine.body
@@ -732,7 +739,12 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
                     f"recursion variable {node.var!r} is not bound here",
                 )
 
-    return WellFormednessReport(tuple(found))
+    if not found:
+        return WellFormednessReport(())
+    position = {n.intern_id: i for i, n in enumerate(_walk(g).nodes)}
+    return WellFormednessReport(
+        tuple(WellFormednessViolation(r, position[n], m) for r, n, m in found)
+    )
 
 
 # --------------------------------------------------------------------------- #

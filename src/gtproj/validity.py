@@ -14,9 +14,9 @@ machine built by subset construction satisfies two conditions:
   senders, taking the second receive must not leave the first sender's
   message available: otherwise both messages can be in flight at once and
   the role may consume them in an order the protocol cannot explain.
-  Availability is computed by :func:`available_messages`, a syntactic
-  analysis of which sends can "bubble up" to the front of a subterm while a
-  set of roles stands still.
+  Availability is computed by :func:`available_messages`, a walk of the
+  protocol's automaton for the sends that can "bubble up" to the front of a
+  subterm while a set of roles stands still.
 
 Both checks are sound and complete, so a violation always yields a real
 counterexample trace, verified against the machine semantics before it is
@@ -61,11 +61,8 @@ from .projection import (
     build_projections,
 )
 from .syntax import (
-    Choice,
     GlobalType,
-    Rec,
     Role,
-    Var,
     pretty_inline,
     validate_well_formedness,
     WellFormednessReport,
@@ -118,13 +115,10 @@ class IllFormedProtocolError(ValueError):
 @dataclass(frozen=True, slots=True)
 class AvailableMessageQuery:
     """Ask which sends can reach the front of ``subterm``'s execution while
-    the ``blocked`` roles perform nothing.  ``unfolded`` lists recursion
-    variables already unfolded (used by the walk itself; queries normally
-    leave it empty)."""
+    the ``blocked`` roles perform nothing."""
 
     subterm: GlobalType
     blocked: frozenset[Role]
-    unfolded: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -138,94 +132,70 @@ class AvailableMessageResult:
 
 
 class _AvailableWalks:
-    """The available-message tables of one protocol's subterms.
+    """The available-message tables of one protocol's automaton.
 
-    The table of a walk from ``node`` with ``blocked`` roles and
-    ``unfolded`` variables depends on nothing else, so one memo serves
-    every query on the protocol.  Walks use an explicit stack, so a deep
-    protocol reaches no recursion limit.  States and binders are read off
-    the protocol's automaton or a view of it.
+    A walk is a state bit, the blocked roles as a mask over the automaton's
+    ``roles`` and the unfolded binders as a mask over state bits.  Its
+    table maps the number of each label whose send is available to the
+    positions in ``edges`` of that send's witness, and depends on nothing
+    else, so one memo serves every query on the protocol.  Walks follow the
+    numbered edges with an explicit stack, so a deep protocol reaches no
+    recursion limit.
     """
 
-    __slots__ = ("universe", "bind", "memo")
+    __slots__ = ("automaton", "ends", "channel", "memo")
 
-    def __init__(self, a: SyncAutomaton | LocalNfa) -> None:
-        self.universe = a.bit
-        self.bind = a.binder
-        self.memo: dict[tuple, dict[AsyncEvent, tuple[Edge, ...]]] = {}
+    def __init__(self, a: SyncAutomaton) -> None:
+        self.automaton = a
+        number = {r.name: i for i, r in enumerate(a.roles)}
+        ends = [(number[l.sender.name], number[l.receiver.name]) for l in a.labels]
+        # per label: the masks of its sender and receiver, its channel's number
+        self.ends = [(1 << s, 1 << r) for s, r in ends]
+        self.channel = [s * len(number) + r for s, r in ends]
+        self.memo: dict[tuple[int, int, int], dict[int, tuple[int, ...]]] = {}
 
-    def _parts(
-        self, node: GlobalType, blocked: frozenset[Role], unfolded: frozenset[str]
-    ) -> tuple[tuple[GlobalType, frozenset[Role], frozenset[str]], ...]:
-        """The walks whose tables make up ``node``'s table, in order."""
-        if isinstance(node, Rec):
-            return ((node.body, blocked, unfolded | {node.var}),)
-        if isinstance(node, Var):
-            if node.var in unfolded:
-                return ()
-            return ((self.bind[node.var].body, blocked, unfolded | {node.var}),)
-        if isinstance(node, Choice):
-            if node.sender not in blocked:
-                return tuple((b.continuation, blocked, unfolded) for b in node.branches)
-            return tuple(
-                (b.continuation, blocked | {b.receiver}, unfolded) for b in node.branches
-            )
-        return ()
-
-    def _combine(
-        self,
-        node: GlobalType,
-        blocked: frozenset[Role],
-        inners: list[dict[AsyncEvent, tuple[Edge, ...]]],
-    ) -> dict[AsyncEvent, tuple[Edge, ...]]:
-        """``node``'s table from the tables of its :meth:`_parts`."""
-        if isinstance(node, Rec):
-            step: Edge = (node, None, node.body)
-            return {ev: (step,) + sfx for ev, sfx in inners[0].items()}
-        if isinstance(node, Var):
-            if not inners:
-                return {}
-            binder = self.bind[node.var]
-            hops: tuple[Edge, ...] = ((node, None, binder), (binder, None, binder.body))
-            return {ev: hops + sfx for ev, sfx in inners[0].items()}
-        table: dict[AsyncEvent, tuple[Edge, ...]] = {}
-        if isinstance(node, Choice):
-            free = node.sender not in blocked
-            for b, inner in zip(node.branches, inners):
-                step = (node, SyncEvent(node.sender, b.receiver, b.message), b.continuation)
-                for ev, sfx in inner.items():
-                    if free and ev.active == node.sender and ev.peer == b.receiver:
-                        # The branch exchange itself is the first message
-                        # on this channel; later sends on it are hidden.
-                        continue
-                    table.setdefault(ev, (step,) + sfx)
-                if free:
-                    table.setdefault(send(node.sender, b.receiver, b.message), (step,))
-        return table
-
-    def table(
-        self, node: GlobalType, blocked: frozenset[Role], unfolded: frozenset[str]
-    ) -> dict[AsyncEvent, tuple[Edge, ...]]:
-        """Each send available from ``node``, with its witness suffix."""
-        memo = self.memo
-        # A frame is a walk and, once its parts are pushed, those parts.
-        # Along any chain of parts the walks differ (the tree only descends,
-        # and going back up through a variable grows ``unfolded``), so a
-        # walk never waits on itself.
-        stack: list[tuple] = [(node, blocked, unfolded, None)]
+    def table(self, bit: int, blocked: int) -> dict[int, tuple[int, ...]]:
+        """Each send available from state ``bit``, by label number, with the
+        positions of its witness edges."""
+        edges, variables = self.automaton.edges, self.automaton.variables
+        ends, channel, memo = self.ends, self.channel, self.memo
+        # A frame is a walk and, once its steps are pushed, those steps:
+        # per edge followed, (position, inner walk, hidden channel, own
+        # label).  A cycle passes a variable's edge to its binder, followed
+        # only while that binder is not unfolded and then unfolding it, so
+        # along any chain of steps the walks differ and none waits on itself.
+        stack: list[tuple] = [((bit, blocked, 0), None)]
         while stack:
-            frame_node, frame_blocked, frame_unfolded, parts = stack.pop()
-            key = (frame_node.intern_id, frame_blocked, frame_unfolded)
-            if key in memo:
+            walk, steps = stack.pop()
+            if walk in memo:
                 continue
-            if parts is None:
-                parts = self._parts(frame_node, frame_blocked, frame_unfolded)
-                stack.append((frame_node, frame_blocked, frame_unfolded, parts))
-                stack.extend((*part, None) for part in reversed(parts))
+            if steps is None:
+                i, walk_blocked, unfolded = walk
+                steps = []
+                for j in _span(edges, i):
+                    _, k, tgt = edges[j]
+                    if k is None:
+                        if not variables >> i & 1:  # a binder: into its body
+                            steps.append((j, (tgt, walk_blocked, unfolded | 1 << i), -1, None))
+                        elif not unfolded >> tgt & 1:  # a variable: to its binder
+                            steps.append((j, (tgt, walk_blocked, unfolded), -1, None))
+                    else:
+                        sender, receiver = ends[k]
+                        if walk_blocked & sender:  # its receiver waits too
+                            steps.append((j, (tgt, walk_blocked | receiver, unfolded), -1, None))
+                        else:  # its send hides later sends on its channel
+                            steps.append((j, (tgt, walk_blocked, unfolded), channel[k], k))
+                stack.append((walk, steps))
+                stack.extend((step[1], None) for step in reversed(steps))
                 continue
-            inners = [memo[(n.intern_id, b, u)] for n, b, u in parts]
-            memo[key] = self._combine(frame_node, frame_blocked, inners)
-        return memo[(node.intern_id, blocked, unfolded)]
+            table = memo[walk] = {}
+            for j, inner, hidden, own in steps:
+                for k, witness in memo[inner].items():
+                    if channel[k] != hidden:
+                        table.setdefault(k, (j,) + witness)
+                if own is not None:
+                    table.setdefault(own, (j,))
+        return memo[(bit, blocked, 0)]
 
 
 def available_messages(
@@ -240,18 +210,27 @@ def available_messages(
     subterm, can reach that exchange without any blocked role taking a step
     first — choices by a blocked sender freeze their receivers too (they
     would wait forever), and an earlier exchange on the same channel hides
-    later sends on it.  Each recursion variable is unfolded at most once per
-    path, which suffices because availability is not increased by a second
-    pass through a loop.
+    later sends on it.  Each binder is unfolded at most once per path (a
+    variable's edge back to its binder is followed only while that binder
+    is not unfolded), which suffices because availability is not increased
+    by a second pass through a loop.  The walk follows the automaton's
+    edges, so a choice's branches come by (receiver, message) names.
 
-    ``_walks``, when given, must be built from ``g_root``'s automaton or
-    view; callers that ask many queries on one protocol share its memo.
+    ``_walks``, when given, must be built from ``g_root``'s automaton;
+    callers that ask many queries on one protocol share its memo.
     """
     walks = _walks if _walks is not None else _AvailableWalks(build_gaut(g_root))
-    if q.subterm not in walks.universe:
+    a = walks.automaton
+    i = a.bit.get(q.subterm)
+    if i is None:
         raise InternalError("queried subterm does not occur in the protocol")
-    table = walks.table(q.subterm, q.blocked, q.unfolded)
-    return AvailableMessageResult(frozenset(table), dict(table))
+    blocked = sum(1 << n for n, r in enumerate(a.roles) if r in q.blocked)
+    labels, step = a.labels, a.transitions.__getitem__
+    witness = {
+        send(labels[k].sender, labels[k].receiver, labels[k].message): tuple(map(step, w))
+        for k, w in walks.table(i, blocked).items()
+    }
+    return AvailableMessageResult(frozenset(witness), witness)
 
 
 # --------------------------------------------------------------------------- #
@@ -378,15 +357,17 @@ def _receive_violations(
     ]
     peers = [e.peer.name for e in events]
     blocked = frozenset((role,))
-    walks = _AvailableWalks(nfa)
+    walks: Optional[_AvailableWalks] = None  # made at the first query
     results: dict[int, AvailableMessageResult] = {}  # per node asked
 
     def first_available(x: AsyncEvent, destinations: int) -> Optional[int]:
         """The lowest destination at which ``x`` is available, asking each
         node once, in ascending order, up to the first hit."""
+        nonlocal walks
         for i in _select(range(len(nodes)), destinations):
             result = results.get(i)
             if result is None:
+                walks = walks or _AvailableWalks(nfa.automaton)
                 result = results[i] = available_messages(
                     g, AvailableMessageQuery(nodes[i], blocked), _walks=walks
                 )
@@ -427,8 +408,8 @@ def check_receive_validity(
 
     Only pairs of receives from *different* senders are constrained: same-
     sender alternatives arrive on one FIFO channel and cannot race.  The
-    destinations of a receive are its target state's members; ``nfa``
-    gives the available-message walks the protocol's states and binders.
+    destinations of a receive are its target state's members, and
+    :func:`available_messages` walks ``nfa``'s automaton from each of them.
     """
     return next(_receive_violations(m, nfa, g), None)
 

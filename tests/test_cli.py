@@ -231,10 +231,11 @@ def test_a_receive_validity_rejection_walks_the_protocol_once(walks):
 
 def test_available_messages_with_shared_walks_walks_nothing(walks):
     g = load("g_r")
-    shared = _AvailableWalks(build_gaut(g))
+    a = build_gaut(g)
+    shared = _AvailableWalks(a)
     walks.update({"index": 0, "well-formedness": 0})
     blocked = frozenset((Role("q"),))
-    for node in shared.universe:
+    for node in a.states:
         available_messages(g, AvailableMessageQuery(node, blocked), _walks=shared)
     assert walks == {"index": 0, "well-formedness": 0}
 

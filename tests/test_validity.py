@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gtproj import (
     AvailableMessageQuery,
     AvailableMessageResult,
+    Branch,
     Choice,
     Csm,
     Direction,
@@ -33,6 +34,7 @@ from gtproj import (
     check_receive_validity,
     check_send_validity,
     erase_label,
+    exchange,
     format_trace,
     intersection_witness,
     parse_global_type,
@@ -237,8 +239,9 @@ def _reference_available_messages(g_root, q):
                 hops = ((node, None, binder), (binder, None, binder.body))
                 table = {ev: hops + sfx for ev, sfx in inner.items()}
         elif isinstance(node, Choice):
+            branches = sorted(node.branches, key=lambda b: (b.receiver.name, b.message.label))
             if node.sender not in blocked:
-                for b in node.branches:
+                for b in branches:
                     step = (node, SyncEvent(node.sender, b.receiver, b.message), b.continuation)
                     inner = walk(b.continuation, blocked, unfolded)
                     for ev, sfx in inner.items():
@@ -247,7 +250,7 @@ def _reference_available_messages(g_root, q):
                         table.setdefault(ev, (step,) + sfx)
                     table.setdefault(send(node.sender, b.receiver, b.message), (step,))
             else:
-                for b in node.branches:
+                for b in branches:
                     step = (node, SyncEvent(node.sender, b.receiver, b.message), b.continuation)
                     inner = walk(b.continuation, blocked | {b.receiver}, unfolded)
                     for ev, sfx in inner.items():
@@ -255,7 +258,7 @@ def _reference_available_messages(g_root, q):
         memo[key] = table
         return table
 
-    table = walk(q.subterm, q.blocked, q.unfolded)
+    table = walk(q.subterm, q.blocked, frozenset())
     return AvailableMessageResult(frozenset(table), dict(table))
 
 
@@ -274,6 +277,32 @@ def test_iterative_walk_matches_the_recursive_one():
                     assert got.events == expected.events, name
                     # same witnesses, inserted in the same order
                     assert list(got.witness.items()) == list(expected.witness.items()), name
+
+
+def test_a_path_reenters_an_inner_binder_after_unfolding_an_outer_variable():
+    # the shape of draw 275 of random_global_type(Random(7), max_size=25)
+    g = parse_global_type(
+        "s->r:b . mu t1 . mu t2 . + { r->q:e . t1,"
+        " r->p:c . + { s->r:e . 0, s->q:b . t1, s->q:a . t2 }, r->s:c . 0 }"
+    )
+    mu_t1 = g.branches[0].continuation
+    mu_t2 = mu_t1.body
+    top = mu_t2.body
+    to_q, to_p, _ = top.branches
+    inner = to_p.continuation
+    t1 = inner.branches[1].continuation
+    s = Role("s")
+    # the first branch in edge order, r->p:c, reaches r->q:e through s->q:b
+    # and t1, whose binder leads into mu t2 again
+    assert ask(g, mu_t2, Q).witness[send(R, Q, Message("e"))] == (
+        (mu_t2, None, top),
+        (top, SyncEvent(R, P, Message("c")), inner),
+        (inner, SyncEvent(s, Q, Message("b")), t1),
+        (t1, None, mu_t1),
+        (mu_t1, None, mu_t2),
+        (mu_t2, None, top),
+        (top, SyncEvent(R, Q, Message("e")), to_q.continuation),
+    )
 
 
 def test_available_messages_walks_deeper_than_the_recursion_limit():
@@ -508,6 +537,19 @@ def test_ill_formed_protocol_is_rejected():
     with pytest.raises(IllFormedProtocolError) as exc:
         check_implementability(parse_global_type("mu t . t"))
     assert exc.value.report.violations
+
+
+def test_reused_binder_names_are_ill_formed():
+    # hand-built: the parser refuses distinct binders of one name
+    loop_b = Rec("t", exchange(P, Q, Message("b"), Var("t")))
+    loop_d = Rec("t", exchange(P, Q, Message("d"), Var("t")))
+    for g in (
+        Choice(P, (Branch(Q, Message("a"), loop_b), Branch(Q, Message("c"), loop_d))),
+        Rec("t", exchange(P, Q, Message("a"), loop_b)),
+    ):
+        with pytest.raises(IllFormedProtocolError) as exc:
+            check_implementability(g)
+        assert [v.rule.value for v in exc.value.report.violations] == ["DuplicateBinder"]
 
 
 def test_counterexample_for_uninformed_sender():
