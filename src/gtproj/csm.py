@@ -208,7 +208,8 @@ def csm_step(c: Csm, cfg: CsmConfiguration, e: AsyncEvent) -> CsmConfiguration:
     Raises :class:`NotEnabled` with the failure reason otherwise.
     """
     i, r = c._rank.get(_names(e), (None, None))
-    successor = None if i is None else dict(c._arcs[i][cfg.states[i]]).get(r)
+    arcs = () if i is None else c._arcs[i][cfg.states[i]]
+    successor = next((t for rank, t in arcs if rank == r), None)
     if successor is None:
         raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
     label = c._labels[i][r]

@@ -18,13 +18,17 @@ The searches run on numbers: :func:`intersection_witness` matches a trace
 against the automaton's numbered halves (:attr:`SyncAutomaton.halves`) with
 product nodes of (state bit, per-role counts).  The fidelity check rejects
 bad bounds on entry, then steps the machine system on its state and channel
-numbers; one search, keyed by interned per-role view ids, finds both the
-inconsistent traces and the deadlocks.  No machine state objects are built.
+numbers; one search, keyed by per-role views as half numbers, finds both
+the inconsistent traces and the deadlocks.  Each trace it reaches extends
+one it has already shown consistent by one event, so it keeps that trace's
+run and replays and continues it, searching the product from the start
+only when the run does not extend.  No machine state objects are built.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .automata import (
@@ -179,6 +183,85 @@ def indistinguishable_finite(
 # --------------------------------------------------------------------------- #
 
 
+_Targets = tuple[tuple[int, ...], ...]
+_ProductNode = tuple[int, tuple[int, ...]]
+
+
+def _advance(
+    targets: _Targets, counts: tuple[int, ...], split: tuple
+) -> Optional[tuple[int, ...]]:
+    """The per-role counts after an edge whose halves are ``split``, or
+    ``None`` when a half contradicts its role's view in ``targets`` (event
+    numbers).  A role's half is free once its view is used up."""
+    for i, event in split:
+        n = counts[i]
+        want = targets[i]
+        if n < len(want):
+            if want[n] != event:
+                return None
+            counts = counts[:i] + (n + 1,) + counts[i + 1 :]
+    return counts
+
+
+def _successors(
+    out: tuple, targets: _Targets, node: _ProductNode
+) -> Iterator[tuple[tuple, _ProductNode]]:
+    """The product's successor rule: from ``node``, (state bit, per-role
+    counts), every entry of ``out`` (:attr:`Halves.out`) that
+    :func:`_advance` lets through, with the node it leads to."""
+    state, counts = node
+    for entry in out[state]:
+        nxt = _advance(targets, counts, entry[2])
+        if nxt is not None:
+            yield entry, (entry[1], nxt)
+
+
+def _search(out: tuple, targets: _Targets, start: _ProductNode) -> Optional[tuple]:
+    """The ``out`` entries of a shortest product path from ``start`` to a
+    node whose counts use up every view, or ``None``."""
+    goal = tuple(map(len, targets))
+    successors = partial(_successors, out, targets)
+    return _shortest_path(start, successors, lambda node: node[1] == goal)
+
+
+def _extend(
+    out: tuple, root: _ProductNode, run: tuple, targets: _Targets
+) -> Optional[tuple]:
+    """A run consistent with ``targets``, where ``run``, a run from ``root``
+    as ``out`` entries, is consistent with ``targets`` less one event.
+
+    ``run`` is replayed under ``targets`` and, if every step still matches,
+    continued from where it ends.  Otherwise, or if nothing continues it,
+    the search starts again from ``root``, so ``None`` still means that no
+    run is consistent with ``targets``."""
+    state, counts = root
+    for entry in run:
+        counts = _advance(targets, counts, entry[2])
+        if counts is None:
+            break
+        state = entry[1]
+    else:
+        tail = _search(out, targets, (state, counts))
+        if tail is not None:
+            return run + tail
+    return _search(out, targets, root)
+
+
+def _consistent_run(a: SyncAutomaton, w: Iterable[AsyncEvent]) -> Optional[tuple]:
+    """The :attr:`Halves.out` entries of a shortest run of ``a`` consistent
+    with trace ``w``, or ``None``."""
+    halves = a.halves
+    roles = halves.roles
+    views: list[list[int]] = [[] for _ in roles]
+    for e in w:
+        i = roles.get(e.active.name)
+        if i is None or e.peer.name not in roles:
+            return None
+        views[i].append(halves.number(e))
+    root = (a.bit[a.initial], (0,) * len(roles))
+    return _search(halves.out, tuple(map(tuple, views)), root)
+
+
 def intersection_witness(
     g: GlobalType, w: Iterable[AsyncEvent], *, automaton: Optional[SyncAutomaton] = None
 ) -> Optional[RunPrefix]:
@@ -193,36 +276,8 @@ def intersection_witness(
     matches.
     """
     a = automaton if automaton is not None else build_gaut(g)
-    halves = a.halves
-    roles = halves.roles
-    views: list[list[int]] = [[] for _ in roles]
-    for e in w:
-        i = roles.get(e.active.name)
-        if i is None or e.peer.name not in roles:
-            return None
-        views[i].append(halves.number(e))
-    targets = tuple(map(tuple, views))
-    goal = tuple(map(len, targets))
-    out = halves.out
-
-    def successors(node: tuple[int, tuple[int, ...]]) -> Iterator[tuple[Edge, tuple]]:
-        state, counts = node
-        for edge, tgt, split in out[state]:
-            nxt = counts
-            for i, event in split:
-                n = nxt[i]
-                want = targets[i]
-                if n < len(want):
-                    if want[n] != event:
-                        break
-                    nxt = nxt[:i] + (n + 1,) + nxt[i + 1 :]
-            else:
-                yield edge, (tgt, nxt)
-
-    edges = _shortest_path(
-        (a.bit[a.initial], (0,) * len(roles)), successors, lambda node: node[1] == goal
-    )
-    return None if edges is None else RunPrefix(a.initial, edges)
+    run = _consistent_run(a, w)
+    return None if run is None else RunPrefix(a.initial, tuple(entry[0] for entry in run))
 
 
 # --------------------------------------------------------------------------- #
@@ -259,7 +314,10 @@ def bounded_fidelity_check(
     3. *deadlock* — the machine system reaches no deadlock.
 
     Returns the first failure with a witness trace.  One search serves 2
-    and 3, and a deadlock is reported only when no trace fails 2.  Raises
+    and 3, and a deadlock is reported only when no trace fails 2.  For 2,
+    each trace keeps the run that showed it consistent; a one-event
+    extension replays that run and, if it still matches, searches on from
+    its end, and only otherwise searches from the initial state.  Raises
     ``ValueError`` for a ``channel_bound`` below 1 or a negative ``depth``.
     """
     _check_bounds(channel_bound, depth)
@@ -297,17 +355,22 @@ def bounded_fidelity_check(
 
     # Obligations 2 and 3 in one search: machine traces, deduplicated by
     # per-role views (consistency only depends on those), are consistent
-    # with some protocol run, and none ends in a deadlock.  A view is an id:
-    # ``views`` interns each one-event extension of a view.  Views determine
-    # the configuration, so deadlocks come in ``explore``'s order.
+    # with some protocol run, and none ends in a deadlock.  Views determine
+    # the configuration, so deadlocks come in ``explore``'s order.  A trace
+    # carries its views as event numbers per automaton role (``targets``,
+    # which are also its key: an event that no run has ends the search) and
+    # a run consistent with them, which each one-event extension replays and
+    # continues (``_extend``).
     checked = 0
     deadlock = None
-    views: dict[tuple[int, int], int] = {}
-    empty_key = (0,) * len(c.roles)
-    seen_views = {empty_key}
-    frontier = deque(((init.states, init.channels, (), empty_key),))
+    place = [halves.roles.get(r.name) for r in c.roles]
+    number = [halves.number(e) for e in c.events]
+    root = (start, (0,) * len(halves.roles))
+    empty = ((),) * len(halves.roles)
+    seen_views = {empty}
+    frontier = deque(((init.states, init.channels, (), empty, ()),))
     while frontier:
-        states, channels, trace, key = frontier.popleft()
+        states, channels, trace, targets, run = frontier.popleft()
         stuck, cut = True, len(trace) >= depth
         for i, successor, label in _enabled(c, states, channels):
             stuck = False
@@ -315,17 +378,22 @@ def bounded_fidelity_check(
                 break
             if label.send and len(channels[label.slot]) >= channel_bound:
                 continue
-            view = views.setdefault((key[i], label.event), len(views) + 1)
-            nxt_key = key[:i] + (view,) + key[i + 1 :]
-            if nxt_key in seen_views:
-                continue
-            seen_views.add(nxt_key)
+            j, event = place[i], number[label.event]
             nxt_trace = trace + (c.events[label.event],)
+            if j is None or event < 0:  # no run has this event
+                return FidelityReport(
+                    False, "intersection", nxt_trace, replayed, checked + 1
+                )
+            nxt_targets = targets[:j] + (targets[j] + (event,),) + targets[j + 1 :]
+            if nxt_targets in seen_views:
+                continue
+            seen_views.add(nxt_targets)
             checked += 1
-            if intersection_witness(g, nxt_trace, automaton=a) is None:
+            nxt_run = _extend(halves.out, root, run, nxt_targets)
+            if nxt_run is None:
                 return FidelityReport(False, "intersection", nxt_trace, replayed, checked)
             nxt = _fire(states, channels, i, successor, label)
-            frontier.append((*nxt, nxt_trace, nxt_key))
+            frontier.append((*nxt, nxt_trace, nxt_targets, nxt_run))
         if stuck and deadlock is None and not _is_final(c, states, channels):
             deadlock = trace
     if deadlock is not None:

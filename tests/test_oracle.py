@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from gtproj import oracle
 from gtproj import (
     BudgetExhausted,
     Csm,
@@ -607,6 +608,82 @@ def test_fidelity_matches_the_object_based_reference():
         assert report == _reference_fidelity(g, c, depth, 3), name
         outcomes.add(report.obligation)
     assert outcomes == {None, "intersection", "deadlock"}
+
+
+def test_fidelity_refutes_events_that_no_run_has():
+    g = parse_global_type("p->q:m . 0")
+    Z = Role("z")
+    z_machine = machines_for(parse_global_type("z->w:n . 0"))[Z]
+    systems = {
+        "role z is not in the protocol": Csm({**machines_for(g), Z: z_machine}),
+        "p sends to a role not in the protocol": system_for(
+            parse_global_type("p->q:m . p->z:n . 0")
+        ),
+        "no exchange of the protocol carries x": system_for(
+            parse_global_type("+ { p->q:m . 0, p->q:x . 0 }")
+        ),
+    }
+    for why, c in systems.items():
+        report = bounded_fidelity_check(g, c, 10, channel_bound=3)
+        assert report.obligation == "intersection", why
+        assert report == _reference_fidelity(g, c, 10, 3), why
+
+
+def test_fidelity_searches_again_when_the_parents_run_does_not_extend():
+    # draw 115 of Random(11) with at most 8 exchanges
+    g = parse_global_type("mu t1 . + { s->q:b . p->q:b . t1, s->q:e . t1, s->q:a . t1 }")
+    a = build_gaut(g)
+    S, A, B = Role("s"), Message("a"), Message("b")
+    parent = intersection_witness(g, parse_trace("p>q!b"), automaton=a)
+    assert parent.trace() == (SyncEvent(S, Q, B), SyncEvent(P, Q, B))
+    # every run that extends the parent's has s send b first, so the child
+    # is consistent only through s->q:a, back round the loop, and then b
+    child = intersection_witness(g, parse_trace("p>q!b.s>q!a"), automaton=a)
+    assert child.trace() == (SyncEvent(S, Q, A), SyncEvent(S, Q, B), SyncEvent(P, Q, B))
+    c = system_for(g)
+    assert bounded_fidelity_check(g, c, 8, channel_bound=4) == _reference_fidelity(g, c, 8, 4)
+    # the reference's report at depth 14, which takes it about 17 s
+    assert bounded_fidelity_check(g, c, 14, channel_bound=4) == FidelityReport(
+        True, None, None, 9, 56595
+    )
+
+
+def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
+    """Every trace the fidelity search checks is consistent exactly when
+    :func:`intersection_witness` finds a run, and every run it carries
+    chains from the initial state and extends every role's view."""
+    checked = []
+    extend = oracle._extend
+
+    def recording(out, root, run, targets):
+        found = extend(out, root, run, targets)
+        checked.append((targets, found))
+        return found
+
+    monkeypatch.setattr(oracle, "_extend", recording)
+    refuted = 0
+    for name, g in _differential_inputs():
+        a = build_gaut(g)
+        checked.clear()
+        report = bounded_fidelity_check(g, system_for(g), 10, channel_bound=3)
+        assert len(checked) == report.csm_traces_checked, name
+        for targets, run in checked:
+            # a trace with these per-role views (event numbers of halves)
+            views = [
+                tuple(split_event(a.labels[n // 2])[n % 2] for n in view) for view in targets
+            ]
+            trace = tuple(e for view in views for e in view)
+            consistent = intersection_witness(g, trace, automaton=a) is not None
+            assert (run is not None) == consistent, (name, trace)
+            if run is None:
+                refuted += 1
+                continue
+            # RunPrefix raises unless the edges chain from the initial state
+            prefix = RunPrefix(a.initial, tuple(edge for edge, _, _ in run))
+            split = split_word(prefix.trace())
+            for role, view in zip(a.roles, views):
+                assert project_word(split, role)[: len(view)] == view, (name, trace)
+    assert refuted
 
 
 def test_exploration_matches_the_object_based_reference():
