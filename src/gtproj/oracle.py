@@ -247,21 +247,6 @@ def _extend(
     return _search(out, targets, root)
 
 
-def _consistent_run(a: SyncAutomaton, w: Iterable[AsyncEvent]) -> Optional[tuple]:
-    """The :attr:`Halves.out` entries of a shortest run of ``a`` consistent
-    with trace ``w``, or ``None``."""
-    halves = a.halves
-    roles = halves.roles
-    views: list[list[int]] = [[] for _ in roles]
-    for e in w:
-        i = roles.get(e.active.name)
-        if i is None or e.peer.name not in roles:
-            return None
-        views[i].append(halves.number(e))
-    root = (a.bit[a.initial], (0,) * len(roles))
-    return _search(halves.out, tuple(map(tuple, views)), root)
-
-
 def intersection_witness(
     g: GlobalType, w: Iterable[AsyncEvent], *, automaton: Optional[SyncAutomaton] = None
 ) -> Optional[RunPrefix]:
@@ -276,7 +261,16 @@ def intersection_witness(
     matches.
     """
     a = automaton if automaton is not None else build_gaut(g)
-    run = _consistent_run(a, w)
+    halves = a.halves
+    roles = halves.roles
+    views: list[list[int]] = [[] for _ in roles]
+    for e in w:
+        i = roles.get(e.active.name)
+        if i is None or e.peer.name not in roles:
+            return None
+        views[i].append(halves.number(e))
+    root = (a.bit[a.initial], (0,) * len(roles))
+    run = _search(halves.out, tuple(map(tuple, views)), root)
     return None if run is None else RunPrefix(a.initial, tuple(entry[0] for entry in run))
 
 

@@ -54,7 +54,7 @@ from .automata import (
     split_word,
 )
 from .csm import Csm, NotEnabled, replay_trace
-from .oracle import _consistent_run
+from .oracle import intersection_witness
 from .projection import (
     SubsetMachine,
     SubsetState,
@@ -656,6 +656,6 @@ def build_counterexample(
         replay_trace(system, trace)
     except NotEnabled as exc:
         raise InternalError(f"counterexample does not execute: {exc}") from exc
-    if _consistent_run(a, trace) is not None:
+    if intersection_witness(g, trace, automaton=a) is not None:
         raise InternalError("counterexample is consistent with a protocol run")
     return trace
