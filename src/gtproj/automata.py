@@ -3,11 +3,12 @@
 :func:`build_gaut` turns a protocol into a finite automaton whose states are
 the protocol's interned subterms: each choice steps to a branch continuation
 under the exchange label ``p->q:m``, and ``mu``/variable nodes contribute
-silent (epsilon) bookkeeping steps.  :func:`erase` relabels that automaton
-for one role: an exchange the role sends becomes a send event ``p>q!m``, an
-exchange it receives becomes a receive event ``p<q?m``, and everything else
-becomes silent.  Splitting a synchronous word into its asynchronous send and
-receive halves lives here too (:func:`split_word`).
+silent (epsilon) bookkeeping steps.  It numbers the roles, the labels and
+their asynchronous halves once, for every layer.  :func:`erase` relabels
+that automaton for one role: an exchange the role sends becomes its send
+half ``p>q!m``, an exchange it receives becomes its receive half ``p<q?m``,
+and everything else becomes silent.  Splitting a synchronous word into its
+asynchronous send and receive halves lives here too (:func:`split_word`).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -47,7 +48,6 @@ __all__ = [
     "parse_trace",
     "Edge",
     "SyncAutomaton",
-    "Halves",
     "build_gaut",
     "LocalNfa",
     "erase",
@@ -267,18 +267,20 @@ class SyncAutomaton:
     transitions; ``label_number`` maps those names to the number.
     ``edges`` are the transitions over the positions and that numbering:
     ``(source, label number, target)``, in the same order, label number
-    ``None`` when silent.  The per-role views and ``halves`` read
-    ``edges``; ``halves`` splits the labels into numbered halves for
-    matching asynchronous traces against runs.  :func:`build_gaut` walks
-    the protocol once and sets ``roles`` (first-occurrence order; a role's
-    position is its one number) and ``variables`` (the mask of the
-    recursion-variable states, whose silent edge leads back to their
-    binder), so later layers read the tree nowhere.
+    ``None`` when silent.  ``roles`` are in first-occurrence order, and a
+    role's position there is its one number (``role_number`` maps a name
+    to it); ``variables`` masks the recursion-variable states, whose silent
+    edge leads back to their binder.  ``ends[k]`` holds the numbers of label
+    ``k``'s sender and receiver, and ``events[2 * k]`` and
+    ``events[2 * k + 1]`` are its send and receive halves, which the views,
+    available messages and trace matching share.  Later layers read the
+    tree nowhere.
     """
 
     __slots__ = (
         "states", "transitions", "initial", "finals", "bit", "labels",
-        "label_number", "edges", "roles", "variables", "_halves",
+        "label_number", "edges", "roles", "variables", "role_number", "ends",
+        "events",
     )
 
     def __init__(
@@ -287,6 +289,8 @@ class SyncAutomaton:
         transitions: Iterable[Edge],
         initial: GlobalType,
         finals: frozenset[GlobalType],
+        roles: Iterable[Role],
+        variables: int,
     ) -> None:
         self.states: tuple[GlobalType, ...] = tuple(states)
         self.transitions: tuple[Edge, ...] = tuple(transitions)
@@ -307,17 +311,24 @@ class SyncAutomaton:
             edges.append((bit[src], k, bit[tgt]))
         self.labels: tuple[SyncEvent, ...] = tuple(labels)
         self.edges = tuple(edges)
-        self.roles: tuple[Role, ...] = ()
-        self.variables = 0
-        self._halves: Optional[Halves] = None
+        self.roles: tuple[Role, ...] = tuple(roles)
+        self.variables = variables
+        self.role_number = role = {r.name: i for i, r in enumerate(self.roles)}
+        self.ends: tuple[tuple[int, int], ...] = tuple(
+            (role[l.sender.name], role[l.receiver.name]) for l in labels
+        )
+        self.events: tuple[AsyncEvent, ...] = tuple(
+            chain.from_iterable(map(split_event, labels))
+        )
 
-    @property
-    def halves(self) -> "Halves":
-        """The labels split into numbered halves, made on first use (trace
-        matching reads them: the oracles and the counterexample check)."""
-        if self._halves is None:
-            self._halves = Halves(self)
-        return self._halves
+    def event_number(self, e: AsyncEvent) -> int:
+        """The position of half ``e`` in ``events``, or -1 when no label
+        has it.  Names key the lookup, so it hashes strings only."""
+        if e.is_send:
+            k = self.label_number.get((e.active.name, e.peer.name, e.message.label))
+            return -1 if k is None else 2 * k
+        k = self.label_number.get((e.peer.name, e.active.name, e.message.label))
+        return -1 if k is None else 2 * k + 1
 
     @property
     def size(self) -> int:
@@ -336,43 +347,6 @@ class SyncAutomaton:
 
     def __contains__(self, state: GlobalType) -> bool:
         return state in self.bit
-
-
-class Halves:
-    """A synchronous automaton's labels split into numbered asynchronous
-    halves.
-
-    ``roles`` maps a role's name to its position in the automaton's
-    ``roles``; ``labels`` is the automaton's ``label_number``.  The send
-    half of label ``k`` is event ``2 * k`` and its receive half event
-    ``2 * k + 1``.  ``out[i]`` lists the transitions leaving state ``i``, in
-    :meth:`SyncAutomaton.out` order, as ``(edge, target bit, halves)``:
-    ``halves`` holds ``(role number, event number)`` for the send and then
-    the receive, and is empty for a silent edge.  Names rather than objects
-    key the tables, so numbering an event hashes strings only.
-    """
-
-    __slots__ = ("roles", "labels", "out")
-
-    def __init__(self, a: SyncAutomaton) -> None:
-        self.roles = roles = {r.name: i for i, r in enumerate(a.roles)}
-        self.labels = a.label_number
-        split = [
-            ((roles[label.sender.name], 2 * k), (roles[label.receiver.name], 2 * k + 1))
-            for k, label in enumerate(a.labels)
-        ]
-        out: list[list] = [[] for _ in a.states]
-        for edge, (src, k, tgt) in zip(a.transitions, a.edges):
-            out[src].append((edge, tgt, () if k is None else split[k]))
-        self.out = tuple(map(tuple, out))
-
-    def number(self, e: AsyncEvent) -> int:
-        """The event number of half ``e``, or -1 when no label has it."""
-        if e.is_send:
-            k = self.labels.get((e.active.name, e.peer.name, e.message.label))
-            return -1 if k is None else 2 * k
-        k = self.labels.get((e.peer.name, e.active.name, e.message.label))
-        return -1 if k is None else 2 * k + 1
 
 
 def build_gaut(g: GlobalType) -> SyncAutomaton:
@@ -413,9 +387,9 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
                 raise ValueError(f"unbound recursion variable {node.var!r}")
             transitions.append((node, None, binder))
             variables |= 1 << i
-    a = SyncAutomaton(states, transitions, g, frozenset((END,)))
-    a.roles, a.variables = index.roles, variables
-    return a
+    return SyncAutomaton(
+        states, transitions, g, frozenset((END,)), index.roles, variables
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -534,22 +508,25 @@ def erase(a: SyncAutomaton, p: Role) -> LocalNfa:
     """Relabel ``a`` with role ``p``'s view of each transition.
 
     Exchanges not involving ``p`` become silent; states, initial state, and
-    final states are unchanged.  Each distinct label is erased once, and
-    the edges take their ranks from that: distinct labels have distinct
+    final states are unchanged.  A label's view is its half in ``a.events``
+    that ``p`` performs, found by ``p``'s number in ``a.ends``, and the
+    edges take their ranks from those halves: distinct labels have distinct
     views, so no two labels share a rank.
     """
-    views = [erase_label(label, p) for label in a.labels]
-    order = sorted(
-        (k for k, view in enumerate(views) if view is not None),
-        key=lambda k: _label_key(views[k]),
-    )
-    rank: list[Optional[int]] = [None] * len(views)
-    for r, k in enumerate(order):
+    i = a.role_number.get(p.name)
+    own = [
+        (k, 2 * k if sender == i else 2 * k + 1)
+        for k, (sender, receiver) in enumerate(a.ends)
+        if i == sender or i == receiver
+    ]
+    own.sort(key=lambda kn: _label_key(a.events[kn[1]]))
+    rank: list[Optional[int]] = [None] * len(a.ends)
+    for r, (k, _) in enumerate(own):
         rank[k] = r
     edges = tuple(
         (src, None if k is None else rank[k], tgt) for src, k, tgt in a.edges
     )
-    return LocalNfa(p, a, tuple(views[k] for k in order), edges)
+    return LocalNfa(p, a, tuple(a.events[n] for _, n in own), edges)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ suite can compare the fast checks against ground truth:
   needs exponentially many states, for stress-testing the construction.
 
 The searches run on numbers: :func:`intersection_witness` matches a trace
-against the automaton's numbered halves (:attr:`SyncAutomaton.halves`) with
+against the automaton's numbered halves (:attr:`SyncAutomaton.events`) with
 product nodes of (state bit, per-role counts).  The fidelity check rejects
 bad bounds on entry, then steps the machine system on its state and channel
 numbers; one search, keyed by per-role views as half numbers, finds both
@@ -38,7 +38,6 @@ from .automata import (
     _shortest_path,
     build_gaut,
     project_word,
-    split_event,
 )
 from .csm import (
     Csm,
@@ -187,6 +186,18 @@ _Targets = tuple[tuple[int, ...], ...]
 _ProductNode = tuple[int, tuple[int, ...]]
 
 
+def _out(a: SyncAutomaton) -> list[list[tuple]]:
+    """Per state bit, the edges leaving it in :meth:`SyncAutomaton.out`
+    order, as ``(position in edges, target bit, halves)``: ``halves`` holds
+    ``(role number, event number)`` for the send and then the receive, read
+    from ``a.ends``, and is empty for a silent edge."""
+    split = [((s, 2 * k), (r, 2 * k + 1)) for k, (s, r) in enumerate(a.ends)]
+    out: list[list[tuple]] = [[] for _ in a.states]
+    for j, (src, k, tgt) in enumerate(a.edges):
+        out[src].append((j, tgt, () if k is None else split[k]))
+    return out
+
+
 def _advance(
     targets: _Targets, counts: tuple[int, ...], split: tuple
 ) -> Optional[tuple[int, ...]]:
@@ -207,8 +218,8 @@ def _successors(
     out: tuple, targets: _Targets, node: _ProductNode
 ) -> Iterator[tuple[tuple, _ProductNode]]:
     """The product's successor rule: from ``node``, (state bit, per-role
-    counts), every entry of ``out`` (:attr:`Halves.out`) that
-    :func:`_advance` lets through, with the node it leads to."""
+    counts), every entry of ``out`` (:func:`_out`) that :func:`_advance`
+    lets through, with the node it leads to."""
     state, counts = node
     for entry in out[state]:
         nxt = _advance(targets, counts, entry[2])
@@ -261,17 +272,18 @@ def intersection_witness(
     matches.
     """
     a = automaton if automaton is not None else build_gaut(g)
-    halves = a.halves
-    roles = halves.roles
+    roles = a.role_number
     views: list[list[int]] = [[] for _ in roles]
     for e in w:
         i = roles.get(e.active.name)
         if i is None or e.peer.name not in roles:
             return None
-        views[i].append(halves.number(e))
+        views[i].append(a.event_number(e))
     root = (a.bit[a.initial], (0,) * len(roles))
-    run = _search(halves.out, tuple(map(tuple, views)), root)
-    return None if run is None else RunPrefix(a.initial, tuple(entry[0] for entry in run))
+    run = _search(_out(a), tuple(map(tuple, views)), root)
+    if run is None:
+        return None
+    return RunPrefix(a.initial, tuple(a.transitions[entry[0]] for entry in run))
 
 
 # --------------------------------------------------------------------------- #
@@ -316,7 +328,7 @@ def bounded_fidelity_check(
     """
     _check_bounds(channel_bound, depth)
     a = build_gaut(g)
-    halves = a.halves
+    out = _out(a)
 
     # Obligation 1: protocol runs replay in the machine system.
     replayed = 0
@@ -327,12 +339,13 @@ def bounded_fidelity_check(
     while queue:
         state, cfg, trace = queue.popleft()
         replayed += 1
-        for (_, label, _), tgt, _ in halves.out[state]:
-            if label is None:
+        for _, tgt, split in out[state]:
+            if not split:
                 nxt_cfg, nxt_trace = cfg, trace
             elif len(trace) + 2 <= depth:
                 nxt_cfg, nxt_trace = cfg, trace
-                for event in split_event(label):
+                for _, n in split:
+                    event = a.events[n]
                     try:
                         nxt_cfg = csm_step(c, nxt_cfg, event)
                     except NotEnabled:
@@ -357,10 +370,10 @@ def bounded_fidelity_check(
     # continues (``_extend``).
     checked = 0
     deadlock = None
-    place = [halves.roles.get(r.name) for r in c.roles]
-    number = [halves.number(e) for e in c.events]
-    root = (start, (0,) * len(halves.roles))
-    empty = ((),) * len(halves.roles)
+    place = [a.role_number.get(r.name) for r in c.roles]
+    number = [a.event_number(e) for e in c.events]
+    root = (start, (0,) * len(a.roles))
+    empty = ((),) * len(a.roles)
     seen_views = {empty}
     frontier = deque(((init.states, init.channels, (), empty, ()),))
     while frontier:
@@ -383,7 +396,7 @@ def bounded_fidelity_check(
                 continue
             seen_views.add(nxt_targets)
             checked += 1
-            nxt_run = _extend(halves.out, root, run, nxt_targets)
+            nxt_run = _extend(out, root, run, nxt_targets)
             if nxt_run is None:
                 return FidelityReport(False, "intersection", nxt_trace, replayed, checked)
             nxt = _fire(states, channels, i, successor, label)

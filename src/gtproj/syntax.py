@@ -140,6 +140,12 @@ class GlobalType:
     def __str__(self) -> str:
         return pretty_inline(self)
 
+    def __repr__(self) -> str:
+        """The call that parses this protocol back, e.g.
+        ``parse_global_type('p->q:m . 0')``; rendered without recursion,
+        so a deep protocol prints too."""
+        return f"parse_global_type({pretty_inline(self)!r})"
+
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class End(GlobalType):
@@ -147,9 +153,6 @@ class End(GlobalType):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intern_id", _intern(("end",)))
-
-    def __repr__(self) -> str:
-        return "End()"
 
 
 #: The canonical terminated protocol.  All ``End()`` instances are equal.
@@ -167,9 +170,6 @@ class Var(GlobalType):
             raise ValueError("recursion variable must be non-empty")
         object.__setattr__(self, "intern_id", _intern(("var", self.var)))
 
-    def __repr__(self) -> str:
-        return f"Var({self.var!r})"
-
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Rec(GlobalType):
@@ -184,9 +184,6 @@ class Rec(GlobalType):
         object.__setattr__(
             self, "intern_id", _intern(("rec", self.var, self.body.intern_id))
         )
-
-    def __repr__(self) -> str:
-        return f"Rec({self.var!r}, {self.body!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,9 +221,6 @@ class Choice(GlobalType):
             ),
         )
         object.__setattr__(self, "intern_id", _intern(key))
-
-    def __repr__(self) -> str:
-        return f"Choice({self.sender!r}, {self.branches!r})"
 
 
 def exchange(

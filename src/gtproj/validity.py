@@ -135,7 +135,8 @@ class _AvailableWalks:
     """The available-message tables of one protocol's automaton.
 
     A walk is a state bit, the blocked roles as a mask over the automaton's
-    ``roles`` and the unfolded binders as a mask over state bits.  Its
+    role numbers and the unfolded binders as a mask over state bits.  Each
+    label's sender and receiver come from the automaton's ``ends``.  Its
     table maps the number of each label whose send is available to the
     positions in ``edges`` of that send's witness, and depends on nothing
     else, so one memo serves every query on the protocol.  Walks follow the
@@ -147,11 +148,9 @@ class _AvailableWalks:
 
     def __init__(self, a: SyncAutomaton) -> None:
         self.automaton = a
-        number = {r.name: i for i, r in enumerate(a.roles)}
-        ends = [(number[l.sender.name], number[l.receiver.name]) for l in a.labels]
         # per label: the masks of its sender and receiver, its channel's number
-        self.ends = [(1 << s, 1 << r) for s, r in ends]
-        self.channel = [s * len(number) + r for s, r in ends]
+        self.ends = [(1 << s, 1 << r) for s, r in a.ends]
+        self.channel = [s * len(a.roles) + r for s, r in a.ends]
         self.memo: dict[tuple[int, int, int], dict[int, tuple[int, ...]]] = {}
 
     def table(self, bit: int, blocked: int) -> dict[int, tuple[int, ...]]:
@@ -225,10 +224,9 @@ def available_messages(
     if i is None:
         raise InternalError("queried subterm does not occur in the protocol")
     blocked = sum(1 << n for n, r in enumerate(a.roles) if r in q.blocked)
-    labels, step = a.labels, a.transitions.__getitem__
+    step = a.transitions.__getitem__
     witness = {
-        send(labels[k].sender, labels[k].receiver, labels[k].message): tuple(map(step, w))
-        for k, w in walks.table(i, blocked).items()
+        a.events[2 * k]: tuple(map(step, w)) for k, w in walks.table(i, blocked).items()
     }
     return AvailableMessageResult(frozenset(witness), witness)
 

@@ -21,6 +21,7 @@ from gtproj import (
     erase_label,
     exchange,
     format_trace,
+    generate_gk,
     measure_size,
     nfa_to_dot,
     parse_global_type,
@@ -33,7 +34,9 @@ from gtproj import (
     sync_to_dot,
 )
 from gtproj.automata import _closures, _select
-from gtproj.corpus import load
+from gtproj.corpus import load, names
+
+from .strategies import random_global_type
 
 P, Q, R = Role("p"), Role("q"), Role("r")
 O, M = Message("o"), Message("m")
@@ -219,7 +222,12 @@ def test_gaut_edges_number_the_distinct_labels():
         (e.sender.name, e.receiver.name, e.message.label): k
         for k, e in enumerate(a.labels)
     }
-    assert a.halves.labels is a.label_number
+    # the halves are numbered by label: send 2k, receive 2k + 1, between
+    # the roles that ``ends`` numbers
+    assert a.events == split_word(a.labels)
+    assert [(a.roles[s], a.roles[r]) for s, r in a.ends] == [
+        (e.sender, e.receiver) for e in a.labels
+    ]
 
 
 def test_erase_relabels_one_to_one():
@@ -244,6 +252,45 @@ def test_erase_relabels_one_to_one():
         (top_o, None, END),
         (top_m, None, END),
     }
+
+
+def test_event_number_finds_each_half_and_nothing_else():
+    unknown = Message("unknown")
+    for g in [load(name) for name in names()] + [generate_gk(3)]:
+        a = build_gaut(g)
+        for label in a.labels:
+            for e in split_event(label):
+                assert a.events[a.event_number(e)] == e
+            assert a.event_number(send(label.sender, label.receiver, unknown)) == -1
+            assert a.event_number(receive(Role("nobody"), label.sender, label.message)) == -1
+            # read the wrong way round, a half is the other direction's label
+            reverse = a.label_number.get(
+                (label.receiver.name, label.sender.name, label.message.label)
+            )
+            wrong = send(label.receiver, label.sender, label.message)
+            assert a.event_number(wrong) == (-1 if reverse is None else 2 * reverse)
+    a = build_gaut(parse_global_type("p->q:m . 0"))
+    assert a.event_number(send(Q, P, M)) == -1
+    assert a.event_number(receive(P, Q, M)) == -1
+
+
+def test_views_share_the_automatons_halves():
+    rng = Random(7)
+    protocols = [load(name) for name in names()] + [generate_gk(3)]
+    protocols += [random_global_type(rng, max_size=25) for _ in range(200)]
+    for g in protocols:
+        a = build_gaut(g)
+        for p in a.roles:
+            view = erase(a, p)
+            for (_, k, _), (_, r, _) in zip(a.edges, view.edges):
+                if r is None:
+                    assert k is None or erase_label(a.labels[k], p) is None
+                    continue
+                assert any(view.events[r] is e for e in a.events)
+                assert view.events[r] == erase_label(a.labels[k], p)
+        outsider = erase(a, Role("outsider"))
+        assert outsider.events == ()
+        assert all(r is None for _, r, _ in outsider.edges)
 
 
 def test_eps_closure_of_is_reflexive_and_transitive():

@@ -679,7 +679,7 @@ def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
                 refuted += 1
                 continue
             # RunPrefix raises unless the edges chain from the initial state
-            prefix = RunPrefix(a.initial, tuple(edge for edge, _, _ in run))
+            prefix = RunPrefix(a.initial, tuple(a.transitions[j] for j, _, _ in run))
             split = split_word(prefix.trace())
             for role, view in zip(a.roles, views):
                 assert project_word(split, role)[: len(view)] == view, (name, trace)

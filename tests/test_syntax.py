@@ -9,6 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gtproj
 from gtproj import (
     Branch,
     Choice,
@@ -149,6 +150,7 @@ def test_pretty_round_trips_corpus():
         g = load(name)
         assert parse_global_type(pretty(g)) == g
         assert parse_global_type(pretty_inline(g)) == g
+        assert eval(repr(g), vars(gtproj)) == g
 
 
 @settings(max_examples=60, deadline=None)
@@ -847,6 +849,7 @@ def test_front_end_handles_a_long_chain():
     assert roles_of(g) == (P, Q)
     assert len(messages_of(g)) == 10
     assert pretty_inline(g) == text
+    assert repr(g) == f"parse_global_type({text!r})"
     assert parse_global_type(pretty(g)) == g
 
 
@@ -859,4 +862,5 @@ def test_front_end_handles_deep_nesting():
     assert validate_well_formedness(g).ok
     assert roles_of(g) == (P, Q)
     assert pretty_inline(g) == text
+    assert repr(g) == f"parse_global_type({text!r})"
     assert parse_global_type(pretty(g)) == g
