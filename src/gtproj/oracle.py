@@ -21,8 +21,10 @@ bad bounds on entry, then steps the machine system on its state and channel
 numbers; one search, keyed by per-role views as half numbers, finds both
 the inconsistent traces and the deadlocks.  Each trace it reaches extends
 one it has already shown consistent by one event, so it keeps that trace's
-run and replays and continues it, searching the product from the start
-only when the run does not extend.  No machine state objects are built.
+run with each role's halves along it.  One look at the extending role's
+next half in the run keeps the run, searches on from its end when the run
+has no such half, or else searches the product from the start.  No machine
+state objects are built.
 """
 from __future__ import annotations
 
@@ -235,27 +237,46 @@ def _search(out: tuple, targets: _Targets, start: _ProductNode) -> Optional[tupl
     return _shortest_path(start, successors, lambda node: node[1] == goal)
 
 
-def _extend(
-    out: tuple, root: _ProductNode, run: tuple, targets: _Targets
-) -> Optional[tuple]:
-    """A run consistent with ``targets``, where ``run``, a run from ``root``
-    as ``out`` entries, is consistent with ``targets`` less one event.
+def _grow(run: tuple, tail: tuple) -> tuple:
+    """``run`` (see :func:`_extend`) continued by the ``out`` entries of
+    ``tail``."""
+    entries, end, halves = run
+    halves = list(halves)
+    for entry in tail:
+        for i, event in entry[2]:
+            halves[i] += (event,)
+    return entries + tail, tail[-1][1] if tail else end, tuple(halves)
 
-    ``run`` is replayed under ``targets`` and, if every step still matches,
-    continued from where it ends.  Otherwise, or if nothing continues it,
-    the search starts again from ``root``, so ``None`` still means that no
-    run is consistent with ``targets``."""
-    state, counts = root
-    for entry in run:
-        counts = _advance(targets, counts, entry[2])
-        if counts is None:
-            break
-        state = entry[1]
+
+def _extend(
+    out: tuple, root: _ProductNode, run: tuple, targets: _Targets, j: int
+) -> Optional[tuple]:
+    """A run consistent with ``targets``, where ``run`` is consistent with
+    ``targets`` less the last event of role ``j``'s view.
+
+    A run is ``(entries, end, halves)``: the ``out`` entries of a path from
+    ``root``, the state bit it ends at, and per role the event numbers of
+    that role's halves along it.  Being consistent, its halves start with
+    every view, so only role ``j``'s next half can stop it from matching:
+    if that half is the new event, ``run`` still matches; if it is another
+    event, the search starts again from ``root``; if the run has no such
+    half, it is searched on from its end, and from ``root`` only when
+    nothing continues it.  ``None`` means that no run is consistent with
+    ``targets``."""
+    _, end, halves = run
+    n = len(targets[j]) - 1
+    if n < len(halves[j]):
+        if halves[j][n] == targets[j][n]:
+            return run
     else:
-        tail = _search(out, targets, (state, counts))
+        counts = tuple(map(len, targets))
+        tail = _search(out, targets, (end, counts[:j] + (n,) + counts[j + 1 :]))
         if tail is not None:
-            return run + tail
-    return _search(out, targets, root)
+            return _grow(run, tail)
+    tail = _search(out, targets, root)
+    if tail is None:
+        return None
+    return _grow(((), root[0], ((),) * len(targets)), tail)
 
 
 def intersection_witness(
@@ -321,9 +342,11 @@ def bounded_fidelity_check(
 
     Returns the first failure with a witness trace.  One search serves 2
     and 3, and a deadlock is reported only when no trace fails 2.  For 2,
-    each trace keeps the run that showed it consistent; a one-event
-    extension replays that run and, if it still matches, searches on from
-    its end, and only otherwise searches from the initial state.  Raises
+    each trace keeps the run that showed it consistent, with each role's
+    halves along it.  A one-event extension looks up the extending role's
+    next half in that run: the run is kept when that half is the new event,
+    searched on from its end when there is no such half, and otherwise, or
+    when nothing continues it, the search starts from the initial state.  Raises
     ``ValueError`` for a ``channel_bound`` below 1 or a negative ``depth``.
     """
     _check_bounds(channel_bound, depth)
@@ -366,8 +389,9 @@ def bounded_fidelity_check(
     # the configuration, so deadlocks come in ``explore``'s order.  A trace
     # carries its views as event numbers per automaton role (``targets``,
     # which are also its key: an event that no run has ends the search) and
-    # a run consistent with them, which each one-event extension replays and
-    # continues (``_extend``).
+    # a run consistent with them (``_extend``), which a one-event extension
+    # keeps, continues or replaces after one look at the extended role's
+    # halves in it.
     checked = 0
     deadlock = None
     place = [a.role_number.get(r.name) for r in c.roles]
@@ -375,7 +399,7 @@ def bounded_fidelity_check(
     root = (start, (0,) * len(a.roles))
     empty = ((),) * len(a.roles)
     seen_views = {empty}
-    frontier = deque(((init.states, init.channels, (), empty, ()),))
+    frontier = deque(((init.states, init.channels, (), empty, ((), start, empty)),))
     while frontier:
         states, channels, trace, targets, run = frontier.popleft()
         stuck, cut = True, len(trace) >= depth
@@ -396,7 +420,7 @@ def bounded_fidelity_check(
                 continue
             seen_views.add(nxt_targets)
             checked += 1
-            nxt_run = _extend(out, root, run, nxt_targets)
+            nxt_run = _extend(out, root, run, nxt_targets, j)
             if nxt_run is None:
                 return FidelityReport(False, "intersection", nxt_trace, replayed, checked)
             nxt = _fire(states, channels, i, successor, label)

@@ -43,15 +43,11 @@ from .automata import (
     Edge,
     LocalNfa,
     SyncAutomaton,
-    SyncEvent,
     _closures,
     _select,
     _shortest_path,
     _span,
     build_gaut,
-    receive,
-    send,
-    split_word,
 )
 from .csm import Csm, NotEnabled, replay_trace
 from .oracle import intersection_witness
@@ -347,10 +343,11 @@ def _receive_violations(
     m: SubsetMachine, nfa: LocalNfa, g: GlobalType
 ) -> Iterator[ValidityViolation]:
     role, events, nodes, masks = m.role, m.events, m.nodes, m.masks
+    a = nfa.automaton
     # per rank of a receive: the send that must not stay available after
-    # a receive from another sender
+    # a receive from another sender, the half just before it in ``a.events``
     offending = [
-        None if e.direction is Direction.SEND else send(e.peer, role, e.message)
+        None if e.direction is Direction.SEND else a.events[a.event_number(e) - 1]
         for e in events
     ]
     peers = [e.peer.name for e in events]
@@ -576,6 +573,17 @@ def _member_steps(nfa: LocalNfa, mask: int, r: int) -> Iterator[tuple[int, int, 
                 yield member, node, tgt
 
 
+def _halves(a: SyncAutomaton, path: tuple[Edge, ...]) -> list[AsyncEvent]:
+    """The halves of the exchanges along ``path``, send then receive, as
+    ``a.events`` holds them."""
+    halves: list[AsyncEvent] = []
+    for _, label, _ in path:
+        if label is not None:
+            k = a.label_number[(label.sender.name, label.receiver.name, label.message.label)]
+            halves += a.events[2 * k : 2 * k + 2]
+    return halves
+
+
 def build_counterexample(
     g: GlobalType,
     v: ValidityViolation,
@@ -610,12 +618,11 @@ def build_counterexample(
         _, event, _ = details.transition
         missing = sum(1 << nfa.bit[node] for node in details.missing)
         alpha = _product_search(a, nfa, machine, missing, number)
-        trace = split_word(e[1] for e in alpha if e[1] is not None) + (event,)
+        trace = (*_halves(a, alpha), event)
     else:
         d: ReceiveViolationDetails = v.details  # type: ignore[assignment]
         _, first, _ = d.transition_one
         _, second, _ = d.transition_two
-        wanted = SyncEvent(second.peer, v.role, second.message)
         witness = nfa.bit[d.witness_subterm]
         mask = machine.masks[number]
         for _, origin, landing in _member_steps(nfa, mask, nfa.events.index(second)):
@@ -624,28 +631,29 @@ def build_counterexample(
         else:
             raise InternalError("second receive has no matching protocol exchange")
         alpha = _product_search(a, nfa, machine, 1 << origin, number)
-        events: list[AsyncEvent] = list(split_word(e[1] for e in alpha if e[1] is not None))
-        events.append(send(wanted.sender, wanted.receiver, wanted.message))
-        silent = _silent_path(a, nfa, landing, witness)
-        events.extend(split_word(e[1] for e in silent if e[1] is not None))
+        events = _halves(a, alpha)
+        # the send of the second receive's message, which precedes its half
+        events.append(a.events[a.event_number(second) - 1])
+        events += _halves(a, _silent_path(a, nfa, landing, witness))
         # Replay the witness suffix, dropping steps of roles frozen behind
         # the role under test: a frozen sender's exchange freezes its
         # receiver too; a frozen receiver still lets the send go out.
         frozen = {v.role}
-        for _, label, _ in d.witness_suffix[:-1]:
+        for step in d.witness_suffix[:-1]:
+            label = step[1]
             if label is None:
                 continue
             if label.sender in frozen:
                 frozen.add(label.receiver)
                 continue
-            events.append(send(label.sender, label.receiver, label.message))
+            send_half, receive_half = _halves(a, (step,))
+            events.append(send_half)
             if label.receiver not in frozen:
-                events.append(receive(label.receiver, label.sender, label.message))
-        final = d.witness_suffix[-1][1]
-        if final != SyncEvent(first.peer, v.role, first.message):
+                events.append(receive_half)
+        n = a.event_number(first)
+        if d.witness_suffix[-1][1] != a.labels[n // 2]:
             raise InternalError("witness suffix does not end at the available send")
-        events.append(send(first.peer, v.role, first.message))
-        events.append(receive(v.role, first.peer, first.message))
+        events += a.events[n - 1 : n + 1]
         trace = tuple(events)
 
     # Verify both halves of the claim against the semantics.

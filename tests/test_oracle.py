@@ -651,12 +651,13 @@ def test_fidelity_searches_again_when_the_parents_run_does_not_extend():
 def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
     """Every trace the fidelity search checks is consistent exactly when
     :func:`intersection_witness` finds a run, and every run it carries
-    chains from the initial state and extends every role's view."""
+    chains from the initial state, extends every role's view, ends at the
+    state it names and holds each role's halves along it."""
     checked = []
     extend = oracle._extend
 
-    def recording(out, root, run, targets):
-        found = extend(out, root, run, targets)
+    def recording(out, root, run, targets, j):
+        found = extend(out, root, run, targets, j)
         checked.append((targets, found))
         return found
 
@@ -678,12 +679,35 @@ def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
             if run is None:
                 refuted += 1
                 continue
+            entries, end, halves = run
             # RunPrefix raises unless the edges chain from the initial state
-            prefix = RunPrefix(a.initial, tuple(a.transitions[j] for j, _, _ in run))
+            prefix = RunPrefix(a.initial, tuple(a.transitions[j] for j, _, _ in entries))
             split = split_word(prefix.trace())
-            for role, view in zip(a.roles, views):
-                assert project_word(split, role)[: len(view)] == view, (name, trace)
+            for role, view, mine in zip(a.roles, views, halves):
+                projected = project_word(split, role)
+                assert projected[: len(view)] == view, (name, trace)
+                assert mine == tuple(map(a.event_number, projected)), (name, trace)
+            assert end == (entries[-1][1] if entries else a.bit[a.initial]), (name, trace)
     assert refuted
+
+
+def test_a_run_that_still_matches_is_kept_without_a_search(monkeypatch):
+    # draw 115 of Random(11), as in the test above that searches again
+    g = parse_global_type("mu t1 . + { s->q:b . p->q:b . t1, s->q:e . t1, s->q:a . t1 }")
+    c = system_for(g)
+    searches = 0
+    search = oracle._search
+
+    def counting(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_search", counting)
+    report = bounded_fidelity_check(g, c, 8, channel_bound=4)
+    monkeypatch.undo()
+    assert searches < report.csm_traces_checked
+    assert report == _reference_fidelity(g, c, 8, 4)
 
 
 def test_exploration_matches_the_object_based_reference():
