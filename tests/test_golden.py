@@ -5,8 +5,9 @@ the pre-order of the protocol's walk, so the output does not depend on what
 the process parsed before; ``test_output_ignores_what_was_parsed_before``
 holds that.  ``check --format json`` output drops ``timings``, the only part
 that varies between runs.  Besides the CLI, the gate covers the DOT renders
-of each protocol's synchronous automaton and per-role views, and the
-verdicts on the first 1000 seeded random draws.
+of each protocol's synchronous automaton and per-role views, the
+verdicts on the first 1000 seeded random draws, and the bounded fidelity
+reports on the corpus, gk(1..3) and seeded random draws.
 
 Regenerate the goldens (only for a deliberate output change, and say so in
 CHANGES.md) from the repository root with::
@@ -76,6 +77,33 @@ for draw in range(%d):
               format_trace(v.counterexample))
 """
 
+#: One line per ``bounded_fidelity_check`` of a protocol against its own
+#: machines at channel bound 3: the input's name, ``ok``, the obligation,
+#: the witness (``-`` for none) and the two counts.  Depth 10 for the
+#: corpus, gk(1..3) and the first 150 draws of
+#: ``random_global_type(Random(11), max_size=8)``; depth 8 for the first
+#: 1000 draws of ``random_global_type(Random(7), max_size=25)``.
+FIDELITY = "fidelity.txt"
+FIDELITY_SCRIPT = """
+def report(name, g, depth):
+    c = Csm({role: m for role, (_, m) in build_projections(g)[1].items()})
+    f = bounded_fidelity_check(g, c, depth, channel_bound=3)
+    witness = "-" if f.witness is None else format_trace(f.witness)
+    print(name, f.ok, f.obligation, witness, f.run_prefixes_checked,
+          f.csm_traces_checked)
+
+for entry in entries():
+    report(entry.name, entry.load(), 10)
+for k in range(1, 4):
+    report(f"gk{k}", generate_gk(k), 10)
+rng = Random(11)
+for draw in range(150):
+    report(f"random11/{draw}", random_global_type(rng, max_size=8), 10)
+rng = Random(7)
+for draw in range(1000):
+    report(f"random7/{draw}", random_global_type(rng, max_size=25), 8)
+"""
+
 
 def protocols() -> dict[str, str]:
     """Name -> source text of every protocol the gate covers."""
@@ -115,6 +143,15 @@ def render_script(path: Path, script: str) -> str:
 def render_draws(count: int) -> str:
     return run_script(
         DRAWS_SCRIPT % count, Random=Random, random_global_type=random_global_type
+    )
+
+
+def render_fidelity() -> str:
+    return run_script(
+        FIDELITY_SCRIPT,
+        Random=Random,
+        entries=entries,
+        random_global_type=random_global_type,
     )
 
 
@@ -160,6 +197,10 @@ def test_random_draws_match_golden():
     assert render_draws(count) == (GOLDEN / suffix).read_text()
 
 
+def test_fidelity_reports_match_golden():
+    assert render_fidelity() == (GOLDEN / FIDELITY).read_text()
+
+
 def test_output_ignores_what_was_parsed_before(tmp_path, monkeypatch):
     # A new intern table, as in a process that parsed other protocols first:
     # gk(5), 200 draws and the corpus take the low ids.  Only the terminated
@@ -192,6 +233,7 @@ def regenerate(workdir: Path) -> None:
             (GOLDEN / f"{name}.{suffix}").write_text(render_script(path, script))
     suffix, count = DRAWS
     (GOLDEN / suffix).write_text(render_draws(count))
+    (GOLDEN / FIDELITY).write_text(render_fidelity())
 
 
 if __name__ == "__main__":
