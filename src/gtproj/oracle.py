@@ -23,7 +23,9 @@ the inconsistent traces and the deadlocks.  Each trace it reaches extends
 one it has already shown consistent by one event, so it keeps that trace's
 run with each role's halves along it.  One look at the extending role's
 next half in the run keeps the run, searches on from its end when the run
-has no such half, or else searches the product from the start.  No machine
+has no such half, or else searches the product from the start.  A search
+on from a run's end depends only on (end state, role, new event), so each
+check finds each such tail once and keeps it in a table.  No machine
 state objects are built.
 """
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .automata import (
@@ -237,19 +240,25 @@ def _search(out: tuple, targets: _Targets, start: _ProductNode) -> Optional[tupl
     return _shortest_path(start, successors, lambda node: node[1] == goal)
 
 
-def _grow(run: tuple, tail: tuple) -> tuple:
-    """``run`` (see :func:`_extend`) continued by the ``out`` entries of
-    ``tail``."""
-    entries, end, halves = run
-    halves = list(halves)
-    for entry in tail:
+def _run(path: tuple, start: int, roles: int) -> tuple:
+    """The run (see :func:`_extend`) of the ``out`` entries ``path`` from
+    state bit ``start``, among ``roles`` roles."""
+    halves = [()] * roles
+    for entry in path:
         for i, event in entry[2]:
             halves[i] += (event,)
-    return entries + tail, tail[-1][1] if tail else end, tuple(halves)
+    return path, path[-1][1] if path else start, tuple(halves)
+
+
+def _grow(run: tuple, tail: tuple) -> tuple:
+    """``run`` continued by ``tail``, a run from ``run``'s end."""
+    entries, _, halves = run
+    more, end, extra = tail
+    return entries + more, end, tuple(map(add, halves, extra))
 
 
 def _extend(
-    out: tuple, root: _ProductNode, run: tuple, targets: _Targets, j: int
+    out: tuple, root: _ProductNode, run: tuple, targets: _Targets, j: int, tails: dict
 ) -> Optional[tuple]:
     """A run consistent with ``targets``, where ``run`` is consistent with
     ``targets`` less the last event of role ``j``'s view.
@@ -262,21 +271,33 @@ def _extend(
     event, the search starts again from ``root``; if the run has no such
     half, it is searched on from its end, and from ``root`` only when
     nothing continues it.  ``None`` means that no run is consistent with
-    ``targets``."""
+    ``targets``.
+
+    From a run's end every role but ``j`` has used up its view and is free,
+    so the tail found there depends only on (end bit, ``j``, new event).
+    ``tails`` holds each such tail as a run from that end, or ``None`` when
+    there is none, and is filled by the first search with its key; it
+    serves one ``out`` only."""
     _, end, halves = run
     n = len(targets[j]) - 1
+    event = targets[j][n]
     if n < len(halves[j]):
-        if halves[j][n] == targets[j][n]:
+        if halves[j][n] == event:
             return run
     else:
-        counts = tuple(map(len, targets))
-        tail = _search(out, targets, (end, counts[:j] + (n,) + counts[j + 1 :]))
+        key = (end, j, event)
+        if key in tails:
+            tail = tails[key]
+        else:
+            counts = tuple(map(len, targets))
+            path = _search(out, targets, (end, counts[:j] + (n,) + counts[j + 1 :]))
+            tail = tails[key] = None if path is None else _run(path, end, len(targets))
         if tail is not None:
             return _grow(run, tail)
-    tail = _search(out, targets, root)
-    if tail is None:
+    path = _search(out, targets, root)
+    if path is None:
         return None
-    return _grow(((), root[0], ((),) * len(targets)), tail)
+    return _run(path, root[0], len(targets))
 
 
 def intersection_witness(
@@ -346,7 +367,10 @@ def bounded_fidelity_check(
     halves along it.  A one-event extension looks up the extending role's
     next half in that run: the run is kept when that half is the new event,
     searched on from its end when there is no such half, and otherwise, or
-    when nothing continues it, the search starts from the initial state.  Raises
+    when nothing continues it, the search starts from the initial state.
+    Every other role has used up its view at a run's end, so the tail found
+    there depends only on (end state, role, new event): one table of tails
+    by that key, kept for this call, searches each key once.  Raises
     ``ValueError`` for a ``channel_bound`` below 1 or a negative ``depth``.
     """
     _check_bounds(channel_bound, depth)
@@ -390,8 +414,8 @@ def bounded_fidelity_check(
     # carries its views as event numbers per automaton role (``targets``,
     # which are also its key: an event that no run has ends the search) and
     # a run consistent with them (``_extend``), which a one-event extension
-    # keeps, continues or replaces after one look at the extended role's
-    # halves in it.
+    # keeps, continues with a tail from ``tails`` or replaces after one look
+    # at the extended role's halves in it.
     checked = 0
     deadlock = None
     place = [a.role_number.get(r.name) for r in c.roles]
@@ -399,6 +423,7 @@ def bounded_fidelity_check(
     root = (start, (0,) * len(a.roles))
     empty = ((),) * len(a.roles)
     seen_views = {empty}
+    tails: dict = {}
     frontier = deque(((init.states, init.channels, (), empty, ((), start, empty)),))
     while frontier:
         states, channels, trace, targets, run = frontier.popleft()
@@ -410,17 +435,16 @@ def bounded_fidelity_check(
             if label.send and len(channels[label.slot]) >= channel_bound:
                 continue
             j, event = place[i], number[label.event]
-            nxt_trace = trace + (c.events[label.event],)
             if j is None or event < 0:  # no run has this event
-                return FidelityReport(
-                    False, "intersection", nxt_trace, replayed, checked + 1
-                )
+                witness = trace + (c.events[label.event],)
+                return FidelityReport(False, "intersection", witness, replayed, checked + 1)
             nxt_targets = targets[:j] + (targets[j] + (event,),) + targets[j + 1 :]
             if nxt_targets in seen_views:
                 continue
             seen_views.add(nxt_targets)
             checked += 1
-            nxt_run = _extend(out, root, run, nxt_targets, j)
+            nxt_trace = trace + (c.events[label.event],)
+            nxt_run = _extend(out, root, run, nxt_targets, j, tails)
             if nxt_run is None:
                 return FidelityReport(False, "intersection", nxt_trace, replayed, checked)
             nxt = _fire(states, channels, i, successor, label)

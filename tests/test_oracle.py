@@ -656,8 +656,8 @@ def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
     checked = []
     extend = oracle._extend
 
-    def recording(out, root, run, targets, j):
-        found = extend(out, root, run, targets, j)
+    def recording(out, root, run, targets, j, *rest):
+        found = extend(out, root, run, targets, j, *rest)
         checked.append((targets, found))
         return found
 
@@ -708,6 +708,44 @@ def test_a_run_that_still_matches_is_kept_without_a_search(monkeypatch):
     monkeypatch.undo()
     assert searches < report.csm_traces_checked
     assert report == _reference_fidelity(g, c, 8, 4)
+
+
+def test_each_tail_from_a_runs_end_is_searched_once_per_check(monkeypatch):
+    # draw 115 of Random(11), as in the tests above
+    g = parse_global_type("mu t1 . + { s->q:b . p->q:b . t1, s->q:e . t1, s->q:a . t1 }")
+    c = system_for(g)
+    keys = []
+    search = oracle._search
+
+    def recording(out, targets, start):
+        state, counts = start
+        # a search from a run's end has every view but the extended one's
+        # used up, and that one short by its new event
+        short = [i for i, view in enumerate(targets) if counts[i] < len(view)]
+        if len(short) == 1 and counts[short[0]] == len(targets[short[0]]) - 1:
+            j = short[0]
+            keys.append((state, j, targets[j][-1]))
+        return search(out, targets, start)
+
+    monkeypatch.setattr(oracle, "_search", recording)
+    # the table lasts one check, so the second check searches again
+    for _ in range(2):
+        keys.clear()
+        report = bounded_fidelity_check(g, c, 8, channel_bound=4)
+        assert keys
+        assert len(keys) == len(set(keys))
+    monkeypatch.undo()
+    assert report == _reference_fidelity(g, c, 8, 4)
+
+
+def test_fidelity_pins_a_deep_recursive_draw():
+    # draw 342 of random_global_type(Random(7), max_size=25): 86 991
+    # traces at depth 10, nearly all of them extending a run at its end
+    g = parse_global_type(
+        "mu t1 . mu t2 . mu t3 . + { r->p:e . t1, r->s:c . t2, r->q:d . t1 }"
+    )
+    report = bounded_fidelity_check(g, system_for(g), 10, channel_bound=3)
+    assert report == FidelityReport(True, None, None, 18, 86991)
 
 
 def test_exploration_matches_the_object_based_reference():
