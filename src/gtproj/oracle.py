@@ -20,13 +20,13 @@ product nodes of (state bit, per-role counts).  The fidelity check rejects
 bad bounds on entry, then steps the machine system on its state and channel
 numbers; one search, keyed by per-role views as half numbers, finds both
 the inconsistent traces and the deadlocks.  Each trace it reaches extends
-one it has already shown consistent by one event, so it keeps that trace's
-run with each role's halves along it.  One look at the extending role's
-next half in the run keeps the run, searches on from its end when the run
-has no such half, or else searches the product from the start.  A search
-on from a run's end depends only on (end state, role, new event), so each
-check finds each such tail once and keeps it in a table.  No machine
-state objects are built.
+one it has already shown consistent by one event, so it keeps where that
+trace's run ends and each role's halves along it, not the run's edges.
+One look at the extending role's next half in the run keeps the run,
+searches on from its end when the run has no such half, or else searches
+the product from the start.  A search on from a run's end depends only on
+(end state, role, new event), so each check finds each such tail once and
+keeps it in a table.  No machine state objects are built.
 """
 from __future__ import annotations
 
@@ -247,14 +247,13 @@ def _run(path: tuple, start: int, roles: int) -> tuple:
     for entry in path:
         for i, event in entry[2]:
             halves[i] += (event,)
-    return path, path[-1][1] if path else start, tuple(halves)
+    return path[-1][1] if path else start, tuple(halves)
 
 
 def _grow(run: tuple, tail: tuple) -> tuple:
     """``run`` continued by ``tail``, a run from ``run``'s end."""
-    entries, _, halves = run
-    more, end, extra = tail
-    return entries + more, end, tuple(map(add, halves, extra))
+    end, extra = tail
+    return end, tuple(map(add, run[1], extra))
 
 
 def _extend(
@@ -263,9 +262,9 @@ def _extend(
     """A run consistent with ``targets``, where ``run`` is consistent with
     ``targets`` less the last event of role ``j``'s view.
 
-    A run is ``(entries, end, halves)``: the ``out`` entries of a path from
-    ``root``, the state bit it ends at, and per role the event numbers of
-    that role's halves along it.  Being consistent, its halves start with
+    A run stands for a path from ``root`` and is ``(end, halves)``: the
+    state bit the path ends at, and per role the event numbers of that
+    role's halves along it.  Being consistent, its halves start with
     every view, so only role ``j``'s next half can stop it from matching:
     if that half is the new event, ``run`` still matches; if it is another
     event, the search starts again from ``root``; if the run has no such
@@ -278,7 +277,7 @@ def _extend(
     ``tails`` holds each such tail as a run from that end, or ``None`` when
     there is none, and is filled by the first search with its key; it
     serves one ``out`` only."""
-    _, end, halves = run
+    end, halves = run
     n = len(targets[j]) - 1
     event = targets[j][n]
     if n < len(halves[j]):
@@ -363,15 +362,16 @@ def bounded_fidelity_check(
 
     Returns the first failure with a witness trace.  One search serves 2
     and 3, and a deadlock is reported only when no trace fails 2.  For 2,
-    each trace keeps the run that showed it consistent, with each role's
-    halves along it.  A one-event extension looks up the extending role's
-    next half in that run: the run is kept when that half is the new event,
-    searched on from its end when there is no such half, and otherwise, or
-    when nothing continues it, the search starts from the initial state.
-    Every other role has used up its view at a run's end, so the tail found
-    there depends only on (end state, role, new event): one table of tails
-    by that key, kept for this call, searches each key once.  Raises
-    ``ValueError`` for a ``channel_bound`` below 1 or a negative ``depth``.
+    each trace keeps the end state of the run that showed it consistent and
+    each role's halves along that run.  A one-event extension looks up the
+    extending role's next half in that run: the run is kept when that half
+    is the new event, searched on from its end when there is no such half,
+    and otherwise, or when nothing continues it, the search starts from the
+    initial state.  Every other role has used up its view at a run's end,
+    so the tail found there depends only on (end state, role, new event):
+    one table of tails by that key, kept for this call, searches each key
+    once.  Raises ``ValueError`` for a ``channel_bound`` below 1 or a
+    negative ``depth``.
     """
     _check_bounds(channel_bound, depth)
     a = build_gaut(g)
@@ -424,7 +424,7 @@ def bounded_fidelity_check(
     empty = ((),) * len(a.roles)
     seen_views = {empty}
     tails: dict = {}
-    frontier = deque(((init.states, init.channels, (), empty, ((), start, empty)),))
+    frontier = deque(((init.states, init.channels, (), empty, (start, empty)),))
     while frontier:
         states, channels, trace, targets, run = frontier.popleft()
         stuck, cut = True, len(trace) >= depth

@@ -14,9 +14,9 @@ machine built by subset construction satisfies two conditions:
   senders, taking the second receive must not leave the first sender's
   message available: otherwise both messages can be in flight at once and
   the role may consume them in an order the protocol cannot explain.
-  Availability is computed by :func:`available_messages`, a walk of the
-  protocol's automaton for the sends that can "bubble up" to the front of a
-  subterm while a set of roles stands still.
+  Availability is a walk of the protocol's automaton for the sends that can
+  "bubble up" to the front of a subterm while a set of roles stands still;
+  :func:`available_messages` asks it about one subterm.
 
 Both checks are sound and complete, so a violation always yields a real
 counterexample trace, verified against the machine semantics before it is
@@ -26,10 +26,12 @@ Both are tests on the machine's masks (see
 :class:`~gtproj.projection.SubsetMachine`).  A send x from a state with
 mask ``s`` is valid when ``s & ~can[x]`` is empty, where ``can[x]`` masks
 the nodes whose silent closure meets an x-labeled edge.  Receive validity
-asks :func:`available_messages` about the members of the second receive's
-target mask, lowest position (nearest the root) first, up to the first at
-which the offending send is available, and asks about each member once.
-State objects are made only for a violation that is reported.
+reads the walk tables (:class:`_AvailableWalks`) by label number: for each
+pair of receives from different senders, it looks up the first receive's
+label in the table of each member of the second receive's target mask,
+lowest position (nearest the root) first, up to the first hit.  Each
+member's walk runs once per role.  State objects, the offending send and
+its witness edges are made only for a violation that is reported.
 """
 from __future__ import annotations
 
@@ -137,7 +139,9 @@ class _AvailableWalks:
     positions in ``edges`` of that send's witness, and depends on nothing
     else, so one memo serves every query on the protocol.  Walks follow the
     numbered edges with an explicit stack, so a deep protocol reaches no
-    recursion limit.
+    recursion limit.  Receive validity makes one walks object per role, at
+    that role's first pair of receives from different senders, and
+    :func:`available_messages` one per query.
     """
 
     __slots__ = ("automaton", "ends", "channel", "memo")
@@ -193,12 +197,7 @@ class _AvailableWalks:
         return memo[(bit, blocked, 0)]
 
 
-def available_messages(
-    g_root: GlobalType,
-    q: AvailableMessageQuery,
-    *,
-    _walks: Optional[_AvailableWalks] = None,
-) -> AvailableMessageResult:
+def available_messages(g_root: GlobalType, q: AvailableMessageQuery) -> AvailableMessageResult:
     """Compute the messages available at a subterm of ``g_root``.
 
     A send ``a>b!m`` is available when the protocol, starting at the
@@ -210,11 +209,8 @@ def available_messages(
     is not unfolded), which suffices because availability is not increased
     by a second pass through a loop.  The walk follows the automaton's
     edges, so a choice's branches come by (receiver, message) names.
-
-    ``_walks``, when given, must be built from ``g_root``'s automaton;
-    callers that ask many queries on one protocol share its memo.
     """
-    walks = _walks if _walks is not None else _AvailableWalks(build_gaut(g_root))
+    walks = _AvailableWalks(build_gaut(g_root))
     a = walks.automaton
     i = a.bit.get(q.subterm)
     if i is None:
@@ -339,47 +335,31 @@ def check_send_validity(m: SubsetMachine, nfa: LocalNfa) -> Optional[ValidityVio
     return next(_send_violations(m, nfa), None)
 
 
-def _receive_violations(
-    m: SubsetMachine, nfa: LocalNfa, g: GlobalType
-) -> Iterator[ValidityViolation]:
+def _receive_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolation]:
     role, events, nodes, masks = m.role, m.events, m.nodes, m.masks
     a = nfa.automaton
-    # per rank of a receive: the send that must not stay available after
-    # a receive from another sender, the half just before it in ``a.events``
-    offending = [
-        None if e.direction is Direction.SEND else a.events[a.event_number(e) - 1]
-        for e in events
+    # per rank of a receive: its label, whose send must not stay available
+    # after a receive from another sender; ``None`` for a send
+    labels = [
+        None if e.direction is Direction.SEND else a.event_number(e) >> 1 for e in events
     ]
-    peers = [e.peer.name for e in events]
-    blocked = frozenset((role,))
-    walks: Optional[_AvailableWalks] = None  # made at the first query
-    results: dict[int, AvailableMessageResult] = {}  # per node asked
-
-    def first_available(x: AsyncEvent, destinations: int) -> Optional[int]:
-        """The lowest destination at which ``x`` is available, asking each
-        node once, in ascending order, up to the first hit."""
-        nonlocal walks
-        for i in _select(range(len(nodes)), destinations):
-            result = results.get(i)
-            if result is None:
-                walks = walks or _AvailableWalks(nfa.automaton)
-                result = results[i] = available_messages(
-                    g, AvailableMessageQuery(nodes[i], blocked), _walks=walks
-                )
-            if x in result.events:
-                return i
-        return None
-
+    blocked = 1 << a.role_number[role.name]
+    walks: Optional[_AvailableWalks] = None  # made at the first cross-sender pair
     for number, moves in enumerate(m.arcs):
-        receives = [(r, t) for r, t in moves if offending[r] is not None]
+        receives = [(r, t) for r, t in moves if labels[r] is not None]
         for r1, t1 in receives:
-            x = offending[r1]
+            k = labels[r1]
             for r2, t2 in receives:
-                if peers[r2] == peers[r1]:
+                if a.ends[labels[r2]][0] == a.ends[k][0]:
                     continue
-                # the destinations of the second receive are its target's members
-                w = first_available(x, masks[t2])
-                if w is None:
+                walks = walks or _AvailableWalks(a)
+                # the destinations of the second receive are its target's
+                # members: the first, nearest the root, at which k is available
+                for w in _select(range(len(nodes)), masks[t2]):
+                    witness = walks.table(w, blocked).get(k)
+                    if witness is not None:
+                        break
+                else:
                     continue
                 state = SubsetState(m, number)
                 yield ValidityViolation(
@@ -390,8 +370,8 @@ def _receive_violations(
                         (state, events[r1], SubsetState(m, t1)),
                         (state, events[r2], SubsetState(m, t2)),
                         nodes[w],
-                        x,
-                        results[w].witness[x],
+                        a.events[2 * k],
+                        tuple(map(a.transitions.__getitem__, witness)),
                     ),
                 )
 
@@ -403,10 +383,12 @@ def check_receive_validity(
 
     Only pairs of receives from *different* senders are constrained: same-
     sender alternatives arrive on one FIFO channel and cannot race.  The
-    destinations of a receive are its target state's members, and
-    :func:`available_messages` walks ``nfa``'s automaton from each of them.
+    destinations of a receive are its target state's members.  The check
+    reads the available-message tables of ``nfa``'s automaton by label
+    number, from each destination in ascending order up to the first at
+    which the first receive's send is available.  ``g`` is not read.
     """
-    return next(_receive_violations(m, nfa, g), None)
+    return next(_receive_violations(m, nfa), None)
 
 
 def check_no_mixed_choice(m: SubsetMachine) -> bool:
@@ -477,7 +459,7 @@ def check_implementability(
     for nfa, machine in table.values():
         if all_violations:
             found.extend(_send_violations(machine, nfa))
-            found.extend(_receive_violations(machine, nfa, g))
+            found.extend(_receive_violations(machine, nfa))
         else:
             violation = check_send_validity(machine, nfa) or check_receive_validity(
                 machine, nfa, g

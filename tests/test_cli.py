@@ -9,14 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 from gtproj import (
-    AvailableMessageQuery,
     Csm,
-    Role,
     SubsetState,
     ViolationKind,
-    available_messages,
     bounded_fidelity_check,
-    build_gaut,
     build_projections,
     check_implementability,
     cli,
@@ -27,7 +23,6 @@ from gtproj import (
 )
 from gtproj.cli import RunConfig, main, run_command
 from gtproj.corpus import entries, load, names, text
-from gtproj.validity import _AvailableWalks
 
 runner = CliRunner()
 
@@ -227,17 +222,6 @@ def test_a_receive_validity_rejection_walks_the_protocol_once(walks):
     verdict = check_implementability(load("g_r"))
     assert verdict.violation.kind is ViolationKind.RECEIVE_VALIDITY
     assert walks == {"index": 1, "well-formedness": 1}
-
-
-def test_available_messages_with_shared_walks_walks_nothing(walks):
-    g = load("g_r")
-    a = build_gaut(g)
-    shared = _AvailableWalks(a)
-    walks.update({"index": 0, "well-formedness": 0})
-    blocked = frozenset((Role("q"),))
-    for node in a.states:
-        available_messages(g, AvailableMessageQuery(node, blocked), _walks=shared)
-    assert walks == {"index": 0, "well-formedness": 0}
 
 
 def test_missing_file_exits_2(tmp_path):

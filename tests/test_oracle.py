@@ -650,9 +650,9 @@ def test_fidelity_searches_again_when_the_parents_run_does_not_extend():
 
 def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
     """Every trace the fidelity search checks is consistent exactly when
-    :func:`intersection_witness` finds a run, and every run it carries
-    chains from the initial state, extends every role's view, ends at the
-    state it names and holds each role's halves along it."""
+    :func:`intersection_witness` finds a run, and every run it carries,
+    ``(end, halves)``, extends every role's view and stands for a path from
+    the initial state to ``end`` whose halves are exactly ``halves``."""
     checked = []
     extend = oracle._extend
 
@@ -679,16 +679,38 @@ def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
             if run is None:
                 refuted += 1
                 continue
-            entries, end, halves = run
-            # RunPrefix raises unless the edges chain from the initial state
-            prefix = RunPrefix(a.initial, tuple(a.transitions[j] for j, _, _ in entries))
-            split = split_word(prefix.trace())
-            for role, view, mine in zip(a.roles, views, halves):
-                projected = project_word(split, role)
-                assert projected[: len(view)] == view, (name, trace)
-                assert mine == tuple(map(a.event_number, projected)), (name, trace)
-            assert end == (entries[-1][1] if entries else a.bit[a.initial]), (name, trace)
+            end, halves = run
+            for view, mine in zip(targets, halves):
+                assert mine[: len(view)] == view, (name, trace)
+            assert _realizes(a, end, halves), (name, trace)
     assert refuted
+
+
+def _realizes(a, end, halves):
+    """Whether a path of ``a`` from its initial state to bit ``end`` has,
+    per role, exactly the halves ``halves`` (event numbers): a product
+    search in which each half must be its role's next one in ``halves``."""
+    ends = a.ends
+
+    def successors(node):
+        state, counts = node
+        for src, k, tgt in a.edges:
+            if src != state:
+                continue
+            if k is None:
+                yield None, (tgt, counts)
+                continue
+            moved = list(counts)
+            for i, event in zip(ends[k], (2 * k, 2 * k + 1)):
+                if moved[i] >= len(halves[i]) or halves[i][moved[i]] != event:
+                    break
+                moved[i] += 1
+            else:
+                yield None, (tgt, tuple(moved))
+
+    start = (a.bit[a.initial], (0,) * len(halves))
+    goal = (end, tuple(map(len, halves)))
+    return _shortest_path(start, successors, lambda node: node == goal) is not None
 
 
 def test_a_run_that_still_matches_is_kept_without_a_search(monkeypatch):

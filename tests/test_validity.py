@@ -27,7 +27,6 @@ from gtproj import (
     ViolationKind,
     available_messages,
     build_counterexample,
-    build_gaut,
     build_projections,
     check_implementability,
     check_no_mixed_choice,
@@ -45,9 +44,10 @@ from gtproj import (
     subset_construction,
     subterms,
     validate_well_formedness,
+    validity,
 )
 from gtproj.corpus import entries, load
-from gtproj.validity import _AvailableWalks, _send_violations
+from gtproj.validity import _send_violations
 
 from .strategies import random_global_type, rename_consistently
 from .test_projection import _reference_closure, _reference_inputs, _reference_view
@@ -266,17 +266,16 @@ def test_iterative_walk_matches_the_recursive_one():
     rng = Random(3)
     for name, g in _reference_inputs(300):
         roles = roles_of(g)
-        walks = _AvailableWalks(build_gaut(g))
         for sub in subterms(g):
             blocked_sets = [frozenset((role,)) for role in roles]
             blocked_sets.append(frozenset(rng.sample(roles, rng.randint(0, len(roles)))))
             for blocked in blocked_sets:
                 q = AvailableMessageQuery(sub, blocked)
                 expected = _reference_available_messages(g, q)
-                for got in (available_messages(g, q), available_messages(g, q, _walks=walks)):
-                    assert got.events == expected.events, name
-                    # same witnesses, inserted in the same order
-                    assert list(got.witness.items()) == list(expected.witness.items()), name
+                got = available_messages(g, q)
+                assert got.events == expected.events, name
+                # same witnesses, inserted in the same order
+                assert list(got.witness.items()) == list(expected.witness.items()), name
 
 
 def test_a_path_reenters_an_inner_binder_after_unfolding_an_outer_variable():
@@ -493,6 +492,28 @@ def test_mask_validity_matches_the_object_scan():
             map(_violation_fields, expected)
         ), name
         assert verdict.implementable == (not expected), name
+
+
+def test_receive_validity_makes_no_available_message_queries(monkeypatch):
+    # the check reads the walk tables by label number, so with the public
+    # query broken it still finds every violation the reference finds
+    def broken(*args, **kwargs):
+        raise AssertionError("the check asked available_messages")
+
+    monkeypatch.setattr(validity, "available_messages", broken)
+    rejected = 0
+    for name, g in _reference_inputs(300):
+        a, table = build_projections(g)
+        expected = []
+        for nfa, m in table.values():
+            expected.extend(_reference_send_violations(m, nfa, a))
+            expected.extend(_reference_receive_violations(m, g))
+        verdict = check_implementability(g, all_violations=True)
+        assert list(map(_violation_fields, verdict.violations)) == list(
+            map(_violation_fields, expected)
+        ), name
+        rejected += any(v.kind is ViolationKind.RECEIVE_VALIDITY for v in expected)
+    assert rejected
 
 
 # --------------------------------------------------------------------------- #
