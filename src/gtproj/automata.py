@@ -420,18 +420,20 @@ def _select(seq: Sequence[_T], mask: int) -> Iterator[_T]:
     return compress(seq, _mask_bits(mask))  # no bit set, or bit 0
 
 
-def _closures(step: Sequence[int], order: Iterable[int]) -> list[int]:
+def _closures(step: Sequence[int]) -> list[int]:
     """``closures[i]``: the mask of the nodes reachable from node ``i``
     (itself included), where ``step[i]`` masks the nodes one step away.
 
-    Nodes are closed in ``order``.  A node reached that was closed before
-    adds its finished closure instead of being expanded again, so when most
-    steps lead to nodes earlier in ``order`` a closure takes a few mask
-    operations; a node without steps takes none.
+    Nodes are closed by descending number.  A node reached that was closed
+    before adds its finished closure instead of being expanded again.  A
+    silent step mostly goes from a node to a child, which the pre-order
+    numbers later, so this order mostly closes a node's successors before
+    the node, and a closure then takes a few mask operations; a node
+    without steps takes none.
     """
     closures = [0] * len(step)
     done = 0
-    for i in order:
+    for i in range(len(step) - 1, -1, -1):
         seen = 1 << i
         done |= seen
         frontier = step[i] & ~seen
@@ -489,12 +491,7 @@ class LocalNfa:
         for src, label, tgt in self.edges:
             if label is None:
                 silent[src] |= 1 << tgt
-        # a silent step mostly goes from a node to a child, which the
-        # pre-order numbers later: descending order mostly closes a node's
-        # silent successors before the node
-        self.closures: tuple[int, ...] = tuple(
-            _closures(silent, range(len(silent) - 1, -1, -1))
-        )
+        self.closures: tuple[int, ...] = tuple(_closures(silent))
 
     def members(self, mask: int) -> tuple[GlobalType, ...]:
         """The states of ``mask``, by ascending position."""

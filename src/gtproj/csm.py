@@ -172,6 +172,14 @@ def _fire(states: tuple, channels: tuple, i: int, successor: int, label: _Label)
     )
 
 
+def _successor(c: Csm, states: tuple[int, ...], i: Optional[int], r: int) -> Optional[int]:
+    """The state role ``i`` moves to from ``states[i]`` by its label rank
+    ``r``, or ``None`` when it has no such arc or ``i`` is ``None``."""
+    if i is None:
+        return None
+    return next((t for rank, t in c._arcs[i][states[i]] if rank == r), None)
+
+
 def _is_final(c: Csm, states: tuple[int, ...], channels: tuple) -> bool:
     return not any(channels) and all(m[s] & f for (m, f), s in zip(c._ends, states))
 
@@ -208,8 +216,7 @@ def csm_step(c: Csm, cfg: CsmConfiguration, e: AsyncEvent) -> CsmConfiguration:
     Raises :class:`NotEnabled` with the failure reason otherwise.
     """
     i, r = c._rank.get(_names(e), (None, None))
-    arcs = () if i is None else c._arcs[i][cfg.states[i]]
-    successor = next((t for rank, t in arcs if rank == r), None)
+    successor = _successor(c, cfg.states, i, r)
     if successor is None:
         raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
     label = c._labels[i][r]

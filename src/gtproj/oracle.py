@@ -17,9 +17,11 @@ suite can compare the fast checks against ground truth:
 The searches run on numbers: :func:`intersection_witness` matches a trace
 against the automaton's numbered halves (:attr:`SyncAutomaton.events`) with
 product nodes of (state bit, per-role counts).  The fidelity check rejects
-bad bounds on entry, then steps the machine system on its state and channel
-numbers; one search, keyed by per-role views as half numbers, finds both
-the inconsistent traces and the deadlocks.  Each trace it reaches extends
+bad bounds on entry and replays protocol runs on machine state numbers
+alone, as a split trace leaves every channel empty between exchanges.  It
+then steps the machine system on its state and channel numbers; one
+search, keyed by per-role views as half numbers, finds both the
+inconsistent traces and the deadlocks.  Each trace it reaches extends
 one it has already shown consistent by one event, so it keeps where that
 trace's run ends and each role's halves along it, not the run's edges.
 One look at the extending role's next half in the run keeps the run,
@@ -44,17 +46,7 @@ from .automata import (
     build_gaut,
     project_word,
 )
-from .csm import (
-    Csm,
-    CsmConfiguration,
-    NotEnabled,
-    _check_bounds,
-    _enabled,
-    _fire,
-    _is_final,
-    csm_step,
-    initial_configuration,
-)
+from .csm import Csm, _check_bounds, _enabled, _fire, _is_final, _names, _successor
 from .syntax import (
     END,
     Branch,
@@ -360,7 +352,10 @@ def bounded_fidelity_check(
        ``channel_bound``) is consistent with some protocol run;
     3. *deadlock* — the machine system reaches no deadlock.
 
-    Returns the first failure with a witness trace.  One search serves 2
+    Returns the first failure with a witness trace.  A split trace receives
+    each message right after its send, so its channels are empty between
+    exchanges: 1 searches (automaton state, machine state numbers), and a
+    half fires when its machine has an arc for it.  One search serves 2
     and 3, and a deadlock is reported only when no trace fails 2.  For 2,
     each trace keeps the end state of the run that showed it consistent and
     each role's halves along that run.  A one-event extension looks up the
@@ -377,35 +372,39 @@ def bounded_fidelity_check(
     a = build_gaut(g)
     out = _out(a)
 
-    # Obligation 1: protocol runs replay in the machine system.
+    place = [a.role_number.get(r.name) for r in c.roles]
+    number = [a.event_number(e) for e in c.events]
+    # per half of the automaton: the machine that has it and its rank there
+    half = [c._rank.get(_names(e), (None, None)) for e in a.events]
+
+    # Obligation 1: protocol runs replay in the machine system, on state
+    # numbers alone (channels are empty between exchanges).
     replayed = 0
-    init = initial_configuration(c)
     start = a.bit[a.initial]
-    seen_replay: set[tuple[int, CsmConfiguration]] = {(start, init)}
+    init = (0,) * len(c.roles)
+    seen_replay = {(start, init)}
     queue = deque(((start, init, ()),))
     while queue:
-        state, cfg, trace = queue.popleft()
+        state, states, trace = queue.popleft()
         replayed += 1
         for _, tgt, split in out[state]:
             if not split:
-                nxt_cfg, nxt_trace = cfg, trace
+                nxt_states, nxt_trace = states, trace
             elif len(trace) + 2 <= depth:
-                nxt_cfg, nxt_trace = cfg, trace
+                nxt_states, nxt_trace = states, trace
                 for _, n in split:
-                    event = a.events[n]
-                    try:
-                        nxt_cfg = csm_step(c, nxt_cfg, event)
-                    except NotEnabled:
-                        return FidelityReport(
-                            False, "replay", nxt_trace + (event,), replayed, 0
-                        )
-                    nxt_trace = nxt_trace + (event,)
+                    nxt_trace = nxt_trace + (a.events[n],)
+                    i, r = half[n]
+                    successor = _successor(c, nxt_states, i, r)
+                    if successor is None:
+                        return FidelityReport(False, "replay", nxt_trace, replayed, 0)
+                    nxt_states = nxt_states[:i] + (successor,) + nxt_states[i + 1 :]
             else:
                 continue
-            key = (tgt, nxt_cfg)
+            key = (tgt, nxt_states)
             if key not in seen_replay:
                 seen_replay.add(key)
-                queue.append((tgt, nxt_cfg, nxt_trace))
+                queue.append((tgt, nxt_states, nxt_trace))
 
     # Obligations 2 and 3 in one search: machine traces, deduplicated by
     # per-role views (consistency only depends on those), are consistent
@@ -418,13 +417,11 @@ def bounded_fidelity_check(
     # at the extended role's halves in it.
     checked = 0
     deadlock = None
-    place = [a.role_number.get(r.name) for r in c.roles]
-    number = [a.event_number(e) for e in c.events]
     root = (start, (0,) * len(a.roles))
     empty = ((),) * len(a.roles)
     seen_views = {empty}
     tails: dict = {}
-    frontier = deque(((init.states, init.channels, (), empty, (start, empty)),))
+    frontier = deque(((init, ((),) * len(c.slot), (), empty, (start, empty)),))
     while frontier:
         states, channels, trace, targets, run = frontier.popleft()
         stuck, cut = True, len(trace) >= depth

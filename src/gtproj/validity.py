@@ -25,11 +25,12 @@ returned.
 Both are tests on the machine's masks (see
 :class:`~gtproj.projection.SubsetMachine`).  A send x from a state with
 mask ``s`` is valid when ``s & ~can[x]`` is empty, where ``can[x]`` masks
-the nodes whose silent closure meets an x-labeled edge.  Receive validity
-reads the walk tables (:class:`_AvailableWalks`) by label number: for each
-pair of receives from different senders, it looks up the first receive's
-label in the table of each member of the second receive's target mask,
-lowest position (nearest the root) first, up to the first hit.  Each
+the nodes whose silent closure meets an x-labeled edge, found at x's first
+use by reaching back over silent steps from the sources of x.  Receive
+validity reads the walk tables (:class:`_AvailableWalks`) by label number:
+for each pair of receives from different senders, it looks up the first
+receive's label in the table of each member of the second receive's target
+mask, lowest position (nearest the root) first, up to the first hit.  Each
 member's walk runs once per role.  State objects, the offending send and
 its witness edges are made only for a violation that is reported.
 """
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Iterator, Mapping, Optional
 
 from .automata import (
@@ -45,7 +48,6 @@ from .automata import (
     Edge,
     LocalNfa,
     SyncAutomaton,
-    _closures,
     _select,
     _shortest_path,
     _span,
@@ -281,41 +283,32 @@ class ValidityViolation:
         )
 
 
-def _sendable(nfa: LocalNfa) -> list[Optional[int]]:
-    """Per rank of ``nfa.events``: for a send x, the mask of the nodes that
-    can perform x after silent steps, that is whose silent closure meets an
-    x-labeled edge's source; ``None`` for a receive.
-
-    The mask is the union of those sources' co-closures (the nodes whose
-    closure contains the source), one union per x-labeled edge.
-    """
-    can: list[Optional[int]] = [
-        0 if e.direction is Direction.SEND else None for e in nfa.events
-    ]
+def _send_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolation]:
+    # A send from a state is valid when every member can perform it: the
+    # state's mask lies inside can[r], the nodes whose silent closure meets
+    # sources[r], the nodes with a rank-r edge (the machine's label ranks are
+    # the view's).  can[r] is the reach back from sources[r] over silent
+    # steps, made at the first arc of rank r (-1 before; None for a receive).
     back = [0] * len(nfa.states)
-    sources: list[tuple[int, int]] = []
+    sources = [0] * len(nfa.events)
     for src, r, tgt in nfa.edges:
         if r is None:
             back[tgt] |= 1 << src
-        elif can[r] is not None:
-            sources.append((r, src))
-    # a silent step mostly goes from a node to a child, which the pre-order
-    # numbers later; ascending order mostly closes a node's predecessors first
-    co = _closures(back, range(len(back))) if any(back) else None
-    for r, src in sources:
-        can[r] |= co[src] if co is not None else 1 << src
-    return can
-
-
-def _send_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolation]:
-    # A send from a state is valid when every member can perform it: the
-    # state's mask lies inside the send's mask from _sendable (the machine's
-    # label ranks are the view's).
-    can = _sendable(nfa)
+        else:
+            sources[r] |= 1 << src
+    can: list[Optional[int]] = [-1 if e.is_send else None for e in nfa.events]
     for number, (mask, moves) in enumerate(zip(m.masks, m.arcs)):
         for r, target in moves:
             able = can[r]
-            if able is None or not mask & ~able:
+            if able is None:
+                continue
+            if able < 0:
+                able = frontier = sources[r]
+                while frontier:
+                    frontier = reduce(or_, _select(back, frontier)) & ~able
+                    able |= frontier
+                can[r] = able
+            if not mask & ~able:
                 continue
             state = SubsetState(m, number)
             yield ValidityViolation(
@@ -376,17 +369,16 @@ def _receive_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityVio
                 )
 
 
-def check_receive_validity(
-    m: SubsetMachine, nfa: LocalNfa, g: GlobalType
-) -> Optional[ValidityViolation]:
+def check_receive_validity(m: SubsetMachine, nfa: LocalNfa) -> Optional[ValidityViolation]:
     """First receive-validity violation in scan order, or ``None``.
 
     Only pairs of receives from *different* senders are constrained: same-
     sender alternatives arrive on one FIFO channel and cannot race.  The
     destinations of a receive are its target state's members.  The check
-    reads the available-message tables of ``nfa``'s automaton by label
-    number, from each destination in ascending order up to the first at
-    which the first receive's send is available.  ``g`` is not read.
+    reads ``m``'s states and arcs and the available-message tables of
+    ``nfa``'s automaton, by label number, from each destination in
+    ascending order up to the first at which the first receive's send is
+    available; the protocol's tree is not read.
     """
     return next(_receive_violations(m, nfa), None)
 
@@ -461,9 +453,7 @@ def check_implementability(
             found.extend(_send_violations(machine, nfa))
             found.extend(_receive_violations(machine, nfa))
         else:
-            violation = check_send_validity(machine, nfa) or check_receive_validity(
-                machine, nfa, g
-            )
+            violation = check_send_validity(machine, nfa) or check_receive_validity(machine, nfa)
             if violation is not None:
                 found.append(violation)
                 break

@@ -11,6 +11,7 @@ from gtproj import oracle
 from gtproj import (
     BudgetExhausted,
     Csm,
+    CsmConfiguration,
     END,
     ExplorationReport,
     FidelityReport,
@@ -608,6 +609,44 @@ def test_fidelity_matches_the_object_based_reference():
         assert report == _reference_fidelity(g, c, depth, 3), name
         outcomes.add(report.obligation)
     assert outcomes == {None, "intersection", "deadlock"}
+
+
+@pytest.fixture
+def configurations(monkeypatch):
+    """The configuration objects made while the test runs, counted at
+    construction."""
+    made = []
+    init = CsmConfiguration.__init__
+
+    def counted(cfg, *args, **kwargs):
+        init(cfg, *args, **kwargs)
+        made.append(cfg)
+
+    monkeypatch.setattr(CsmConfiguration, "__init__", counted)
+    return made
+
+
+def test_fidelity_makes_no_configuration_objects(configurations):
+    # the replay steps machine state numbers, since a split trace leaves
+    # every channel empty between exchanges, and the search steps raw tuples
+    cases = [(e.name, e.load(), None, 10) for e in entries()]
+    cases += [(f"gk({k})", generate_gk(k), None, 10) for k in range(1, 4)]
+    g = parse_global_type("p->q:m . 0")
+    machines = machines_for(g)
+    q_machine = machines[Q]
+    machines[Q] = SubsetMachine(
+        Q, q_machine.nodes, q_machine.masks[:1], ((),), q_machine.events, 0
+    )
+    cases.append(("p->q:m with q unable to receive", g, Csm(machines), 10))
+    cases += _deadlocking_systems()
+    outcomes = set()
+    for name, g, c, depth in cases:
+        c = c or system_for(g)
+        report = bounded_fidelity_check(g, c, depth, channel_bound=3)
+        assert configurations == [], name
+        assert report == _reference_fidelity(g, c, depth, 3), name
+        outcomes.add(report.obligation)
+    assert outcomes == {None, "intersection", "replay", "deadlock"}
 
 
 def test_fidelity_refutes_events_that_no_run_has():

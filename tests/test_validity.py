@@ -25,6 +25,7 @@ from gtproj import (
     ValidityViolation,
     Var,
     ViolationKind,
+    automata,
     available_messages,
     build_counterexample,
     build_projections,
@@ -354,7 +355,7 @@ def test_send_validity_passes_when_branches_agree():
 def test_receive_validity_violation_on_racing_senders():
     g = load("g_r")
     nfa, m = projection_of(g, R)
-    violation = check_receive_validity(m, nfa, g)
+    violation = check_receive_validity(m, nfa)
     assert violation is not None
     assert violation.kind is ViolationKind.RECEIVE_VALIDITY
     assert violation.role == R
@@ -371,14 +372,14 @@ def test_receive_validity_passes_when_the_protocol_orders_the_senders():
     g = load("g_r_prime")
     for role in roles_of(g):
         nfa, m = projection_of(g, role)
-        assert check_receive_validity(m, nfa, g) is None
+        assert check_receive_validity(m, nfa) is None
 
 
 def test_same_sender_races_are_allowed():
     # both receives come from p over one queue, so their order is fixed
     g = parse_global_type("+ { p->q:o . 0, p->q:m . 0 }")
     nfa, m = projection_of(g, Q)
-    assert check_receive_validity(m, nfa, g) is None
+    assert check_receive_validity(m, nfa) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -514,6 +515,25 @@ def test_receive_validity_makes_no_available_message_queries(monkeypatch):
         ), name
         rejected += any(v.kind is ViolationKind.RECEIVE_VALIDITY for v in expected)
     assert rejected
+
+
+def test_a_check_makes_one_closure_table_per_role(monkeypatch):
+    # each view closes its nodes once; send validity reaches back from a
+    # send's sources and makes no table of its own
+    calls = 0
+    closures = automata._closures
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return closures(*args)
+
+    monkeypatch.setattr(automata, "_closures", counting)
+    monkeypatch.setattr(validity, "_closures", counting, raising=False)
+    for name, g in _reference_inputs(300):
+        calls = 0
+        check_implementability(g, all_violations=True)
+        assert calls == len(roles_of(g)), name
 
 
 # --------------------------------------------------------------------------- #
