@@ -10,17 +10,20 @@ by an exploration bound do not count).
 
 Execution runs on numbers, not objects: a configuration is one state number
 per role (in role order) plus one channel slot per ordered pair of roles
-that the machines' events use, holding message numbers.  No machine table
-is copied: moves are read off each machine's own ``arcs``, finality off its
-``masks`` and ``final_mask``.  Neither stepping nor exploring makes a
-:class:`SubsetState`; only :meth:`CsmConfiguration.state_of` names one.
+that the machines' events use, holding message numbers.  A move is a flat
+tuple of those numbers, made from the machine's ``arcs`` when its state is
+first looked up and kept in the system's per-role move table, which every
+step, enabling test and exploration reads; finality is read off each
+machine's ``masks`` and ``final_mask``.  Neither stepping nor exploring
+makes a :class:`SubsetState`; only :meth:`CsmConfiguration.state_of` names
+one.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import AsyncEvent
 from .projection import SubsetMachine, SubsetState
@@ -42,13 +45,26 @@ __all__ = [
 ]
 
 
-class _Label(NamedTuple):
-    """What one label rank of a machine means in the system's numbers."""
+#: One move of a role's machine in the system's numbers: (role position,
+#: successor state, is a send, channel slot, message number, event number).
+_Move = tuple[int, int, bool, int, int, int]
 
-    event: int  # index in ``Csm.events``
-    slot: int  # the channel written or read
-    message: int  # index in ``Csm.messages``
-    send: bool
+
+class _Moves(dict):
+    """One role's moves by state number, a state's made at its first
+    lookup from the machine's ``arcs`` and the meaning of each label rank
+    (``labels``, the last four fields of a :data:`_Move`), in label order."""
+
+    __slots__ = ("position", "arcs", "labels")
+
+    def __init__(self, position: int, arcs: tuple, labels: tuple) -> None:
+        super().__init__()
+        self.position, self.arcs, self.labels = position, arcs, labels
+
+    def __missing__(self, state: int) -> tuple[_Move, ...]:
+        i, labels = self.position, self.labels
+        moves = self[state] = tuple([(i, t, *labels[r]) for r, t in self.arcs[state]])
+        return moves
 
 
 #: The int form of a configuration: (state numbers, channel contents).
@@ -70,14 +86,16 @@ class Csm:
     name order, with ``position`` mapping a role to its index; one channel
     ``slot`` per ordered (sender, receiver) pair that some machine's events
     use; the ``messages`` and the ``events`` of all machines, roles in name
-    order.  Per role it keeps what each label rank means in those numbers,
-    and it maps an event's names to its (role position, rank).  It copies
-    no state or move, so it costs O(events) to make.
+    order.  It maps an event's names to its (role position, event number),
+    and per role it keeps a move table (:class:`_Moves`) that makes a
+    state's moves in those numbers at the state's first lookup: stepping,
+    enabling and exploring read only those tables, and making a ``Csm``
+    costs O(events), not O(states).
     """
 
     __slots__ = (
         "machines", "roles", "position", "slot", "messages", "events",
-        "_rank", "_labels", "_arcs", "_ends",
+        "_index", "_moves", "_ends",
     )
 
     def __init__(self, machines: Mapping[Role, SubsetMachine]) -> None:
@@ -94,22 +112,22 @@ class Csm:
         slots: dict[tuple[str, str], int] = {}
         message: dict[str, int] = {}
         events: list[AsyncEvent] = []
-        self._rank: dict[tuple[str, str, str, bool], tuple[int, int]] = {}
-        self._labels: list[tuple[_Label, ...]] = []
+        self._index: dict[tuple[str, str, str, bool], tuple[int, int]] = {}
+        moves = []
         for i, m in enumerate(ordered):
             labels = []
-            for r, e in enumerate(m.events):
+            for e in m.events:
                 names = sender, receiver, label, send = _names(e)
-                self._rank[names] = (i, r)
-                labels.append(_Label(
-                    len(events),
+                self._index[names] = (i, len(events))
+                labels.append((
+                    send,
                     slots.setdefault((sender, receiver), len(slots)),
                     message.setdefault(label, len(message)),
-                    send,
+                    len(events),
                 ))
                 events.append(e)
-            self._labels.append(tuple(labels))
-        self._arcs = tuple(m.arcs for m in ordered)
+            moves.append(_Moves(i, m.arcs, tuple(labels)))
+        self._moves: tuple[_Moves, ...] = tuple(moves)
         self._ends = tuple((m.masks, m.final_mask) for m in ordered)
         self.slot: dict[tuple[Role, Role], int] = {
             (Role(sender), Role(receiver)): k for (sender, receiver), k in slots.items()
@@ -149,35 +167,34 @@ def initial_configuration(c: Csm) -> CsmConfiguration:
     return CsmConfiguration(c, (0,) * len(c.roles), ((),) * len(c.slot))
 
 
-def _enabled(
-    c: Csm, states: tuple[int, ...], channels: tuple
-) -> Iterator[tuple[int, int, _Label]]:
-    """(role position, successor, label) of every enabled move, roles in
-    name order, labels in machine order."""
-    for i, (arcs, labels) in enumerate(zip(c._arcs, c._labels)):
-        for r, successor in arcs[states[i]]:
-            label = labels[r]
-            if label.send or (queue := channels[label.slot]) and queue[0] == label.message:
-                yield i, successor, label
+def _enabled(c: Csm, states: tuple[int, ...], channels: tuple) -> Iterator[_Move]:
+    """Every enabled move, roles in name order, labels in machine order: a
+    send is always enabled, a receive when its message heads its channel."""
+    for moves, state in zip(c._moves, states):
+        for move in moves[state]:
+            if move[2] or (queue := channels[move[3]]) and queue[0] == move[4]:
+                yield move
 
 
-def _fire(states: tuple, channels: tuple, i: int, successor: int, label: _Label) -> _Raw:
-    """The configuration after role ``i`` makes an enabled move."""
-    k = label.slot
+def _fire(states: tuple, channels: tuple, move: _Move) -> _Raw:
+    """The configuration after an enabled ``move``."""
+    i, successor, send, k, message, _ = move
     content = channels[k]
-    content = content + (label.message,) if label.send else content[1:]
+    content = content + (message,) if send else content[1:]
     return (
         states[:i] + (successor,) + states[i + 1 :],
         channels[:k] + (content,) + channels[k + 1 :],
     )
 
 
-def _successor(c: Csm, states: tuple[int, ...], i: Optional[int], r: int) -> Optional[int]:
-    """The state role ``i`` moves to from ``states[i]`` by its label rank
-    ``r``, or ``None`` when it has no such arc or ``i`` is ``None``."""
-    if i is None:
-        return None
-    return next((t for rank, t in c._arcs[i][states[i]] if rank == r), None)
+def _move(c: Csm, states: tuple[int, ...], i: Optional[int], event: int) -> Optional[_Move]:
+    """Role ``i``'s move by event number ``event`` from ``states[i]``, or
+    ``None`` when it has no such move or ``i`` is ``None``."""
+    if i is not None:
+        for move in c._moves[i][states[i]]:
+            if move[5] == event:
+                return move
+    return None
 
 
 def _is_final(c: Csm, states: tuple[int, ...], channels: tuple) -> bool:
@@ -185,6 +202,11 @@ def _is_final(c: Csm, states: tuple[int, ...], channels: tuple) -> bool:
 
 
 def _check_bounds(channel_bound: int, depth: int) -> None:
+    """Raise ``TypeError`` for a bound that is not an int (a bool is not
+    one either), ``ValueError`` for one out of range."""
+    for name, bound in (("channel_bound", channel_bound), ("depth", depth)):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise TypeError(f"{name} must be an int, not {type(bound).__name__}")
     if channel_bound < 1:
         raise ValueError("channel_bound must be at least 1")
     if depth < 0:
@@ -215,26 +237,23 @@ def csm_step(c: Csm, cfg: CsmConfiguration, e: AsyncEvent) -> CsmConfiguration:
     requires its message at the head of the channel (sender, receiver).
     Raises :class:`NotEnabled` with the failure reason otherwise.
     """
-    i, r = c._rank.get(_names(e), (None, None))
-    successor = _successor(c, cfg.states, i, r)
-    if successor is None:
+    move = _move(c, cfg.states, *c._index.get(_names(e), (None, None)))
+    if move is None:
         raise NotEnabled(StepFailure.NO_LOCAL_TRANSITION, e)
-    label = c._labels[i][r]
-    if not label.send:
-        content = cfg.channels[label.slot]
+    if not move[2]:
+        content = cfg.channels[move[3]]
         if not content:
             raise NotEnabled(StepFailure.EMPTY_CHANNEL, e)
-        if content[0] != label.message:
+        if content[0] != move[4]:
             raise NotEnabled(StepFailure.WRONG_HEAD, e)
-    return CsmConfiguration(c, *_fire(cfg.states, cfg.channels, i, successor, label))
+    return CsmConfiguration(c, *_fire(cfg.states, cfg.channels, move))
 
 
 def enabled_events(c: Csm, cfg: CsmConfiguration) -> tuple[AsyncEvent, ...]:
     """Every event that can fire, roles in name order, labels in machine
     order."""
     events = c.events
-    enabled = _enabled(c, cfg.states, cfg.channels)
-    return tuple(events[label.event] for _, _, label in enabled)
+    return tuple(events[move[5]] for move in _enabled(c, cfg.states, cfg.channels))
 
 
 def is_final(c: Csm, cfg: CsmConfiguration) -> bool:
@@ -277,7 +296,9 @@ def explore(
     Sends that would push a channel past ``channel_bound`` and expansions
     past ``depth`` events are suppressed (setting ``frontier_cut``), but a
     configuration whose only moves were suppressed is not a deadlock:
-    deadlock means no event is enabled at all.
+    deadlock means no event is enabled at all.  Raises ``TypeError`` for a
+    bound that is not an int and ``ValueError`` for a ``channel_bound``
+    below 1 or a negative ``depth``.
     """
     _check_bounds(channel_bound, depth)
     init = initial_configuration(c)
@@ -298,14 +319,14 @@ def explore(
         if len(trace) >= depth:
             frontier_cut = True
             continue
-        for i, successor, label in enabled:
-            if label.send and len(channels[label.slot]) >= channel_bound:
+        for move in enabled:
+            if move[2] and len(channels[move[3]]) >= channel_bound:
                 frontier_cut = True
                 continue
-            nxt = _fire(states, channels, i, successor, label)
+            nxt = _fire(states, channels, move)
             if nxt not in visited:
                 visited.add(nxt)
-                extended = trace + (events[label.event],)
+                extended = trace + (events[move[5]],)
                 if keep_traces:
                     traces.add(extended)
                 queue.append((nxt, extended))

@@ -17,36 +17,39 @@ suite can compare the fast checks against ground truth:
 The searches run on numbers: :func:`intersection_witness` matches a trace
 against the automaton's numbered halves (:attr:`SyncAutomaton.events`) with
 product nodes of (state bit, per-role counts).  The fidelity check rejects
-bad bounds on entry and replays protocol runs on machine state numbers
-alone, as a split trace leaves every channel empty between exchanges.  It
-then steps the machine system on its state and channel numbers; one
-search, keyed by per-role views as half numbers, finds both the
-inconsistent traces and the deadlocks.  Each trace it reaches extends
-one it has already shown consistent by one event, so it keeps where that
-trace's run ends and each role's halves along it, not the run's edges.
-One look at the extending role's next half in the run keeps the run,
-searches on from its end when the run has no such half, or else searches
-the product from the start.  A search on from a run's end depends only on
-(end state, role, new event), so each check finds each such tail once and
-keeps it in a table.  No machine state objects are built.
+bad bounds on entry and reads the automaton the machines were built from
+(building one only for machines made otherwise).  It replays protocol runs
+on machine state numbers alone, as a split trace leaves every channel
+empty between exchanges.  It then steps the machine system on its state
+and channel numbers; one search, keyed by per-role views, finds both the
+inconsistent traces and the deadlocks.  A view is a node of a trie of
+half numbers and a trace a parent link, so the search carries ints, and
+only a product search or a reported witness spells them out.  Each trace
+it reaches extends one it has already shown consistent by one event, so
+it keeps where that trace's run ends and each role's halves along it, not
+the run's edges.  One look at the extending role's next half in the run
+keeps the run, searches on from its end when the run has no such half, or
+else searches the product from the start.  A search on from a run's end
+depends only on (end state, role, new event), so each check finds each
+such tail once and keeps it in a table.  No machine state objects are
+built.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import partial
 from operator import add
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .automata import (
     AsyncEvent,
     Edge,
     SyncAutomaton,
-    _shortest_path,
     build_gaut,
     project_word,
 )
-from .csm import Csm, _check_bounds, _enabled, _fire, _is_final, _names, _successor
+from .csm import Csm, _check_bounds, _enabled, _fire, _is_final, _move
 from .syntax import (
     END,
     Branch,
@@ -195,41 +198,45 @@ def _out(a: SyncAutomaton) -> list[list[tuple]]:
     return out
 
 
-def _advance(
-    targets: _Targets, counts: tuple[int, ...], split: tuple
-) -> Optional[tuple[int, ...]]:
-    """The per-role counts after an edge whose halves are ``split``, or
-    ``None`` when a half contradicts its role's view in ``targets`` (event
-    numbers).  A role's half is free once its view is used up."""
-    for i, event in split:
-        n = counts[i]
-        want = targets[i]
-        if n < len(want):
-            if want[n] != event:
-                return None
-            counts = counts[:i] + (n + 1,) + counts[i + 1 :]
-    return counts
-
-
-def _successors(
-    out: tuple, targets: _Targets, node: _ProductNode
-) -> Iterator[tuple[tuple, _ProductNode]]:
-    """The product's successor rule: from ``node``, (state bit, per-role
-    counts), every entry of ``out`` (:func:`_out`) that :func:`_advance`
-    lets through, with the node it leads to."""
-    state, counts = node
-    for entry in out[state]:
-        nxt = _advance(targets, counts, entry[2])
-        if nxt is not None:
-            yield entry, (entry[1], nxt)
-
-
 def _search(out: tuple, targets: _Targets, start: _ProductNode) -> Optional[tuple]:
     """The ``out`` entries of a shortest product path from ``start`` to a
-    node whose counts use up every view, or ``None``."""
+    node whose counts use up every view (the first found in ``out`` order),
+    or ``None``: a breadth-first search over product nodes (state bit,
+    per-role counts), where an entry of ``out`` (:func:`_out`) is followed
+    when its halves agree with the views in ``targets`` (event numbers).
+    A role's half is free once its view is used up."""
     goal = tuple(map(len, targets))
-    successors = partial(_successors, out, targets)
-    return _shortest_path(start, successors, lambda node: node[1] == goal)
+    if start[1] == goal:
+        return ()
+    parents: dict = {start: None}
+    queue = deque((start,))
+    while queue:
+        node = queue.popleft()
+        counts = node[1]
+        for entry in out[node[0]]:
+            nxt = counts
+            for i, event in entry[2]:
+                n = nxt[i]
+                want = targets[i]
+                if n < len(want):
+                    if want[n] != event:
+                        break
+                    nxt = nxt[:i] + (n + 1,) + nxt[i + 1 :]
+            else:
+                nxt = (entry[1], nxt)
+                if nxt in parents:
+                    continue
+                parents[nxt] = (node, entry)
+                if nxt[1] == goal:
+                    path = []
+                    step = parents[nxt]
+                    while step is not None:
+                        nxt, entry = step
+                        path.append(entry)
+                        step = parents[nxt]
+                    return tuple(reversed(path))
+                queue.append(nxt)
+    return None
 
 
 def _run(path: tuple, start: int, roles: int) -> tuple:
@@ -248,21 +255,68 @@ def _grow(run: tuple, tail: tuple) -> tuple:
     return end, tuple(map(add, run[1], extra))
 
 
-def _extend(
-    out: tuple, root: _ProductNode, run: tuple, targets: _Targets, j: int, tails: dict
-) -> Optional[tuple]:
-    """A run consistent with ``targets``, where ``run`` is consistent with
-    ``targets`` less the last event of role ``j``'s view.
+def _unwind(up: array, last: array, node: int) -> tuple[int, ...]:
+    """The numbers on the path to ``node`` from node 0 of a tree held as
+    parent links: node ``v > 0`` has parent ``up[v]`` and number
+    ``last[v]``.  Arrays, not lists, hold the trees of a fidelity check,
+    as the cyclic collector does not walk an array."""
+    numbers = []
+    while node:
+        numbers.append(last[node])
+        node = up[node]
+    return tuple(reversed(numbers))
 
-    A run stands for a path from ``root`` and is ``(end, halves)``: the
-    state bit the path ends at, and per role the event numbers of that
-    role's halves along it.  Being consistent, its halves start with
-    every view, so only role ``j``'s next half can stop it from matching:
-    if that half is the new event, ``run`` still matches; if it is another
-    event, the search starts again from ``root``; if the run has no such
-    half, it is searched on from its end, and from ``root`` only when
-    nothing continues it.  ``None`` means that no run is consistent with
-    ``targets``.
+
+class _Trie:
+    """Sequences of numbers below ``width`` as the nodes of a trie.
+
+    Node 0 is the empty sequence, and node ``v > 0`` is node ``up[v]``'s
+    sequence followed by ``last[v]``, ``size[v]`` numbers long.  ``child``
+    maps ``parent * width + number`` to that node, so each sequence has
+    one node.
+    """
+
+    __slots__ = ("width", "child", "up", "last", "size")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.child: dict[int, int] = {}
+        self.up, self.last, self.size = array("q", (0,)), array("q", (-1,)), array("q", (0,))
+
+    def extend(self, parent: int, number: int) -> int:
+        """The node of ``parent``'s sequence followed by ``number``."""
+        key = parent * self.width + number
+        node = self.child.get(key)
+        if node is None:
+            node = self.child[key] = len(self.up)
+            self.up.append(parent)
+            self.last.append(number)
+            self.size.append(self.size[parent] + 1)
+        return node
+
+    def path(self, node: int) -> tuple[int, ...]:
+        """The sequence of ``node``."""
+        return _unwind(self.up, self.last, node)
+
+
+def _extend(
+    out: tuple, root: _ProductNode, run: tuple, views: tuple, j: int, tails: dict,
+    trie: _Trie,
+) -> Optional[tuple]:
+    """A run consistent with ``views``, where ``run`` is consistent with
+    ``views`` less the last event of role ``j``'s view.
+
+    ``views`` holds, per role, a node of ``trie`` whose sequence is that
+    role's view as event numbers; only a search spells the sequences out
+    (``targets``).  A run stands for a path from ``root`` and is ``(end,
+    halves)``: the state bit the path ends at, and per role the event
+    numbers of that role's halves along it.  Being consistent, its halves
+    start with every view, so only role ``j``'s next half can stop it from
+    matching: if that half is the new event, ``run`` still matches; if it
+    is another event, the search starts again from ``root``; if the run
+    has no such half, it is searched on from its end, and from ``root``
+    only when nothing continues it.  ``None`` means that no run is
+    consistent with ``views``.
 
     From a run's end every role but ``j`` has used up its view and is free,
     so the tail found there depends only on (end bit, ``j``, new event).
@@ -270,8 +324,9 @@ def _extend(
     there is none, and is filled by the first search with its key; it
     serves one ``out`` only."""
     end, halves = run
-    n = len(targets[j]) - 1
-    event = targets[j][n]
+    n = trie.size[views[j]] - 1
+    event = trie.last[views[j]]
+    targets = None
     if n < len(halves[j]):
         if halves[j][n] == event:
             return run
@@ -280,11 +335,13 @@ def _extend(
         if key in tails:
             tail = tails[key]
         else:
+            targets = tuple(map(trie.path, views))
             counts = tuple(map(len, targets))
             path = _search(out, targets, (end, counts[:j] + (n,) + counts[j + 1 :]))
             tail = tails[key] = None if path is None else _run(path, end, len(targets))
         if tail is not None:
             return _grow(run, tail)
+    targets = targets or tuple(map(trie.path, views))
     path = _search(out, targets, root)
     if path is None:
         return None
@@ -352,30 +409,39 @@ def bounded_fidelity_check(
        ``channel_bound``) is consistent with some protocol run;
     3. *deadlock* — the machine system reaches no deadlock.
 
-    Returns the first failure with a witness trace.  A split trace receives
+    Returns the first failure with a witness trace.  The automaton is the
+    one ``c``'s machines were built from when they all share it and it is
+    ``g``'s, and is built from ``g`` otherwise.  A split trace receives
     each message right after its send, so its channels are empty between
     exchanges: 1 searches (automaton state, machine state numbers), and a
-    half fires when its machine has an arc for it.  One search serves 2
-    and 3, and a deadlock is reported only when no trace fails 2.  For 2,
-    each trace keeps the end state of the run that showed it consistent and
-    each role's halves along that run.  A one-event extension looks up the
+    half fires when its machine has a move for it.  One search serves 2
+    and 3, and a deadlock is reported only when no trace fails 2.  It
+    holds each role's view as a node of one trie of half numbers, made for
+    this call, and each trace as a link to the trace it extends; both are
+    spelled out only for a product search or a witness.  For 2, each trace
+    keeps the end state of the run that showed it consistent and each
+    role's halves along that run.  A one-event extension looks up the
     extending role's next half in that run: the run is kept when that half
     is the new event, searched on from its end when there is no such half,
     and otherwise, or when nothing continues it, the search starts from the
     initial state.  Every other role has used up its view at a run's end,
     so the tail found there depends only on (end state, role, new event):
     one table of tails by that key, kept for this call, searches each key
-    once.  Raises ``ValueError`` for a ``channel_bound`` below 1 or a
-    negative ``depth``.
+    once.  Raises ``TypeError`` for a bound that is not an int and
+    ``ValueError`` for a ``channel_bound`` below 1 or a negative ``depth``.
     """
     _check_bounds(channel_bound, depth)
-    a = build_gaut(g)
+    a = _automaton(g, c)
     out = _out(a)
 
     place = [a.role_number.get(r.name) for r in c.roles]
     number = [a.event_number(e) for e in c.events]
-    # per half of the automaton: the machine that has it and its rank there
-    half = [c._rank.get(_names(e), (None, None)) for e in a.events]
+    # per half of the automaton: the machine that has it and its event
+    # number in the system
+    half = [(None, None)] * len(a.events)
+    for i, e in c._index.values():
+        if number[e] >= 0:
+            half[number[e]] = (i, e)
 
     # Obligation 1: protocol runs replay in the machine system, on state
     # numbers alone (channels are empty between exchanges).
@@ -394,11 +460,11 @@ def bounded_fidelity_check(
                 nxt_states, nxt_trace = states, trace
                 for _, n in split:
                     nxt_trace = nxt_trace + (a.events[n],)
-                    i, r = half[n]
-                    successor = _successor(c, nxt_states, i, r)
-                    if successor is None:
+                    i, e = half[n]
+                    move = _move(c, nxt_states, i, e)
+                    if move is None:
                         return FidelityReport(False, "replay", nxt_trace, replayed, 0)
-                    nxt_states = nxt_states[:i] + (successor,) + nxt_states[i + 1 :]
+                    nxt_states = nxt_states[:i] + (move[1],) + nxt_states[i + 1 :]
             else:
                 continue
             key = (tgt, nxt_states)
@@ -410,47 +476,77 @@ def bounded_fidelity_check(
     # per-role views (consistency only depends on those), are consistent
     # with some protocol run, and none ends in a deadlock.  Views determine
     # the configuration, so deadlocks come in ``explore``'s order.  A trace
-    # carries its views as event numbers per automaton role (``targets``,
-    # which are also its key: an event that no run has ends the search) and
-    # a run consistent with them (``_extend``), which a one-event extension
-    # keeps, continues with a tail from ``tails`` or replaces after one look
-    # at the extended role's halves in it.
+    # is a parent link (below), and carries its views as
+    # nodes of ``trie``, one per automaton role, which are also its key (an
+    # event that no run has ends the search), and a run consistent with
+    # them (``_extend``), which a one-event extension keeps, continues with
+    # a tail from ``tails`` or replaces after one look at the extended
+    # role's halves in it.
     checked = 0
     deadlock = None
     root = (start, (0,) * len(a.roles))
-    empty = ((),) * len(a.roles)
+    empty = (0,) * len(a.roles)
+    trie = _Trie(len(a.events))
+    # traces as parent links: trace 0 is empty, and trace ``t > 0`` is
+    # trace ``came[t]`` followed by the system's event ``by[t]``
+    came, by = array("q", (0,)), array("q", (-1,))
     seen_views = {empty}
     tails: dict = {}
-    frontier = deque(((init, ((),) * len(c.slot), (), empty, (start, empty)),))
-    while frontier:
-        states, channels, trace, targets, run = frontier.popleft()
-        stuck, cut = True, len(trace) >= depth
-        for i, successor, label in _enabled(c, states, channels):
-            stuck = False
-            if cut:
-                break
-            if label.send and len(channels[label.slot]) >= channel_bound:
-                continue
-            j, event = place[i], number[label.event]
-            if j is None or event < 0:  # no run has this event
-                witness = trace + (c.events[label.event],)
-                return FidelityReport(False, "intersection", witness, replayed, checked + 1)
-            nxt_targets = targets[:j] + (targets[j] + (event,),) + targets[j + 1 :]
-            if nxt_targets in seen_views:
-                continue
-            seen_views.add(nxt_targets)
-            checked += 1
-            nxt_trace = trace + (c.events[label.event],)
-            nxt_run = _extend(out, root, run, nxt_targets, j, tails)
-            if nxt_run is None:
-                return FidelityReport(False, "intersection", nxt_trace, replayed, checked)
-            nxt = _fire(states, channels, i, successor, label)
-            frontier.append((*nxt, nxt_trace, nxt_targets, nxt_run))
-        if stuck and deadlock is None and not _is_final(c, states, channels):
-            deadlock = trace
+    child, width = trie.child.get, trie.width
+
+    def witness(trace: int, *last: int) -> tuple[AsyncEvent, ...]:
+        return tuple(c.events[n] for n in _unwind(came, by, trace) + last)
+
+    level = [((init, ((),) * len(c.slot)), 0, empty, (start, ((),) * len(a.roles)))]
+    for length in range(depth + 1):  # one level of the search per trace length
+        cut, nxt_level = length == depth, []
+        for (states, channels), trace, views, run in level:
+            stuck = True
+            for move in _enabled(c, states, channels):
+                stuck = False
+                if cut:
+                    break
+                if move[2] and len(channels[move[3]]) >= channel_bound:
+                    continue
+                e = move[5]
+                j, event = place[move[0]], number[e]
+                if j is None or event < 0:  # no run has this event
+                    return FidelityReport(
+                        False, "intersection", witness(trace, e), replayed, checked + 1
+                    )
+                view = views[j]  # ``trie.extend``, with its lookup inline
+                view = child(view * width + event) or trie.extend(view, event)
+                nxt_views = views[:j] + (view,) + views[j + 1 :]
+                if nxt_views in seen_views:
+                    continue
+                seen_views.add(nxt_views)
+                checked += 1
+                nxt_run = _extend(out, root, run, nxt_views, j, tails, trie)
+                if nxt_run is None:
+                    return FidelityReport(
+                        False, "intersection", witness(trace, e), replayed, checked
+                    )
+                came.append(trace)
+                by.append(e)
+                nxt = _fire(states, channels, move)
+                nxt_level.append((nxt, len(came) - 1, nxt_views, nxt_run))
+            if stuck and deadlock is None and not _is_final(c, states, channels):
+                deadlock = trace
+        level = nxt_level
     if deadlock is not None:
-        return FidelityReport(False, "deadlock", deadlock, replayed, checked)
+        return FidelityReport(False, "deadlock", witness(deadlock), replayed, checked)
     return FidelityReport(True, None, None, replayed, checked)
+
+
+def _automaton(g: GlobalType, c: Csm) -> SyncAutomaton:
+    """The automaton that every machine of ``c`` was built from, when they
+    share one and it is ``g``'s; otherwise ``g``'s, built anew."""
+    built = {id(m.automaton): m.automaton for m in c.machines.values()}
+    if len(built) == 1:
+        (a,) = built.values()
+        if a is not None and a.initial == g:
+            return a
+    return build_gaut(g)
 
 
 # --------------------------------------------------------------------------- #

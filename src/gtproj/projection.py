@@ -91,6 +91,9 @@ class SubsetMachine:
     lists state ``i``'s moves as ``(label rank, successor number)`` pairs in
     label order, where a rank indexes the sorted ``events``; a state is
     final when its mask meets ``final_mask``, the terminated protocol's bit.
+    ``automaton`` is the protocol automaton whose ``states`` are ``nodes``
+    when :func:`determinize` built the machine, and ``None`` for a machine
+    built by hand.
 
     ``states``, ``transitions`` (``(state, event)`` to successor),
     ``initial``, ``finals``, :meth:`out`, :meth:`step` and
@@ -99,7 +102,7 @@ class SubsetMachine:
     :meth:`state_number` raise ``KeyError`` for a state of another machine.
     """
 
-    __slots__ = ("role", "nodes", "masks", "arcs", "events", "final_mask")
+    __slots__ = ("role", "nodes", "masks", "arcs", "events", "final_mask", "automaton")
 
     def __init__(
         self,
@@ -109,6 +112,7 @@ class SubsetMachine:
         arcs: tuple[tuple[tuple[int, int], ...], ...],
         events: tuple[AsyncEvent, ...],
         final_mask: int,
+        automaton: Optional[SyncAutomaton] = None,
     ) -> None:
         self.role = role
         self.nodes = nodes
@@ -116,6 +120,7 @@ class SubsetMachine:
         self.arcs = arcs
         self.events = events
         self.final_mask = final_mask
+        self.automaton = automaton
 
     @property
     def states(self) -> tuple[SubsetState, ...]:
@@ -194,7 +199,8 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     The search runs on state masks over the view's state positions: a
     member's steps are (label rank, target closure mask) pairs, ranks in the
     view's ``events``, and a successor is the union of the target closures
-    under one label.  The machine keeps the masks and arcs as they are found.
+    under one label.  The machine keeps the masks and arcs as they are found,
+    and the view's automaton.
     """
     bit, closures = nfa.bit, nfa.closures
     steps: list[list[tuple[int, int]]] = [[] for _ in nfa.states]
@@ -220,7 +226,8 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
         arcs.append(tuple(row))
     final_mask = sum(1 << bit[f] for f in nfa.finals)
     return SubsetMachine(
-        nfa.role, nfa.states, tuple(masks), tuple(arcs), nfa.events, final_mask
+        nfa.role, nfa.states, tuple(masks), tuple(arcs), nfa.events, final_mask,
+        nfa.automaton,
     )
 
 

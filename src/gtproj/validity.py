@@ -336,6 +336,8 @@ def _receive_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityVio
     labels = [
         None if e.direction is Direction.SEND else a.event_number(e) >> 1 for e in events
     ]
+    if len({a.ends[k][0] for k in labels if k is not None}) < 2:
+        return  # every receive comes from one sender: no pair can race
     blocked = 1 << a.role_number[role.name]
     walks: Optional[_AvailableWalks] = None  # made at the first cross-sender pair
     for number, moves in enumerate(m.arcs):
@@ -373,7 +375,8 @@ def check_receive_validity(m: SubsetMachine, nfa: LocalNfa) -> Optional[Validity
     """First receive-validity violation in scan order, or ``None``.
 
     Only pairs of receives from *different* senders are constrained: same-
-    sender alternatives arrive on one FIFO channel and cannot race.  The
+    sender alternatives arrive on one FIFO channel and cannot race, so a
+    machine whose receives all come from one sender is not scanned.  The
     destinations of a receive are its target state's members.  The check
     reads ``m``'s states and arcs and the available-message tables of
     ``nfa``'s automaton, by label number, from each destination in

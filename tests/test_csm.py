@@ -150,6 +150,9 @@ def test_explore_rejects_bad_bounds():
         explore(c, channel_bound=0)
     with pytest.raises(ValueError):
         explore(c, depth=-1)
+    for bounds in ({"depth": 2.5}, {"depth": True}, {"channel_bound": 2.0}):
+        with pytest.raises(TypeError, match="must be an int"):
+            explore(c, **bounds)
 
 
 def test_kept_traces_start_empty_and_stay_channel_compliant():

@@ -26,6 +26,7 @@ from gtproj import (
     build_gaut,
     build_projections,
     check_implementability,
+    enabled_events,
     explore,
     generate_gk,
     indistinguishable_finite,
@@ -271,6 +272,19 @@ def test_fidelity_rejects_bad_bounds_before_any_search(bounds, message):
     for system in (Csm(machines), Csm(crippled)):
         with pytest.raises(ValueError, match=message):
             bounded_fidelity_check(g, system, **bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds", [{"depth": 2.5}, {"depth": 2.0}, {"depth": True}, {"channel_bound": 3.0}]
+)
+def test_fidelity_rejects_bounds_that_are_not_ints(bounds):
+    # at depth 2.5 the replay stopped at two events while the machine
+    # search went to three, and reported (2, 3) where depth 2 gives (2, 2)
+    g = parse_global_type("p->q:a . q->r:b . 0")
+    c = system_for(g)
+    assert bounded_fidelity_check(g, c, 2) == FidelityReport(True, None, None, 2, 2)
+    with pytest.raises(TypeError, match="must be an int"):
+        bounded_fidelity_check(g, c, **bounds)
 
 
 def test_fidelity_reports_a_pure_deadlock():
@@ -649,6 +663,51 @@ def test_fidelity_makes_no_configuration_objects(configurations):
     assert outcomes == {None, "intersection", "replay", "deadlock"}
 
 
+@pytest.fixture
+def automata_built(monkeypatch):
+    """The protocols whose automaton the oracle builds while the test runs."""
+    built = []
+    build = oracle.build_gaut
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(oracle, "build_gaut", counting)
+    return built
+
+
+def test_fidelity_reads_the_automaton_its_machines_were_built_from(automata_built):
+    inputs = [(e.name, e.load()) for e in entries()]
+    inputs += [(f"gk({k})", generate_gk(k)) for k in range(1, 4)]
+    other = parse_global_type("p->q:m . 0")
+    for name, g in inputs:
+        c = system_for(g)
+        report = bounded_fidelity_check(g, c, 10, channel_bound=3)
+        assert automata_built == [], name
+        assert report == _reference_fidelity(g, c, 10, 3), name
+        hand_built = Csm({
+            role: SubsetMachine(role, m.nodes, m.masks, m.arcs, m.events, m.final_mask)
+            for role, m in c.machines.items()
+        })
+        assert bounded_fidelity_check(g, hand_built, 10, channel_bound=3) == report, name
+        assert automata_built == [g], name
+        automata_built.clear()
+        # one machine of another build of the automaton of g
+        role, _ = next(iter(c.machines.items()))
+        mixed = Csm({**c.machines, role: subset_construction(g, role)})
+        assert bounded_fidelity_check(g, mixed, 10, channel_bound=3) == report, name
+        assert automata_built == [g], name
+        automata_built.clear()
+        # the machines of another protocol
+        foreign = system_for(other)
+        assert bounded_fidelity_check(g, foreign, 10, channel_bound=3) == (
+            _reference_fidelity(g, foreign, 10, 3)
+        ), name
+        assert automata_built == [g], name
+        automata_built.clear()
+
+
 def test_fidelity_refutes_events_that_no_run_has():
     g = parse_global_type("p->q:m . 0")
     Z = Role("z")
@@ -691,13 +750,14 @@ def test_each_checked_trace_gets_the_verdict_of_a_fresh_search(monkeypatch):
     """Every trace the fidelity search checks is consistent exactly when
     :func:`intersection_witness` finds a run, and every run it carries,
     ``(end, halves)``, extends every role's view and stands for a path from
-    the initial state to ``end`` whose halves are exactly ``halves``."""
+    the initial state to ``end`` whose halves are exactly ``halves``.  The
+    check passes the views as nodes of its trie, spelled out here."""
     checked = []
     extend = oracle._extend
 
-    def recording(out, root, run, targets, j, *rest):
-        found = extend(out, root, run, targets, j, *rest)
-        checked.append((targets, found))
+    def recording(out, root, run, views, j, tails, trie):
+        found = extend(out, root, run, views, j, tails, trie)
+        checked.append((tuple(map(trie.path, views)), found))
         return found
 
     monkeypatch.setattr(oracle, "_extend", recording)
@@ -823,6 +883,20 @@ def test_exploration_matches_the_object_based_reference():
         ] == list(reference.deadlocks), name
         deadlocked += bool(report.deadlocks)
     assert deadlocked
+
+
+def test_enabled_events_match_the_reference_on_every_explored_configuration():
+    # explore keeps one shortest trace per configuration it visits
+    inputs = [(e.name, e.load()) for e in entries()]
+    inputs += [(f"gk({k})", generate_gk(k)) for k in range(1, 4)]
+    for name, g in inputs:
+        c = system_for(g)
+        report = explore(c, keep_traces=True)
+        assert len(report.trace_prefixes) == report.visited, name
+        for trace in report.trace_prefixes:
+            cfg = replay_trace(c, trace)
+            reference = _reference_enabled(c, _Configuration.of(c, cfg))
+            assert enabled_events(c, cfg) == reference, (name, trace)
 
 
 def test_intersection_matches_the_object_based_reference():

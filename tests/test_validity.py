@@ -21,6 +21,7 @@ from gtproj import (
     ReceiveViolationDetails,
     Role,
     SendViolationDetails,
+    SubsetMachine,
     SyncEvent,
     ValidityViolation,
     Var,
@@ -36,6 +37,7 @@ from gtproj import (
     erase_label,
     exchange,
     format_trace,
+    generate_gk,
     intersection_witness,
     parse_global_type,
     parse_trace,
@@ -515,6 +517,37 @@ def test_receive_validity_makes_no_available_message_queries(monkeypatch):
         ), name
         rejected += any(v.kind is ViolationKind.RECEIVE_VALIDITY for v in expected)
     assert rejected
+
+
+def test_receive_validity_skips_a_role_whose_receives_come_from_one_sender(monkeypatch):
+    # q of gk(6) receives only from p, so no two of its receives can race:
+    # the check reads none of its 2**7 + 2 states and makes no walks
+    walks = []
+    init = validity._AvailableWalks.__init__
+
+    def counted(self, *args):
+        walks.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(validity._AvailableWalks, "__init__", counted)
+
+    class Unread(tuple):
+        def __iter__(self):
+            raise AssertionError("the check read q's arcs")
+
+    g = generate_gk(6)
+    _, table = build_projections(g)
+    nfa, m = table[Q]
+    assert len(m.masks) == 2**7 + 2
+    assert {e.peer for e in m.events if e.direction is Direction.RECEIVE} == {P}
+    q = SubsetMachine(
+        Q, m.nodes, m.masks, Unread(m.arcs), m.events, m.final_mask, m.automaton
+    )
+    assert check_receive_validity(q, nfa) is None
+    assert list(_reference_receive_violations(m, g)) == []
+    verdict = check_implementability(g, all_violations=True)
+    assert verdict.implementable and verdict.violations == ()
+    assert walks == []
 
 
 def test_a_check_makes_one_closure_table_per_role(monkeypatch):
