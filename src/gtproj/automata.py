@@ -497,11 +497,6 @@ class LocalNfa:
         """The states of ``mask``, by ascending position."""
         return tuple(_select(self.states, mask))
 
-    def eps_closure_of(self, state: GlobalType) -> frozenset[GlobalType]:
-        """States reachable from ``state`` through silent transitions only
-        (including ``state`` itself)."""
-        return frozenset(self.members(self.closures[self.bit[state]]))
-
 
 def erase(a: SyncAutomaton, p: Role) -> LocalNfa:
     """Relabel ``a`` with role ``p``'s view of each transition.

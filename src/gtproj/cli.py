@@ -10,9 +10,10 @@ Commands::
 
 ``SOURCE`` is a file path or ``-`` for stdin.  Exit codes: 0 success (for
 ``check``: implementable), 1 not implementable, 2 usage, parse, or
-well-formedness error, 3 internal error (a bug, never a verdict).  Parsing,
-printing and the structural checks use no recursion, so deep protocols do
-not reach a recursion limit there.
+well-formedness error, 3 internal error (any other exception, reported in
+one line: a bug, never a verdict).  Parsing, printing and the structural
+checks use no recursion, so deep protocols do not reach a recursion limit
+there.
 """
 from __future__ import annotations
 
@@ -366,7 +367,7 @@ def _config_error(cfg: RunConfig) -> Optional[str]:
         return f"{cfg.command} has no {cfg.fmt!r} format"
     for field, low in least.items():
         value = getattr(cfg, field)
-        if not isinstance(value, int) or value < low:
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
             return f"{cfg.command} needs {field} >= {low}, got {value!r}"
     return None
 
@@ -377,10 +378,10 @@ def run_command(cfg: RunConfig) -> int:
     Exit codes: 0 success (``check``: implementable), 1 ``check`` on a
     protocol that is not implementable, 2 unreadable/malformed/ill-formed
     input or bad usage (an unknown command, a format the command does not
-    render, ``k``, ``channel_bound`` or ``depth`` out of range), 3 internal
-    error (:class:`InternalError`, or a ``RecursionError`` in a later stage:
-    the front end does not recurse), reported in one line without a
-    traceback.
+    render, ``k``, ``channel_bound`` or ``depth`` not an int in range), 3
+    internal error (:class:`InternalError`, or any other exception a command
+    raises, such as a ``RecursionError`` in a later stage: the front end
+    does not recurse), reported in one line without a traceback.
     """
     problem = _config_error(cfg)
     if problem is not None:
@@ -404,8 +405,11 @@ def run_command(cfg: RunConfig) -> int:
         source = "stdin" if cfg.source == "-" else cfg.source
         click.echo(f"error: {source} is not {exc.encoding} text ({exc})", err=True)
         return 2
-    except (InternalError, RecursionError) as exc:
+    except InternalError as exc:
         click.echo(f"error: internal error: {exc}", err=True)
+        return 3
+    except Exception as exc:  # a bug: exit 1 would read as a verdict
+        click.echo(f"error: internal error: {exc!r}", err=True)
         return 3
 
 

@@ -36,12 +36,9 @@ __all__ = [
     "StepFailure",
     "NotEnabled",
     "csm_step",
-    "enabled_events",
-    "is_final",
     "replay_trace",
     "ExplorationReport",
     "explore",
-    "check_channel_compliance",
 ]
 
 
@@ -249,18 +246,6 @@ def csm_step(c: Csm, cfg: CsmConfiguration, e: AsyncEvent) -> CsmConfiguration:
     return CsmConfiguration(c, *_fire(cfg.states, cfg.channels, move))
 
 
-def enabled_events(c: Csm, cfg: CsmConfiguration) -> tuple[AsyncEvent, ...]:
-    """Every event that can fire, roles in name order, labels in machine
-    order."""
-    events = c.events
-    return tuple(events[move[5]] for move in _enabled(c, cfg.states, cfg.channels))
-
-
-def is_final(c: Csm, cfg: CsmConfiguration) -> bool:
-    """True when every machine is final and every channel is empty."""
-    return _is_final(c, cfg.states, cfg.channels)
-
-
 def replay_trace(
     c: Csm, w: Iterable[AsyncEvent], cfg: Optional[CsmConfiguration] = None
 ) -> CsmConfiguration:
@@ -336,22 +321,3 @@ def explore(
         frontier_cut=frontier_cut,
         trace_prefixes=frozenset(traces) if keep_traces else None,
     )
-
-
-def check_channel_compliance(w: Iterable[AsyncEvent]) -> bool:
-    """True when, per channel, the sequence of received messages is always
-    a prefix of the sequence of sent messages — i.e. ``w`` respects FIFO
-    order and never receives more than was sent."""
-    sends: dict[tuple[Role, Role], list[Message]] = {}
-    received: dict[tuple[Role, Role], int] = {}
-    for e in w:
-        if e.is_send:
-            sends.setdefault((e.active, e.peer), []).append(e.message)
-        else:
-            pair = (e.peer, e.active)
-            taken = received.get(pair, 0)
-            sent = sends.get(pair, [])
-            if taken >= len(sent) or sent[taken] != e.message:
-                return False
-            received[pair] = taken + 1
-    return True

@@ -1,10 +1,9 @@
 """Independent cross-checks for the projection pipeline.
 
-Everything here re-derives semantic facts from first principles so the test
-suite can compare the fast checks against ground truth:
+Everything here re-derives semantic facts from first principles, so the
+checker can verify its counterexamples and the test suite can compare the
+fast checks against ground truth:
 
-* :func:`indistinguishable_finite` — are two asynchronous traces equal up to
-  the reorderings that no participant can observe?
 * :func:`intersection_witness` — is an asynchronous trace consistent with
   *some* run of the protocol (each role's view extends to that run's view)?
   Exact, by exhaustive product search.
@@ -13,6 +12,10 @@ suite can compare the fast checks against ground truth:
   deadlock.
 * :func:`generate_gk` — a scalable family whose per-role machine provably
   needs exponentially many states, for stress-testing the construction.
+
+The references that only the tests read (trace equivalence up to
+unobservable reorderings, FIFO order of a trace, and a view's bounded
+language against its machine's) live in ``tests/reference.py``.
 
 The searches run on numbers: :func:`intersection_witness` matches a trace
 against the automaton's numbered halves (:attr:`SyncAutomaton.events`) with
@@ -37,7 +40,7 @@ built.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Optional
@@ -47,7 +50,6 @@ from .automata import (
     Edge,
     SyncAutomaton,
     build_gaut,
-    project_word,
 )
 from .csm import Csm, _check_bounds, _enabled, _fire, _is_final, _move
 from .syntax import (
@@ -63,118 +65,11 @@ from .syntax import (
 )
 
 __all__ = [
-    "RunPrefix",
-    "BudgetExhausted",
-    "indistinguishable_finite",
     "intersection_witness",
     "FidelityReport",
     "bounded_fidelity_check",
     "generate_gk",
 ]
-
-
-# --------------------------------------------------------------------------- #
-# Run prefixes
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class RunPrefix:
-    """A chained sequence of synchronous-automaton transitions starting at
-    ``start``; its trace is the sequence of non-silent labels."""
-
-    start: GlobalType
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        at = self.start
-        for src, _, tgt in self.edges:
-            if src != at:
-                raise ValueError("run prefix edges do not chain")
-            at = tgt
-
-    def end(self) -> GlobalType:
-        return self.edges[-1][2] if self.edges else self.start
-
-    def trace(self):
-        return tuple(label for _, label, _ in self.edges if label is not None)
-
-
-# --------------------------------------------------------------------------- #
-# Observational equivalence of traces
-# --------------------------------------------------------------------------- #
-
-
-class BudgetExhausted(Exception):
-    """The swap search hit its budget before reaching an answer."""
-
-
-def _swappable(prefix: tuple[AsyncEvent, ...], x: AsyncEvent, y: AsyncEvent) -> bool:
-    """May adjacent events ``x y`` (after ``prefix``) be reordered without
-    any role observing the difference?  Symmetric in ``x`` and ``y``."""
-    if x.is_send and y.is_send:
-        return x.active != y.active
-    if not x.is_send and not y.is_send:
-        return x.active != y.active
-    snd, rcv = (x, y) if x.is_send else (y, x)
-    if snd.active == rcv.peer and snd.peer == rcv.active:
-        # Same channel: swappable only while the channel is non-empty, i.e.
-        # the prefix holds strictly more sends than receives on it.
-        sent = sum(
-            1 for e in prefix if e.is_send and e.active == snd.active and e.peer == snd.peer
-        )
-        taken = sum(
-            1
-            for e in prefix
-            if not e.is_send and e.active == rcv.active and e.peer == rcv.peer
-        )
-        return sent > taken
-    return snd.active != rcv.active and (
-        snd.active != rcv.peer or snd.peer != rcv.active
-    )
-
-
-def indistinguishable_finite(
-    u: Iterable[AsyncEvent], v: Iterable[AsyncEvent], budget: int = 10_000
-) -> bool:
-    """Decide whether ``u`` and ``v`` are equal up to unobservable
-    reorderings, by breadth-first search over adjacent swaps.
-
-    Returns ``False`` immediately when a reordering is impossible (length,
-    event multiset, or some role's own event order differs — swaps never
-    reorder one role's events).  Raises :class:`BudgetExhausted` when the
-    search would exceed ``budget`` generated words without an answer.
-    """
-    u = tuple(u)
-    v = tuple(v)
-    if u == v:
-        return True
-    if len(u) != len(v) or Counter(u) != Counter(v):
-        return False
-    for role in {e.active for e in u}:
-        if project_word(u, role) != project_word(v, role):
-            return False
-    seen = {u}
-    queue: deque[tuple[AsyncEvent, ...]] = deque((u,))
-    generated = 0
-    while queue:
-        word = queue.popleft()
-        for i in range(len(word) - 1):
-            if not _swappable(word[:i], word[i], word[i + 1]):
-                continue
-            swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-            if swapped in seen:
-                continue
-            if swapped == v:
-                return True
-            generated += 1
-            if generated > budget:
-                raise BudgetExhausted(
-                    f"no answer within {budget} swap applications"
-                )
-            seen.add(swapped)
-            queue.append(swapped)
-    return False
 
 
 # --------------------------------------------------------------------------- #
@@ -350,12 +245,13 @@ def _extend(
 
 def intersection_witness(
     g: GlobalType, w: Iterable[AsyncEvent], *, automaton: Optional[SyncAutomaton] = None
-) -> Optional[RunPrefix]:
+) -> Optional[tuple[Edge, ...]]:
     """Search for a protocol run consistent with trace ``w``: a run prefix
     whose split trace extends every role's view of ``w``.
 
-    Returns such a prefix, or ``None`` when no run of ``g`` is consistent
-    with ``w``.  The search is exact: it explores the finite product of
+    Returns the prefix's chained :attr:`SyncAutomaton.transitions` from the
+    initial state (``()`` for the empty run), or ``None`` when no run of
+    ``g`` is consistent with ``w``.  The search is exact: it explores the finite product of
     automaton states with per-role matched-prefix counters, and because
     every non-final automaton state has a successor, any consistent prefix
     extends to a maximal run — so ``None`` really means no maximal run
@@ -373,7 +269,7 @@ def intersection_witness(
     run = _search(_out(a), tuple(map(tuple, views)), root)
     if run is None:
         return None
-    return RunPrefix(a.initial, tuple(a.transitions[entry[0]] for entry in run))
+    return tuple(a.transitions[entry[0]] for entry in run)
 
 
 # --------------------------------------------------------------------------- #

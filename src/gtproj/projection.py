@@ -19,7 +19,6 @@ tables on each call.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -41,7 +40,6 @@ __all__ = [
     "determinize",
     "subset_construction",
     "build_projections",
-    "bounded_local_language_check",
     "machine_to_dot",
 ]
 
@@ -250,66 +248,6 @@ def build_projections(
         nfa = erase(a, role)
         table[role] = (nfa, determinize(nfa))
     return a, table
-
-
-# --------------------------------------------------------------------------- #
-# Bounded language equality
-# --------------------------------------------------------------------------- #
-
-
-def _nfa_words(nfa: LocalNfa, depth: int) -> frozenset[tuple[AsyncEvent, ...]]:
-    """Every event word of length <= depth spelled by some path of the view."""
-    out: list[list[tuple[Optional[int], int]]] = [[] for _ in nfa.states]
-    for src, r, tgt in nfa.edges:
-        out[src].append((r, tgt))
-    words: set[tuple[AsyncEvent, ...]] = set()
-    seen: set[tuple[int, tuple[AsyncEvent, ...]]] = set()
-    queue: deque[tuple[int, tuple[AsyncEvent, ...]]] = deque()
-    start = (nfa.bit[nfa.initial], ())
-    seen.add(start)
-    queue.append(start)
-    while queue:
-        state, word = queue.popleft()
-        words.add(word)
-        for r, tgt in out[state]:
-            if r is None:
-                nxt = (tgt, word)
-            elif len(word) < depth:
-                nxt = (tgt, word + (nfa.events[r],))
-            else:
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(words)
-
-
-def _machine_words(m: SubsetMachine, depth: int) -> frozenset[tuple[AsyncEvent, ...]]:
-    """Every event word of length <= depth accepted along the machine."""
-    words: set[tuple[AsyncEvent, ...]] = set()
-    queue: deque[tuple[int, tuple[AsyncEvent, ...]]] = deque(((0, ()),))
-    while queue:
-        state, word = queue.popleft()
-        words.add(word)
-        if len(word) == depth:
-            continue
-        for r, tgt in m.arcs[state]:
-            queue.append((tgt, word + (m.events[r],)))
-    return frozenset(words)
-
-
-def bounded_local_language_check(g: GlobalType, p: Role, depth: int = 10) -> bool:
-    """Compare, up to ``depth`` events, the words of role ``p``'s
-    nondeterministic view against its determinized machine.
-
-    This equality is a structural fact about the construction (it holds for
-    every protocol, implementable or not); the check exists to catch
-    regressions in the erasure or the subset construction.
-    """
-    a = build_gaut(g)
-    nfa = erase(a, p)
-    m = determinize(nfa)
-    return _nfa_words(nfa, depth) == _machine_words(m, depth)
 
 
 # --------------------------------------------------------------------------- #

@@ -17,14 +17,11 @@ from gtproj import (
     Role,
     available_messages,
     bounded_fidelity_check,
-    bounded_local_language_check,
     build_projections,
-    check_channel_compliance,
     check_implementability,
     check_no_mixed_choice,
     explore,
     generate_gk,
-    indistinguishable_finite,
     intersection_witness,
     measure_size,
     parse_trace,
@@ -37,6 +34,11 @@ from gtproj import (
 from gtproj.cli import main
 from gtproj.corpus import entries, load
 
+from .reference import (
+    bounded_local_language_check,
+    check_channel_compliance,
+    indistinguishable_finite,
+)
 from .strategies import random_async_events, random_global_type
 
 Q = Role("q")

@@ -315,6 +315,21 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: internal error: invariant broken\n"
 
 
+@pytest.mark.parametrize("error", [KeyError, MemoryError, AssertionError])
+def test_any_exception_exits_3_without_a_traceback(error, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise error("two\nlines")
+
+    monkeypatch.setattr(cli, "check_implementability", broken)
+    code = run_command(RunConfig(command="check", source=corpus_path("g_s", tmp_path)))
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_check_out_writes_a_file(tmp_path):
     out = tmp_path / "verdict.json"
     result = runner.invoke(
@@ -458,6 +473,14 @@ def test_simulate_config_rejects_out_of_range_bounds(field, value, tmp_path, cap
 def test_config_rejects_a_format_the_command_does_not_render(command, tmp_path, capsys):
     cfg = RunConfig(command=command, source=corpus_path("g_s", tmp_path), k=1, fmt="dot")
     _assert_rejected(cfg, capsys, f"{command} has no 'dot' format")
+
+
+@pytest.mark.parametrize(
+    ("command", "field"), [("gen-gk", "k"), ("simulate", "channel_bound"), ("simulate", "depth")]
+)
+def test_config_rejects_a_bool_for_a_number(command, field, tmp_path, capsys):
+    cfg = RunConfig(command=command, source=corpus_path("g_s", tmp_path), **{field: True})
+    _assert_rejected(cfg, capsys, f"{field} >= ")
 
 
 def test_config_rejects_an_unknown_command(capsys):
