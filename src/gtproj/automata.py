@@ -4,22 +4,23 @@
 the protocol's interned subterms: each choice steps to a branch continuation
 under the exchange label ``p->q:m``, and ``mu``/variable nodes contribute
 silent (epsilon) bookkeeping steps.  It numbers the roles, the labels and
-their asynchronous halves once, for every layer.  :func:`erase` relabels
-that automaton for one role: an exchange the role sends becomes its send
-half ``p>q!m``, an exchange it receives becomes its receive half ``p<q?m``,
-and everything else becomes silent.  Splitting a synchronous word into its
-asynchronous send and receive halves lives here too (:func:`split_word`).
+their asynchronous halves, and indexes each state's out-edges, once, for
+every layer and search; :func:`_shortest_path` is the one search with
+parent pointers.  :func:`erase` relabels that automaton for one role: an
+exchange the role sends becomes its send half ``p>q!m``, an exchange it
+receives becomes its receive half ``p<q?m``, and everything else becomes
+silent.  Splitting a synchronous word into its asynchronous send and
+receive halves lives here too (:func:`split_word`).
 """
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, compress
-from operator import itemgetter, or_
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .syntax import (
@@ -209,18 +210,19 @@ _T = TypeVar("_T")
 
 def _shortest_path(
     start: _Node,
-    successors: Callable[[_Node], Iterable[tuple[Edge, _Node]]],
+    successors: Callable[[_Node], Iterable[tuple[_T, _Node]]],
     is_goal: Callable[[_Node], bool],
-) -> Optional[tuple[Edge, ...]]:
+) -> Optional[tuple[_T, ...]]:
     """Breadth-first search from ``start`` for a node satisfying ``is_goal``.
 
-    ``successors(node)`` yields ``(edge, next_node)`` pairs.  Returns the
-    edges of a shortest path (the first one found in successor order):
-    ``()`` when ``start`` is a goal, ``None`` when no goal is reachable.
+    ``successors(node)`` yields ``(edge, next_node)`` pairs, an edge being
+    whatever the caller wants back.  Returns the edges of a shortest path
+    (the first one found in successor order): ``()`` when ``start`` is a
+    goal, ``None`` when no goal is reachable.
     """
     if is_goal(start):
         return ()
-    parents: dict[_Node, Optional[tuple[_Node, Edge]]] = {start: None}
+    parents: dict[_Node, Optional[tuple[_Node, _T]]] = {start: None}
     queue = deque((start,))
     while queue:
         node = queue.popleft()
@@ -229,7 +231,7 @@ def _shortest_path(
                 continue
             parents[nxt] = (node, edge)
             if is_goal(nxt):
-                path: list[Edge] = []
+                path: list[_T] = []
                 step = parents[nxt]
                 while step is not None:
                     nxt, e = step
@@ -239,16 +241,6 @@ def _shortest_path(
                 return tuple(path)
             queue.append(nxt)
     return None
-
-
-_source = itemgetter(0)
-
-
-def _span(edges: Sequence[tuple[int, Optional[int], int]], i: int) -> range:
-    """Where the edges leaving bit ``i`` sit in ``edges`` (sorted by source)."""
-    return range(
-        bisect_left(edges, i, key=_source), bisect_left(edges, i + 1, key=_source)
-    )
 
 
 class SyncAutomaton:
@@ -275,14 +267,18 @@ class SyncAutomaton:
     edge leads back to their binder.  ``ends[k]`` holds the numbers of label
     ``k``'s sender and receiver, and ``events[2 * k]`` and
     ``events[2 * k + 1]`` are its send and receive halves, which the views,
-    available messages and trace matching share.  Later layers read the
-    tree nowhere.
+    available messages and trace matching share.  ``succ[i]``, the edge
+    index that every search follows, holds bit ``i``'s out-edges in
+    ``edges`` order as ``(position in edges, label number, target bit,
+    halves)``, ``halves`` being ``((sender number, 2 * k), (receiver
+    number, 2 * k + 1))`` for label ``k`` and ``()`` when silent.  Later
+    layers read the tree nowhere.
     """
 
     __slots__ = (
         "states", "transitions", "initial", "finals", "bit", "labels",
         "label_number", "edges", "roles", "variables", "role_number", "ends",
-        "events",
+        "events", "succ",
     )
 
     def __init__(
@@ -322,6 +318,11 @@ class SyncAutomaton:
         self.events: tuple[AsyncEvent, ...] = tuple(
             chain.from_iterable(map(split_event, labels))
         )
+        split = [((s, 2 * k), (r, 2 * k + 1)) for k, (s, r) in enumerate(self.ends)]
+        succ: list[list[tuple]] = [[] for _ in self.states]
+        for j, (src, k, tgt) in enumerate(edges):
+            succ[src].append((j, k, tgt, () if k is None else split[k]))
+        self.succ: tuple[tuple[tuple, ...], ...] = tuple(map(tuple, succ))
 
     def event_number(self, e: AsyncEvent) -> int:
         """The position of half ``e`` in ``events``, or -1 when no label
@@ -341,11 +342,8 @@ class SyncAutomaton:
         return len(reached) + len(self.edges)
 
     def out(self, state: GlobalType) -> tuple[Edge, ...]:
-        """Outgoing transitions of ``state``, in label order: the run of
-        ``transitions`` whose source is ``state``, since they come source by
-        source."""
-        span = _span(self.edges, self.bit[state])
-        return self.transitions[span.start : span.stop]
+        """Outgoing transitions of ``state``, in label order."""
+        return tuple(self.transitions[e[0]] for e in self.succ[self.bit[state]])
 
     def __contains__(self, state: GlobalType) -> bool:
         return state in self.bit

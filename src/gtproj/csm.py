@@ -246,12 +246,10 @@ def csm_step(c: Csm, cfg: CsmConfiguration, e: AsyncEvent) -> CsmConfiguration:
     return CsmConfiguration(c, *_fire(cfg.states, cfg.channels, move))
 
 
-def replay_trace(
-    c: Csm, w: Iterable[AsyncEvent], cfg: Optional[CsmConfiguration] = None
-) -> CsmConfiguration:
-    """Fire ``w`` event by event from ``cfg`` (default: the initial
-    configuration); raises :class:`NotEnabled` at the first stuck event."""
-    state = cfg if cfg is not None else initial_configuration(c)
+def replay_trace(c: Csm, w: Iterable[AsyncEvent]) -> CsmConfiguration:
+    """Fire ``w`` event by event from the initial configuration; raises
+    :class:`NotEnabled` at the first stuck event."""
+    state = initial_configuration(c)
     for e in w:
         state = csm_step(c, state, e)
     return state

@@ -19,23 +19,25 @@ language against its machine's) live in ``tests/reference.py``.
 
 The searches run on numbers: :func:`intersection_witness` matches a trace
 against the automaton's numbered halves (:attr:`SyncAutomaton.events`) with
-product nodes of (state bit, per-role counts).  The fidelity check rejects
-bad bounds on entry and reads the automaton the machines were built from
-(building one only for machines made otherwise).  It replays protocol runs
-on machine state numbers alone, as a split trace leaves every channel
-empty between exchanges.  It then steps the machine system on its state
-and channel numbers; one search, keyed by per-role views, finds both the
-inconsistent traces and the deadlocks.  A view is a node of a trie of
-half numbers and a trace a parent link, so the search carries ints, and
-only a product search or a reported witness spells them out.  Each trace
-it reaches extends one it has already shown consistent by one event, so
-it keeps where that trace's run ends and each role's halves along it, not
-the run's edges.  One look at the extending role's next half in the run
-keeps the run, searches on from its end when the run has no such half, or
-else searches the product from the start.  A search on from a run's end
-depends only on (end state, role, new event), so each check finds each
-such tail once and keeps it in a table.  No machine state objects are
-built.
+product nodes of (state bit, per-role counts), following the automaton's
+one edge index (:attr:`SyncAutomaton.succ`); each product search is a
+successor function for :func:`~gtproj.automata._shortest_path`.  The
+fidelity check rejects bad bounds on entry and reads the automaton the
+machines were built from (building one only for machines made otherwise).
+It replays protocol runs on machine state numbers alone, as a split trace
+leaves every channel empty between exchanges.  It then steps the machine
+system on its state and channel numbers; one search, keyed by per-role
+views, finds both the inconsistent traces and the deadlocks.  A view is a
+node of a trie of half numbers and a trace a parent link, so the search
+carries ints, and only a product search or a reported witness spells them
+out.  Each trace it reaches extends one it has already shown consistent by
+one event, so it keeps where that trace's run ends and each role's halves
+along it, not the run's edges.  One look at the extending role's next half
+in the run keeps the run, searches on from its end when the run has no
+such half, or else searches the product from the start.  A search on from
+a run's end depends only on (end state, role, new event), so each check
+finds each such tail once and keeps it in a table.  No machine state
+objects are built.
 """
 from __future__ import annotations
 
@@ -43,12 +45,13 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .automata import (
     AsyncEvent,
     Edge,
     SyncAutomaton,
+    _shortest_path,
     build_gaut,
 )
 from .csm import Csm, _check_bounds, _enabled, _fire, _is_final, _move
@@ -81,57 +84,29 @@ _Targets = tuple[tuple[int, ...], ...]
 _ProductNode = tuple[int, tuple[int, ...]]
 
 
-def _out(a: SyncAutomaton) -> list[list[tuple]]:
-    """Per state bit, the edges leaving it in :meth:`SyncAutomaton.out`
-    order, as ``(position in edges, target bit, halves)``: ``halves`` holds
-    ``(role number, event number)`` for the send and then the receive, read
-    from ``a.ends``, and is empty for a silent edge."""
-    split = [((s, 2 * k), (r, 2 * k + 1)) for k, (s, r) in enumerate(a.ends)]
-    out: list[list[tuple]] = [[] for _ in a.states]
-    for j, (src, k, tgt) in enumerate(a.edges):
-        out[src].append((j, tgt, () if k is None else split[k]))
-    return out
-
-
 def _search(out: tuple, targets: _Targets, start: _ProductNode) -> Optional[tuple]:
-    """The ``out`` entries of a shortest product path from ``start`` to a
-    node whose counts use up every view (the first found in ``out`` order),
-    or ``None``: a breadth-first search over product nodes (state bit,
-    per-role counts), where an entry of ``out`` (:func:`_out`) is followed
-    when its halves agree with the views in ``targets`` (event numbers).
-    A role's half is free once its view is used up."""
+    """The ``out`` (:attr:`SyncAutomaton.succ`) entries of a shortest path
+    from ``start`` to a product node (state bit, per-role counts) whose
+    counts use up every view, or ``None``: :func:`_shortest_path` over the
+    entries whose halves agree with the views in ``targets`` (event
+    numbers), in ``out`` order.  A role's half is free once its view is
+    used up."""
     goal = tuple(map(len, targets))
-    if start[1] == goal:
-        return ()
-    parents: dict = {start: None}
-    queue = deque((start,))
-    while queue:
-        node = queue.popleft()
-        counts = node[1]
-        for entry in out[node[0]]:
+
+    def successors(node: _ProductNode) -> Iterator[tuple[tuple, _ProductNode]]:
+        state, counts = node
+        for entry in out[state]:
             nxt = counts
-            for i, event in entry[2]:
-                n = nxt[i]
-                want = targets[i]
+            for i, event in entry[3]:
+                n, want = nxt[i], targets[i]
                 if n < len(want):
                     if want[n] != event:
                         break
                     nxt = nxt[:i] + (n + 1,) + nxt[i + 1 :]
             else:
-                nxt = (entry[1], nxt)
-                if nxt in parents:
-                    continue
-                parents[nxt] = (node, entry)
-                if nxt[1] == goal:
-                    path = []
-                    step = parents[nxt]
-                    while step is not None:
-                        nxt, entry = step
-                        path.append(entry)
-                        step = parents[nxt]
-                    return tuple(reversed(path))
-                queue.append(nxt)
-    return None
+                yield entry, (entry[2], nxt)
+
+    return _shortest_path(start, successors, lambda node: node[1] == goal)
 
 
 def _run(path: tuple, start: int, roles: int) -> tuple:
@@ -139,9 +114,9 @@ def _run(path: tuple, start: int, roles: int) -> tuple:
     state bit ``start``, among ``roles`` roles."""
     halves = [()] * roles
     for entry in path:
-        for i, event in entry[2]:
+        for i, event in entry[3]:
             halves[i] += (event,)
-    return path[-1][1] if path else start, tuple(halves)
+    return path[-1][2] if path else start, tuple(halves)
 
 
 def _grow(run: tuple, tail: tuple) -> tuple:
@@ -266,7 +241,7 @@ def intersection_witness(
             return None
         views[i].append(a.event_number(e))
     root = (a.bit[a.initial], (0,) * len(roles))
-    run = _search(_out(a), tuple(map(tuple, views)), root)
+    run = _search(a.succ, tuple(map(tuple, views)), root)
     if run is None:
         return None
     return tuple(a.transitions[entry[0]] for entry in run)
@@ -328,7 +303,6 @@ def bounded_fidelity_check(
     """
     _check_bounds(channel_bound, depth)
     a = _automaton(g, c)
-    out = _out(a)
 
     place = [a.role_number.get(r.name) for r in c.roles]
     number = [a.event_number(e) for e in c.events]
@@ -349,7 +323,7 @@ def bounded_fidelity_check(
     while queue:
         state, states, trace = queue.popleft()
         replayed += 1
-        for _, tgt, split in out[state]:
+        for _, _, tgt, split in a.succ[state]:
             if not split:
                 nxt_states, nxt_trace = states, trace
             elif len(trace) + 2 <= depth:
@@ -417,7 +391,7 @@ def bounded_fidelity_check(
                     continue
                 seen_views.add(nxt_views)
                 checked += 1
-                nxt_run = _extend(out, root, run, nxt_views, j, tails, trie)
+                nxt_run = _extend(a.succ, root, run, nxt_views, j, tails, trie)
                 if nxt_run is None:
                     return FidelityReport(
                         False, "intersection", witness(trace, e), replayed, checked
@@ -458,8 +432,11 @@ def generate_gk(k: int) -> GlobalType:
     ``k - 1`` further letters and then ``d``, and q must answer with the
     letter p sent *k letters before* ``d`` — so q's machine has to remember
     the last ``k`` letters.  The protocol is well-formed and implementable
-    for every ``k >= 1``.
+    for every ``k >= 1``.  Raises ``TypeError`` for a ``k`` that is not an
+    int (a bool included) and ``ValueError`` for ``k < 1``.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"k must be an int, not {type(k).__name__}")
     if k < 1:
         raise ValueError("k must be at least 1")
     p, q, r = Role("p"), Role("q"), Role("r")

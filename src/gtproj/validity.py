@@ -50,7 +50,6 @@ from .automata import (
     SyncAutomaton,
     _select,
     _shortest_path,
-    _span,
     build_gaut,
 )
 from .csm import Csm, NotEnabled, replay_trace
@@ -140,10 +139,10 @@ class _AvailableWalks:
     table maps the number of each label whose send is available to the
     positions in ``edges`` of that send's witness, and depends on nothing
     else, so one memo serves every query on the protocol.  Walks follow the
-    numbered edges with an explicit stack, so a deep protocol reaches no
-    recursion limit.  Receive validity makes one walks object per role, at
-    that role's first pair of receives from different senders, and
-    :func:`available_messages` one per query.
+    automaton's edge index (``succ``) with an explicit stack, so a deep
+    protocol reaches no recursion limit.  Receive validity makes one walks
+    object per role, at that role's first pair of receives from different
+    senders, and :func:`available_messages` one per query.
     """
 
     __slots__ = ("automaton", "ends", "channel", "memo")
@@ -158,7 +157,7 @@ class _AvailableWalks:
     def table(self, bit: int, blocked: int) -> dict[int, tuple[int, ...]]:
         """Each send available from state ``bit``, by label number, with the
         positions of its witness edges."""
-        edges, variables = self.automaton.edges, self.automaton.variables
+        succ, variables = self.automaton.succ, self.automaton.variables
         ends, channel, memo = self.ends, self.channel, self.memo
         # A frame is a walk and, once its steps are pushed, those steps:
         # per edge followed, (position, inner walk, hidden channel, own
@@ -173,8 +172,7 @@ class _AvailableWalks:
             if steps is None:
                 i, walk_blocked, unfolded = walk
                 steps = []
-                for j in _span(edges, i):
-                    _, k, tgt = edges[j]
+                for j, k, tgt, _ in succ[i]:
                     if k is None:
                         if not variables >> i & 1:  # a binder: into its body
                             steps.append((j, (tgt, walk_blocked, unfolded | 1 << i), -1, None))
@@ -488,13 +486,13 @@ def _product_search(
 ) -> tuple[Edge, ...]:
     """Shortest protocol path from the root to a node of mask ``goal_nodes``
     that lands the role's machine in state number ``goal``.  It pairs bits
-    with state numbers; ``nfa.edges[i]`` gives ``a.transitions[i]``'s rank."""
-    transitions, edges = a.transitions, nfa.edges
+    with state numbers; ``nfa.edges[j]`` gives ``a.transitions[j]``'s rank."""
+    transitions, succ, edges = a.transitions, a.succ, nfa.edges
 
     def successors(node: tuple[int, int]) -> Iterator[tuple[Edge, tuple[int, int]]]:
         i, number = node
-        for j in _span(edges, i):
-            _, r, tgt = edges[j]
+        for j, _, tgt, _ in succ[i]:
+            r = edges[j][1]
             if r is None:
                 yield transitions[j], (tgt, number)
                 continue
@@ -518,12 +516,11 @@ def _silent_path(
 ) -> tuple[Edge, ...]:
     """Shortest path of transitions silent in ``nfa`` from bit ``source`` to
     bit ``target`` (empty when equal), with their exchange labels."""
-    transitions, edges = a.transitions, nfa.edges
+    transitions, succ, edges = a.transitions, a.succ, nfa.edges
 
     def successors(i: int) -> Iterator[tuple[Edge, int]]:
-        for j in _span(edges, i):
-            _, r, tgt = edges[j]
-            if r is None:
+        for j, _, tgt, _ in succ[i]:
+            if edges[j][1] is None:
                 yield transitions[j], tgt
 
     path = _shortest_path(source, successors, lambda i: i == target)

@@ -194,6 +194,32 @@ def test_gaut_out_groups_by_source():
     assert labels == {SyncEvent(P, Q, O), SyncEvent(P, Q, M)}
 
 
+def test_succ_indexes_each_states_edges():
+    rng = Random(7)
+    protocols = [load(name) for name in names()] + [generate_gk(k) for k in range(1, 5)]
+    protocols += [random_global_type(rng, max_size=25) for _ in range(200)]
+    for g in protocols:
+        a = build_gaut(g)
+        assert len(a.succ) == len(a.states)
+        for i, entries in enumerate(a.succ):
+            # exactly the edges with source i, by ascending position
+            positions = [j for j, (src, _, _) in enumerate(a.edges) if src == i]
+            assert [entry[0] for entry in entries] == positions, g
+            for j, k, tgt, halves in entries:
+                assert a.edges[j] == (i, k, tgt), g
+                if k is None:
+                    assert halves == (), g
+                    continue
+                sender, receiver = a.ends[k]
+                assert halves == ((sender, 2 * k), (receiver, 2 * k + 1)), g
+                send_half, receive_half = a.events[2 * k], a.events[2 * k + 1]
+                assert send_half.is_send and not receive_half.is_send, g
+                assert a.roles[sender] == send_half.active == receive_half.peer, g
+                assert a.roles[receiver] == receive_half.active == send_half.peer, g
+            state = a.states[i]
+            assert a.out(state) == tuple(t for t in a.transitions if t[0] == state), g
+
+
 # --------------------------------------------------------------------------- #
 # Per-role erasure
 # --------------------------------------------------------------------------- #

@@ -312,6 +312,13 @@ def test_family_rejects_nonpositive_size():
         generate_gk(0)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.0, "3", None])
+def test_family_rejects_a_size_that_is_not_an_int(k):
+    # a bool is an int to Python, yet generate_gk(True) must not be gk(1)
+    with pytest.raises(TypeError, match="k must be an int"):
+        generate_gk(k)
+
+
 def test_family_members_are_well_formed_and_implementable():
     for k in range(1, 5):
         g = generate_gk(k)
