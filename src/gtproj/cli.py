@@ -77,13 +77,16 @@ def _read_source(source: str) -> tuple[str, str]:
 
     Stdin's bytes are decoded here (strictly, as UTF-8), not by the stream's
     own error handler; a stream without bytes underneath (a ``StringIO``)
-    is read as text.
+    is read as text.  A leading byte-order mark, which some editors write,
+    is dropped.
     """
     if source == "-":
         buffer = getattr(sys.stdin, "buffer", None)
-        return "stdin", sys.stdin.read() if buffer is None else buffer.read().decode()
+        if buffer is None:
+            return "stdin", sys.stdin.read().removeprefix("\ufeff")
+        return "stdin", buffer.read().decode("utf-8-sig")
     path = Path(source)
-    return path.stem, path.read_text(encoding="utf-8")
+    return path.stem, path.read_text(encoding="utf-8-sig")
 
 
 def _emit(payload: str, out: Optional[str]) -> None:

@@ -9,6 +9,8 @@ words, for the tests to compare the package's results against:
   order?
 * :func:`bounded_local_language_check` — does a role's machine accept, up
   to a depth, exactly the words of the role's view?
+* :func:`reference_parse` — the one-scan parser without its reuse of
+  repeated choice text: every piece of the text is scanned.
 """
 from __future__ import annotations
 
@@ -16,16 +18,34 @@ from collections import Counter, deque
 from typing import Iterable, Optional
 
 from gtproj import (
+    END,
     AsyncEvent,
+    Branch,
+    Choice,
     GlobalType,
     LocalNfa,
     Message,
+    Rec,
     Role,
     SubsetMachine,
+    Var,
     build_gaut,
     determinize,
     erase,
     project_word,
+)
+from gtproj.syntax import (
+    _BINDER,
+    _CLOSE,
+    _COMMA,
+    _EOF,
+    _HEAD,
+    _OPEN,
+    _SCAN,
+    _VAR,
+    _ZERO,
+    _error_at,
+    _explain,
 )
 
 
@@ -188,3 +208,128 @@ def bounded_local_language_check(g: GlobalType, p: Role, depth: int = 10) -> boo
     nfa = erase(a, p)
     m = determinize(nfa)
     return _nfa_words(nfa, depth) == _machine_words(m, depth)
+
+
+# --------------------------------------------------------------------------- #
+# Parsing
+# --------------------------------------------------------------------------- #
+
+
+def reference_parse(text: str) -> GlobalType:
+    """:func:`gtproj.parse_global_type` without its reuse of repeated
+    choice text: the same scanner, stack and errors, and every piece of the
+    text is scanned."""
+    scan = _SCAN.match
+    roles: dict[str, Role] = {}
+    labels: dict[str, Message] = {}
+    nodes: dict[tuple, Choice] = {}  # equal keys have equal intern keys
+    scope: set[str] = set()
+    bound: set[str] = set()
+
+    def role(name: str) -> Role:
+        r = roles.get(name)
+        if r is None:
+            r = roles[name] = Role(name)
+        return r
+
+    def message(label: str) -> Message:
+        msg = labels.get(label)
+        if msg is None:
+            msg = labels[label] = Message(label)
+        return msg
+
+    # Open constructs, innermost last: an exchange as the tuple (sender,
+    # receiver, label); a binder as its variable name; a choice as the list
+    # [sender, branches, receiver, label, mismatch] while it reads the
+    # continuation of its last branch, where mismatch is None or the
+    # (offset, name) of a branch sender that differs from the first.
+    stack: list = []
+    pos = 0
+    while True:
+        m = scan(text, pos)
+        kind = m.lastindex if m is not None else None
+        if kind == _HEAD:
+            stack.append(m.group(1, 2, 3))
+            pos = m.end()
+            continue
+        if kind == _BINDER:
+            var = m.group(4)
+            if var in bound:
+                raise _explain(text, pos, "term", scope, bound)
+            scope.add(var)
+            bound.add(var)
+            stack.append(var)
+            pos = m.end()
+            continue
+        if kind == _OPEN:
+            pos = m.end()
+            m = scan(text, pos)
+            if m is None or m.lastindex != _HEAD:
+                raise _explain(text, pos, "exchange", scope, bound)
+            sender, receiver, label = m.group(1, 2, 3)
+            stack.append([sender, [], receiver, label, None])
+            pos = m.end()
+            continue
+        if kind == _ZERO:
+            node: GlobalType = END
+        elif kind == _VAR:
+            node = Var(m.group(_VAR))
+        else:
+            raise _explain(text, pos, "term", scope, bound)
+        pos = m.end()
+
+        # The term is complete: close every construct it completes.
+        while stack:
+            top = stack[-1]
+            if top.__class__ is tuple:
+                stack.pop()
+                key = (*top, node.intern_id)
+                done = nodes.get(key)
+                if done is None:
+                    sender, receiver, label = top
+                    branch = Branch(role(receiver), message(label), node)
+                    done = nodes[key] = Choice(role(sender), (branch,))
+                node = done
+            elif top.__class__ is str:
+                stack.pop()
+                scope.discard(top)
+                node = Rec(top, node)
+            else:
+                sender, branches, receiver, label, mismatch = top
+                if mismatch is not None:
+                    raise _error_at(
+                        text,
+                        mismatch[0],
+                        f"choice branches must share one sender "
+                        f"(found {mismatch[1]!r} after {sender!r})",
+                    )
+                branches.append((receiver, label, node))
+                m = scan(text, pos)
+                kind = m.lastindex if m is not None else None
+                if kind == _COMMA:
+                    pos = m.end()
+                    m = scan(text, pos)
+                    if m is None or m.lastindex != _HEAD:
+                        raise _explain(text, pos, "exchange", scope, bound)
+                    other, top[2], top[3] = m.group(1, 2, 3)
+                    if other != sender:
+                        top[4] = (m.start(1), other)
+                    pos = m.end()
+                    break  # read the new branch's continuation
+                if kind != _CLOSE:
+                    raise _explain(text, pos, "choice", scope, bound)
+                pos = m.end()
+                stack.pop()
+                key = (sender, tuple((r, l, n.intern_id) for r, l, n in branches))
+                done = nodes.get(key)
+                if done is None:
+                    done = nodes[key] = Choice(
+                        role(sender),
+                        tuple(Branch(role(r), message(l), n) for r, l, n in branches),
+                    )
+                node = done
+        if not stack:
+            m = scan(text, pos)
+            if m is None or m.lastindex != _EOF:
+                raise _explain(text, pos, "end", scope, bound)
+            return node

@@ -252,6 +252,21 @@ def test_non_utf8_stdin_exits_2():
     assert result.stderr.startswith("error: stdin ")
 
 
+def test_a_byte_order_mark_is_dropped_from_a_file_and_stdin(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g_s.gt"
+    path.write_bytes(b"\xef\xbb\xbf" + text("g_s").encode())
+    for args, stdin in ((["check", str(path)], None), (["check", "-"], path.read_bytes())):
+        result = runner.invoke(main, args, input=stdin)
+        assert result.exit_code == 1, result.stderr
+        assert "verdict: not implementable" in result.stdout
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text("g_s")))
+    assert run_command(RunConfig(command="check", source="-")) == 1
+    assert "verdict: not implementable" in capsys.readouterr().out
+    # the parser itself reads no mark
+    with pytest.raises(syntax.ParseError, match="unexpected character"):
+        syntax.parse_global_type("\ufeff" + text("g_s"))
+
+
 def test_stdin_bytes_are_decoded_strictly(monkeypatch, capsys):
     # a C or POSIX locale opens stdin with this error handler
     stdin = io.TextIOWrapper(io.BytesIO(b"p->q:\xff . 0\n"), errors="surrogateescape")

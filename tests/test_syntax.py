@@ -35,6 +35,7 @@ from gtproj import (
 )
 from gtproj.corpus import entries, load, names
 
+from .reference import reference_parse
 from .strategies import random_global_type, rename_consistently
 
 P, Q, R = Role("p"), Role("q"), Role("r")
@@ -308,6 +309,40 @@ def test_measure_size_invariant_under_renaming(g):
         {Message("a"): Message("y"), Message("y"): Message("a")},
     )
     assert measure_size(renamed) == measure_size(g)
+
+
+#: Names the parser cannot read back as one name.
+_UNREADABLE_NAMES = ["", "a b", "mu", "0", "1a", "x-y", "p\n", "\u00e9t\u00e9"]
+
+
+@pytest.mark.parametrize("name", _UNREADABLE_NAMES)
+def test_role_names_are_names_the_parser_reads(name):
+    with pytest.raises(ValueError, match="role name"):
+        Role(name)
+
+
+@pytest.mark.parametrize("name", _UNREADABLE_NAMES)
+def test_message_labels_are_names_the_parser_reads(name):
+    with pytest.raises(ValueError, match="message label"):
+        Message(name)
+
+
+@pytest.mark.parametrize("name", _UNREADABLE_NAMES)
+def test_variables_are_names_the_parser_reads(name):
+    with pytest.raises(ValueError, match="recursion variable"):
+        Var(name)
+
+
+@pytest.mark.parametrize("name", _UNREADABLE_NAMES)
+def test_binders_are_names_the_parser_reads(name):
+    with pytest.raises(ValueError, match="recursion variable"):
+        Rec(name, END)
+
+
+def test_any_accepted_name_prints_and_parses_back():
+    g = Rec("mu_", exchange(Role("_p"), Role("Mu"), Message("mu2"), Var("mu_")))
+    assert parse_global_type(pretty(g)) == g
+    assert parse_global_type(pretty_inline(g)) == g
 
 
 def test_exchange_helper_builds_single_branch_choice():
@@ -785,6 +820,144 @@ def test_parser_matches_the_reference_on_random_and_mutated_texts():
 )
 def test_parser_matches_the_reference_on_edge_cases(text):
     _assert_parses_alike(text)
+
+
+# --------------------------------------------------------------------------- #
+# Repeated choice text against the parser that scans every piece
+# --------------------------------------------------------------------------- #
+
+
+def _assert_parses_as_reference_parse(text):
+    got, want = _outcome(parse_global_type, text), _outcome(reference_parse, text)
+    assert type(got) is type(want) and got == want, text
+
+
+#: Characters the repeat mutations insert: every piece's characters, the
+#: keyword's and a comment's, and a newline.
+_REPEAT_ALPHABET = "+{},.:0 pqmu->/\n"
+
+
+def _repeat_mutation(text, rng):
+    """``text`` with one character deleted or inserted, or with a span
+    written twice in a row."""
+    i = rng.randrange(len(text) + 1)
+    edit = rng.randrange(3)
+    if edit == 0:
+        return text[:i] + text[i + 1 :]
+    if edit == 1:
+        return text[:i] + rng.choice(_REPEAT_ALPHABET) + text[i:]
+    j = rng.randrange(i, len(text) + 1)
+    return text[:j] + text[i:j] + text[j:]
+
+
+def test_parser_matches_reference_parse_on_repeated_text():
+    texts = [entry.text() for entry in entries()]
+    for k in range(1, 11):
+        texts += [pretty(generate_gk(k)), pretty_inline(generate_gk(k))]
+    for seed, count, max_size in ((7, 3000, 25), (11, 1000, 8)):
+        rng = Random(seed)
+        texts += [pretty(random_global_type(rng, max_size=max_size)) for _ in range(count)]
+    rng = Random(5)
+    texts += [_repeat_mutation(rng.choice(texts), rng) for _ in range(5000)]
+    for text in texts:
+        _assert_parses_as_reference_parse(text)
+
+
+_COPY = "+ {\n  p->r:c . t,\n  // a comment\n  p->r:d . 0\n}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a comment inside, a free variable, unbound and bound
+        f"+ {{ q->p:a . {_COPY}, q->p:b . {_COPY} }}",
+        f"mu t . + {{ q->p:a . {_COPY}, q->p:b . {_COPY} }}",
+        # the second copy's senders disagree
+        "+ { q->p:a . + { p->r:c . 0, p->r:d . 0 },\n"
+        "    q->p:b . + { p->r:c . 0, s->r:d . 0 } }",
+        # a stray '}' after the copy, and a copy cut short
+        "+ { q->p:a . + { p->r:c . 0, p->r:d . 0 }, q->p:b . + { p->r:c . 0, p->r:d . 0 } } }",
+        "+ { q->p:a . + { p->r:c . 0, p->r:d . 0 }, q->p:b . + { p->r:c . 0, p->r:d . 0 }",
+        "+ { q->p:a . + { p->r:c . 0, p->r:d . 0 }, q->p:b . + { p->r:c . 0, p->r:d . 0 } }"
+        " + { p->r:c . 0, p->r:d . 0 }",
+    ],
+)
+def test_parser_matches_reference_parse_on_hand_made_repeats(text):
+    _assert_parses_as_reference_parse(text)
+
+
+def test_a_repeated_binder_fails_at_the_second_copy():
+    copy = "+ { p->r:c . mu t . p->r:m . t, p->r:d . 0 }"
+    text = f"+ {{ q->p:a . {copy},\n  q->p:b . {copy} }}"
+    with pytest.raises(ParseError, match="reuses the name of another binder") as exc:
+        parse_global_type(text)
+    assert _outcome(reference_parse, text) == (exc.value.msg, exc.value.lineno, exc.value.offset)
+    assert (exc.value.lineno, exc.value.offset) == (2, text.rindex("mu") - text.index("\n"))
+
+
+def test_a_repeated_choice_is_not_scanned_again(monkeypatch):
+    import gtproj.syntax as syntax
+
+    starts = []
+    scan = syntax._SCAN.match
+
+    class Recording:
+        def match(self, text, pos):
+            starts.append(pos)
+            return scan(text, pos)
+
+    monkeypatch.setattr(syntax, "_SCAN", Recording())
+    copy = "+ { p->r:c . 0, p->r:d . t }"
+    text = f"+ {{ q->p:a . {copy}, q->p:b . {copy} }}"
+    second = text.rindex(copy)
+    g = parse_global_type(text)
+    assert g == reference_parse(text)
+    assert g.branches[0].continuation is g.branches[1].continuation
+    # the second copy's opening is read, then the scan resumes after it
+    assert not [pos for pos in starts if second + len("+ { p->r:c .") < pos < second + len(copy)]
+
+
+def _missing_choices(n):
+    """``C_0`` where ``C_i = + { p->q:a . C_{i+1}, p->q:b . + { p->q:a . 0,
+    p->q:c_i . 0 } }``: each inner choice opens like the choice before it
+    and differs from it right after the opening."""
+    a, b = Message("a"), Message("b")
+    g = END
+    for i in reversed(range(n)):
+        inner = Choice(P, (Branch(Q, a, END), Branch(Q, Message(f"c{i}"), END)))
+        g = Choice(P, (Branch(Q, a, g), Branch(Q, b, inner)))
+    return g
+
+
+def test_choices_that_open_alike_and_differ_parse_in_linear_time():
+    g = _missing_choices(2000)
+    text = pretty(g)
+    start = time.perf_counter()
+    assert parse_global_type(text) == g
+    assert time.perf_counter() - start < 3.0
+
+
+def test_comparisons_read_at_most_about_twice_the_text(monkeypatch):
+    import gtproj.syntax as syntax
+
+    read = []
+    compare = syntax._common
+
+    def common(text, start, end, at):
+        read.append(compare(text, start, end, at))
+        return read[-1]
+
+    monkeypatch.setattr(syntax, "_common", common)
+    # two chains that differ at their innermost choice only: each level of
+    # the second shares a prefix with the whole first chain as long as the
+    # level, so unbounded comparisons would read about 2000**2 / 2 heads
+    chains = [
+        "+ { p->q:a . " * 2000 + f"0, p->q:{last} . 0" + " }, p->q:b . 0" * 1999 + " }"
+        for last in ("x", "y")
+    ]
+    text = f"+ {{ q->p:a . {chains[0]}, q->p:b . {chains[1]} }}"
+    assert parse_global_type(text) == reference_parse(text)
+    assert sum(read) <= 3 * len(text)
 
 
 @pytest.mark.parametrize(
