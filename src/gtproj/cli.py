@@ -95,7 +95,9 @@ def _emit(payload: str, out: Optional[str]) -> None:
     if payload and not payload.endswith("\n"):
         payload += "\n"
     if out is None:
-        click.echo(payload, nl=False)
+        # a stream made for this call: click.echo's own default is cached per
+        # sys.stdout object and keeps every redirected stdout alive
+        click.echo(payload, nl=False, file=click.get_text_stream("stdout"))
     else:
         Path(out).write_text(payload, encoding="utf-8")
 

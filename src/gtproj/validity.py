@@ -39,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from operator import or_
+from itertools import compress, count, repeat
+from operator import and_, or_
 from typing import Iterator, Mapping, Optional
 
 from .automata import (
@@ -287,6 +288,8 @@ def _send_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolat
     # sources[r], the nodes with a rank-r edge (the machine's label ranks are
     # the view's).  can[r] is the reach back from sources[r] over silent
     # steps, made at the first arc of rank r (-1 before; None for a receive).
+    # A state has a rank-r arc exactly when its mask meets sources[r], so
+    # only the states that meet a send's sources are scanned.
     back = [0] * len(nfa.states)
     sources = [0] * len(nfa.events)
     for src, r, tgt in nfa.edges:
@@ -295,8 +298,11 @@ def _send_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolat
         else:
             sources[r] |= 1 << src
     can: list[Optional[int]] = [-1 if e.is_send else None for e in nfa.events]
-    for number, (mask, moves) in enumerate(zip(m.masks, m.arcs)):
-        for r, target in moves:
+    sends = reduce(or_, (sources[r] for r, e in enumerate(nfa.events) if e.is_send), 0)
+    masks = m.masks
+    for number in compress(count(), map(and_, masks, repeat(sends))):
+        mask = masks[number]
+        for r, target in m.arcs[number]:
             able = can[r]
             if able is None:
                 continue

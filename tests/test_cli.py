@@ -1,9 +1,12 @@
 """The command-line interface end to end."""
 from __future__ import annotations
 
+import contextlib
+import gc
 import io
 import json
 import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -282,6 +285,30 @@ def test_stdin_without_a_byte_buffer_is_read_as_text(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text("g_s")))
     assert run_command(RunConfig(command="check", source="-")) == 1
     assert "verdict: not implementable" in capsys.readouterr().out
+
+
+def test_a_redirected_stdout_is_not_kept_alive(monkeypatch):
+    # the path of an in-process caller that collects each report
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text("g_s")))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(RunConfig(command="check", source="-", fmt="json")) == 1
+    assert json.loads(out.getvalue())["verdict"]["implementable"] is False
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_ascii_stdout_gets_the_report_as_utf8(tmp_path, monkeypatch):
+    # a C locale opens stdout as ASCII; a non-ASCII file name is still printed
+    path = tmp_path / "protocolé.gt"
+    path.write_text(text("g_s"), encoding="utf-8")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_command(RunConfig(command="check", source=str(path))) == 1
+    stdout.flush()
+    assert stdout.buffer.getvalue().startswith("protocol protocolé: ".encode())
 
 
 def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):

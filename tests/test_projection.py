@@ -9,13 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from gtproj import (
     END,
+    Branch,
+    Choice,
     Message,
+    Rec,
     Role,
     SubsetState,
+    Var,
     build_gaut,
     build_projections,
     erase,
     erase_label,
+    exchange,
     generate_gk,
     machine_to_dot,
     parse_global_type,
@@ -24,6 +29,8 @@ from gtproj import (
     send,
     subset_construction,
 )
+from gtproj import projection
+from gtproj.automata import _select
 from gtproj.corpus import entries, load
 
 from .reference import bounded_local_language_check
@@ -315,10 +322,45 @@ def _reference_inputs(draws=500):
         yield f"draw {draw}", random_global_type(rng, max_size=25)
 
 
+def _prime_cycles(k):
+    """``+ { p->q:c_i . mu t_i . + { p->r:e . 0, p->r:a^(P_i) . t_i } }``
+    over the first ``k`` primes ``P_i``: r's machine counts ``a`` modulo
+    their product."""
+    p, q, r = Role("p"), Role("q"), Role("r")
+    branches = []
+    for i, prime in enumerate((2, 3, 5, 7, 11, 13, 17)[:k]):
+        body = Var(f"t{i}")
+        for _ in range(prime - 1):  # the branch itself is the first a
+            body = exchange(p, r, Message("a"), body)
+        loop = Choice(p, (Branch(r, Message("e"), END), Branch(r, Message("a"), body)))
+        branches.append(Branch(q, Message(f"c{i}"), Rec(f"t{i}", loop)))
+    return Choice(p, tuple(branches))
+
+
+def _wide_inputs():
+    """Protocols whose machines have many states of more than 8 members,
+    the states :func:`determinize` reads by byte."""
+    for k in range(7, 11):
+        yield f"gk({k})", generate_gk(k)
+    yield "prime cycles (4)", _prime_cycles(4)
+    # 2100 exchanges between s and t ahead of gk(8): q's view has more than
+    # 2048 nodes, and its wide states lie at byte positions above 255
+    g = generate_gk(8)
+    s, t = Role("s"), Role("t")
+    for i in range(2100):
+        g = exchange(s, t, Message(f"m{i}"), g)
+    yield "2100 exchanges, then gk(8)", g
+
+
 def test_determinize_matches_the_set_based_reference():
-    for name, g in _reference_inputs():
+    wide = high = 0
+    for name, g in [*_reference_inputs(), *_wide_inputs()]:
         a, table = build_projections(g)
         for role, (_, m) in table.items():
+            for mask in m.masks:
+                if mask.bit_count() > 8:
+                    wide += 1
+                    high += (mask & -mask) >= 1 << 2048  # no member in bytes 0..255
             states, transitions, initial, finals = _reference_determinize(a, role)
             where = (name, role.name)
             assert [s.members for s in m.states] == list(states), where
@@ -332,3 +374,21 @@ def test_determinize_matches_the_set_based_reference():
                 assert [(e, t.members) for e, t in m.out(s)] == out[s.members], where
             assert m.initial.members == initial, where
             assert {s.members for s in m.finals} == finals, where
+    # the inputs reach the byte path, also beyond the first 256 bytes
+    assert wide >= 300 and high >= 100, (wide, high)
+
+
+def test_wide_states_reuse_the_moves_of_their_bytes(monkeypatch):
+    nfa = erase(build_gaut(generate_gk(10)), Q)
+    calls = []
+
+    def select(seq, mask):
+        calls.append(mask)
+        return _select(seq, mask)
+
+    monkeypatch.setattr(projection, "_select", select)
+    m = projection.determinize(nfa)
+    assert len(m.masks) == 2050
+    # one selection per narrow state and per distinct (byte position, byte)
+    # of a wide one, where stepping every member makes one per state
+    assert len(calls) < len(m.masks) // 2, len(calls)
