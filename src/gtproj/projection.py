@@ -15,7 +15,8 @@ validity checks, simulation, the oracle and ``gtproj project`` read those
 tables.  :func:`determinize` steps each member of a state of at most 8
 members; a wider state ORs, rank by rank, the moves of its mask's non-zero
 bytes, each byte's moves computed once per call.  That is exact because a
-label's successor distributes over union.
+label's successor distributes over union, and it pays only where bytes
+repeat, as in the wide states of large machines.
 A :class:`SubsetState` is a (machine, number) value that reads its members
 off the masks; violations and counterexamples name states with it, and the
 machine's ``states``, ``transitions`` and ``out`` are computed from the
@@ -212,7 +213,10 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     parts.  This is exact because each label's successor distributes over
     union, δ_r(A ∪ B) = δ_r(A) ∪ δ_r(B), and it pays because wide states
     share bytes: the 8176 wide states of q in ``generate_gk(12)`` hold
-    about 16 members each but only 453 distinct ``(pos, b)`` pairs.
+    about 16 members each but only 453 distinct ``(pos, b)`` pairs.  Small
+    machines seldom repeat a byte, and there a part costs more than the
+    members it stands for: reading every state by byte made the random
+    protocols of ``perfbench``'s random-mix check about 12 % slower.
     Ranks are visited in sorted order and successors numbered on discovery
     either way, so the tables do not depend on which path a state took.
     """
@@ -258,6 +262,7 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
                 masks.append(union)
             row.append((r, successor))
         arcs.append(tuple(row))
+    del order, parts  # freed before the tables are copied into tuples
     final_mask = sum(1 << bit[f] for f in nfa.finals)
     return SubsetMachine(
         nfa.role, nfa.states, tuple(masks), tuple(arcs), nfa.events, final_mask,

@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import compress, count, repeat
-from operator import and_, or_
+from itertools import compress
+from operator import or_
 from typing import Iterator, Mapping, Optional
 
 from .automata import (
@@ -298,11 +298,11 @@ def _send_violations(m: SubsetMachine, nfa: LocalNfa) -> Iterator[ValidityViolat
         else:
             sources[r] |= 1 << src
     can: list[Optional[int]] = [-1 if e.is_send else None for e in nfa.events]
-    sends = reduce(or_, (sources[r] for r, e in enumerate(nfa.events) if e.is_send), 0)
-    masks = m.masks
-    for number in compress(count(), map(and_, masks, repeat(sends))):
-        mask = masks[number]
-        for r, target in m.arcs[number]:
+    sends = reduce(or_, compress(sources, can), 0)  # sources of the sends (can[r] == -1)
+    for number, (mask, moves) in enumerate(zip(m.masks, m.arcs)):
+        if not mask & sends:
+            continue
+        for r, target in moves:
             able = can[r]
             if able is None:
                 continue
