@@ -377,6 +377,16 @@ def _config_error(cfg: RunConfig) -> Optional[str]:
     return None
 
 
+def _error(message: str, *details: str) -> None:
+    """Print ``error: message`` and each detail, indented, to stderr."""
+    # a stream made for this call, as in _emit: click.echo(err=True) caches
+    # one per sys.stderr object and keeps every redirected stderr alive
+    stream = click.get_text_stream("stderr")
+    click.echo(f"error: {message}", file=stream)
+    for line in details:
+        click.echo(f"  {line}", file=stream)
+
+
 def run_command(cfg: RunConfig) -> int:
     """Execute one invocation; returns the process exit code.
 
@@ -390,31 +400,29 @@ def run_command(cfg: RunConfig) -> int:
     """
     problem = _config_error(cfg)
     if problem is not None:
-        click.echo(f"error: {problem}", err=True)
+        _error(problem)
         return 2
     handler = _COMMANDS[cfg.command][0]
     try:
         return handler(cfg)
     except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _error(str(exc))
         return 2
     except _Diagnostics as exc:
-        click.echo("error: protocol is not well-formed", err=True)
-        for line in exc.lines:
-            click.echo(f"  {line}", err=True)
+        _error("protocol is not well-formed", *exc.lines)
         return 2
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _error(str(exc))
         return 2
     except UnicodeDecodeError as exc:  # only the source text is decoded
         source = "stdin" if cfg.source == "-" else cfg.source
-        click.echo(f"error: {source} is not {exc.encoding} text ({exc})", err=True)
+        _error(f"{source} is not {exc.encoding} text ({exc})")
         return 2
     except InternalError as exc:
-        click.echo(f"error: internal error: {exc}", err=True)
+        _error(f"internal error: {exc}")
         return 3
     except Exception as exc:  # a bug: exit 1 would read as a verdict
-        click.echo(f"error: internal error: {exc!r}", err=True)
+        _error(f"internal error: {exc!r}")
         return 3
 
 

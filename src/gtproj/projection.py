@@ -12,11 +12,11 @@ A :class:`SubsetMachine` is int tables only: each state is a mask of
 members over the protocol's state positions, each move a (label rank,
 successor number) pair, exactly as :func:`determinize` finds them.  The
 validity checks, simulation, the oracle and ``gtproj project`` read those
-tables.  :func:`determinize` steps each member of a state of at most 8
-members; a wider state ORs, rank by rank, the moves of its mask's non-zero
-bytes, each byte's moves computed once per call.  That is exact because a
-label's successor distributes over union, and it pays only where bytes
-repeat, as in the wide states of large machines.
+tables.  :func:`determinize` steps each member of a state with at most 8
+members, or with no more members than the view has labels.  A wider state
+takes its moves label by label: a label's successor depends only on the
+members with an edge of that label, so it is computed once per distinct
+such set and reused, which pays in the wide states of large machines.
 A :class:`SubsetState` is a (machine, number) value that reads its members
 off the masks; violations and counterexamples name states with it, and the
 machine's ``states``, ``transitions`` and ``out`` are computed from the
@@ -205,69 +205,102 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     under one label.  The machine keeps the masks and arcs as they are found,
     and the view's automaton.
 
-    A state of at most 8 members steps each member.  A wider state is read
-    by byte: each non-zero byte ``b`` at byte position ``pos`` of its mask
-    stands for at most 8 members, whose merged moves are computed once per
-    call (the first time that ``(pos, b)`` occurs) and kept in a local
-    table; the state's moves are the union, rank by rank, of its bytes'
-    parts.  This is exact because each label's successor distributes over
-    union, δ_r(A ∪ B) = δ_r(A) ∪ δ_r(B), and it pays because wide states
-    share bytes: the 8176 wide states of q in ``generate_gk(12)`` hold
-    about 16 members each but only 453 distinct ``(pos, b)`` pairs.  Small
-    machines seldom repeat a byte, and there a part costs more than the
-    members it stands for: reading every state by byte made the random
-    protocols of ``perfbench``'s random-mix check about 12 % slower.
-    Ranks are visited in sorted order and successors numbered on discovery
-    either way, so the tables do not depend on which path a state took.
+    A state with at most 8 members, or with no more members than the view
+    has labels, steps each member.  A wider state takes its moves label by
+    label, in rank order: for rank ``r`` its key is ``mask & sources[r]``,
+    the members with a rank-``r`` edge, and a per-label memo maps each key
+    to the ``(r, successor)`` arc found for it the first time.  This is
+    exact because δ_r(M) = δ_r(M ∩ sources_r): members without a rank-``r``
+    edge add nothing to the successor.  It pays because wide states share
+    keys: of the 20 480 arcs of q in ``generate_gk(12)``, 12 286 repeat an
+    earlier (label, key) pair.  A key not seen before ORs its label's byte
+    parts (:func:`_label_union`).  Either way a state costs
+    O(min(members, labels)).  Ranks are visited in sorted order and
+    successors numbered on discovery on both paths, so the tables do not
+    depend on which path a state took.
     """
     bit, closures = nfa.bit, nfa.closures
     steps: list[list[tuple[int, int]]] = [[] for _ in nfa.states]
     for src, r, tgt in nfa.edges:
         if r is not None:
             steps[src].append((r, closures[tgt]))
-    # parts[pos << 8 | b]: the moves of the members in byte b at byte
-    # position pos of a mask, as (rank, union of target closures) pairs
-    parts: dict[int, tuple[tuple[int, int], ...]] = {}
+    narrow = max(8, len(nfa.events))  # widest state that steps its members
+    # per label, made at the first wider state: (rank, mask of the members
+    # with an edge of that rank, byte parts, arc by key)
+    tables: Optional[list[tuple[int, int, dict, dict]]] = None
     masks = [closures[bit[nfa.initial]]]
     order = {masks[0]: 0}
     arcs: list[tuple[tuple[int, int], ...]] = []
     for mask in masks:  # grows while it is read: a BFS queue
-        moves: dict[int, int] = {}
-        if mask.bit_count() <= 8:
+        if mask.bit_count() <= narrow:
+            moves: dict[int, int] = {}
             for member_steps in _select(steps, mask):
                 for r, target in member_steps:
                     moves[r] = moves.get(r, 0) | target
-        else:
-            lo = ((mask & -mask).bit_length() - 1) >> 3  # lowest set byte
-            size = (mask.bit_length() + 7 >> 3) - lo
-            window = (mask >> (lo << 3)).to_bytes(size, "little")
-            for pos, b in enumerate(window, lo):
-                if not b:
-                    continue
-                part = parts.get(pos << 8 | b)
-                if part is None:
-                    found: dict[int, int] = {}
-                    for member_steps in _select(steps[pos << 3 : pos + 1 << 3], b):
-                        for r, target in member_steps:
-                            found[r] = found.get(r, 0) | target
-                    part = parts[pos << 8 | b] = tuple(found.items())
-                for r, target in part:
-                    moves[r] = moves.get(r, 0) | target
+            row = []
+            for r in sorted(moves):
+                union = moves[r]
+                successor = order.get(union)
+                if successor is None:
+                    successor = order[union] = len(masks)
+                    masks.append(union)
+                row.append((r, successor))
+            arcs.append(tuple(row))
+            continue
+        if tables is None:
+            sources = [0] * len(nfa.events)
+            for src, member_steps in enumerate(steps):
+                for r, _ in member_steps:
+                    sources[r] |= 1 << src
+            tables = [(r, s, {}, {}) for r, s in enumerate(sources)]
         row = []
-        for r in sorted(moves):
-            union = moves[r]
-            successor = order.get(union)
-            if successor is None:
-                successor = order[union] = len(masks)
-                masks.append(union)
-            row.append((r, successor))
+        for r, sources_r, parts, memo in tables:
+            key = mask & sources_r
+            if not key:
+                continue
+            arc = memo.get(key)
+            if arc is None:
+                union = _label_union(steps, r, key, parts)
+                successor = order.get(union)
+                if successor is None:
+                    successor = order[union] = len(masks)
+                    masks.append(union)
+                arc = memo[key] = (r, successor)
+            row.append(arc)
         arcs.append(tuple(row))
-    del order, parts  # freed before the tables are copied into tuples
+    del order, tables  # freed before the tables are copied into tuples
     final_mask = sum(1 << bit[f] for f in nfa.finals)
     return SubsetMachine(
         nfa.role, nfa.states, tuple(masks), tuple(arcs), nfa.events, final_mask,
         nfa.automaton,
     )
+
+
+def _label_union(
+    steps: list[list[tuple[int, int]]], r: int, key: int, parts: dict[int, int]
+) -> int:
+    """The union of the rank-``r`` target closures of the members in
+    ``key``, ORed from ``parts``: rank ``r``'s union for each non-zero byte
+    ``b`` at byte position ``pos`` of ``key``, kept under ``pos << 8 | b``
+    and computed the first time it is needed.  A successor distributes over
+    union, δ_r(A ∪ B) = δ_r(A) ∪ δ_r(B), and keys share bytes: the 8162
+    keys of q's wide states in ``generate_gk(12)`` need 716 parts."""
+    lo = ((key & -key).bit_length() - 1) >> 3  # lowest set byte
+    window = (key >> (lo << 3)).to_bytes((key.bit_length() + 7 >> 3) - lo, "little")
+    union = 0
+    for pos, b in enumerate(window, lo):
+        if not b:
+            continue
+        part = parts.get(pos << 8 | b)
+        if part is None:
+            part = 0
+            for member_steps in _select(steps[pos << 3 : pos + 1 << 3], b):
+                for rank, target in member_steps:
+                    if rank == r:
+                        part |= target
+            parts[pos << 8 | b] = part
+        union |= part
+    return union
 
 
 def subset_construction(g: GlobalType, p: Role) -> SubsetMachine:

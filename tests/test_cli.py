@@ -311,6 +311,30 @@ def test_an_ascii_stdout_gets_the_report_as_utf8(tmp_path, monkeypatch):
     assert stdout.buffer.getvalue().startswith("protocol protocolé: ".encode())
 
 
+def test_a_redirected_stderr_is_not_kept_alive(monkeypatch):
+    # the path of an in-process caller that collects each error report
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p->q:"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_command(RunConfig(command="check", source="-")) == 2
+    assert err.getvalue().startswith("error: ")
+    ref = weakref.ref(err)
+    del err
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_ascii_stderr_gets_the_error_as_utf8(tmp_path, monkeypatch):
+    # a C locale opens stderr as ASCII; a non-ASCII file name is still printed
+    path = tmp_path / "protocolé.gt"
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run_command(RunConfig(command="check", source=str(path))) == 2
+    stderr.flush()
+    report = stderr.buffer.getvalue()
+    assert report.startswith(b"error: ") and "protocolé.gt".encode() in report
+
+
 def test_recursion_limit_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

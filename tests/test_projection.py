@@ -350,10 +350,27 @@ def _wide_inputs():
     for i in range(2100):
         g = exchange(s, t, Message(f"m{i}"), g)
     yield "2100 exchanges, then gk(8)", g
+    # gk(4) with 2046 exchanges from p to r ahead of its leave branch's
+    # letters: q's wide states hold members with the same labels both in
+    # the first bytes and 256 bytes further on
+    g = generate_gk(4)
+    stay, leave = g.body.branches
+    body = leave.continuation
+    for i in range(2046):
+        body = exchange(P, R, Message(f"c{i}"), body)
+    yield "gk(4), 2046 exchanges in its leave branch", Rec(
+        g.var, Choice(P, (stay, Branch(R, leave.message, body)))
+    )
+    # 2000 distinct messages from p to q ahead of gk(8): p's and q's views
+    # have more labels than any state has members
+    g = generate_gk(8)
+    for i in range(2000):
+        g = exchange(P, Q, Message(f"m{i}"), g)
+    yield "2000 labels, then gk(8)", g
 
 
 def test_determinize_matches_the_set_based_reference():
-    wide = high = 0
+    wide = high = by_label = 0
     for name, g in [*_reference_inputs(), *_wide_inputs()]:
         a, table = build_projections(g)
         for role, (_, m) in table.items():
@@ -361,6 +378,7 @@ def test_determinize_matches_the_set_based_reference():
                 if mask.bit_count() > 8:
                     wide += 1
                     high += (mask & -mask) >= 1 << 2048  # no member in bytes 0..255
+                    by_label += mask.bit_count() > len(m.events)
             states, transitions, initial, finals = _reference_determinize(a, role)
             where = (name, role.name)
             assert [s.members for s in m.states] == list(states), where
@@ -374,8 +392,10 @@ def test_determinize_matches_the_set_based_reference():
                 assert [(e, t.members) for e, t in m.out(s)] == out[s.members], where
             assert m.initial.members == initial, where
             assert {s.members for s in m.finals} == finals, where
-    # the inputs reach the byte path, also beyond the first 256 bytes
+    # the inputs reach the byte parts, also beyond the first 256 bytes, and
+    # both kinds of wide state: read label by label, and member by member
     assert wide >= 300 and high >= 100, (wide, high)
+    assert by_label >= 100 and wide - by_label >= 100, (by_label, wide - by_label)
 
 
 def test_wide_states_reuse_the_moves_of_their_bytes(monkeypatch):
@@ -389,6 +409,36 @@ def test_wide_states_reuse_the_moves_of_their_bytes(monkeypatch):
     monkeypatch.setattr(projection, "_select", select)
     m = projection.determinize(nfa)
     assert len(m.masks) == 2050
-    # one selection per narrow state and per distinct (byte position, byte)
-    # of a wide one, where stepping every member makes one per state
+    # one selection per state read member by member and per distinct (label,
+    # byte position, byte) of the others, where stepping every member makes
+    # one per state
     assert len(calls) < len(m.masks) // 2, len(calls)
+
+
+def test_wide_states_compute_each_label_successor_once_per_key(monkeypatch):
+    nfa = erase(build_gaut(generate_gk(10)), Q)
+    calls = []
+    label_union_of = projection._label_union
+
+    def label_union(steps, r, key, parts):
+        calls.append((r, key))
+        return label_union_of(steps, r, key, parts)
+
+    monkeypatch.setattr(projection, "_label_union", label_union)
+    m = projection.determinize(nfa)
+    assert sum(map(len, m.arcs)) == 5120
+    sources = [0] * len(nfa.events)
+    for src, r, _ in nfa.edges:
+        if r is not None:
+            sources[r] |= 1 << src
+    # a label's successor depends only on the members with that label's edge
+    keys = {
+        (r, mask & s)
+        for mask in m.masks
+        if mask.bit_count() > max(8, len(nfa.events))
+        for r, s in enumerate(sources)
+        if mask & s
+    }
+    # one union per distinct (label, key), each computed once
+    assert len(calls) == len(set(calls)) and set(calls) == keys
+    assert len(calls) < 5120 // 2, len(calls)
