@@ -33,8 +33,8 @@ One pre-order walk, ``_walk``, reads a protocol's index: distinct nodes,
 roles, messages and ``mu`` binders; ``subterms``, ``roles_of``,
 ``messages_of`` and ``measure_size`` read it.  The decision procedure walks
 once, in :func:`~gtproj.automata.build_gaut`; later layers read the
-automaton.  The walk, the printers and ``validate_well_formedness`` use
-explicit stacks, so nothing in the front end meets the recursion limit.
+automaton.  The walks (well-formedness makes its own, once per distinct
+node) and the printers use explicit stacks, so none meets the recursion limit.
 """
 from __future__ import annotations
 
@@ -703,7 +703,8 @@ class WellFormednessViolation:
 
 @dataclass(frozen=True, slots=True)
 class WellFormednessReport:
-    """All violations found in one protocol, in discovery order."""
+    """All violations found in one protocol, by location; a choice's in
+    branch order, and a binder's ``DuplicateBinder`` before ``Unguarded``."""
 
     violations: tuple[WellFormednessViolation, ...]
 
@@ -727,80 +728,77 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
       it.  An unused binder is accepted;
     * ``DuplicateBinder`` — no two distinct ``mu`` nodes bind one variable
       (the parser refuses such text, so only hand-built protocols break it).
+
+    One walk enters each distinct node once, in the pre-order of
+    :func:`subterms` (so a location is a counter), and checks there the four
+    rules that read one node.  Hash-consing makes all occurrences of ``t``
+    one node, unbound somewhere exactly when ``t`` is free in ``g``.  Free
+    variables are int masks, a bit per name, made on leaving a node (a
+    choice ORs its branches' masks, a binder clears its bit), and each
+    ``Var`` whose bit is set in the root's mask is reported: linear in
+    nodes × names/64.
     """
-    found: dict[tuple[WellFormednessRule, int, str], None] = {}
-    visited: set[tuple[int, frozenset[str]]] = set()
-    binders: dict[str, int] = {}
-
-    def report(rule: WellFormednessRule, node: GlobalType, message: str) -> None:
-        found.setdefault((rule, node.intern_id, message))
-
-    # Pending work, last first: a node to visit under a scope of bound
-    # names, or the check of one branch of a choice, made after the
-    # continuations of the branches before it have been walked.
-    stack: list = [(g, frozenset())]
+    found: list[tuple[WellFormednessRule, int, str]] = []
+    nodes: list[GlobalType] = []
+    free: dict[int, int] = {}  # intern id -> mask, final once the node is left
+    bits: dict[str, int] = {}
+    binders: set[str] = set()
+    stack: list = [g]  # nodes to enter, and positions of choices and binders to leave
     while stack:
-        item = stack.pop()
-        if len(item) == 3:
-            node, b, seen_pairs = item
-            if b.receiver == node.sender:
-                report(
-                    WellFormednessRule.SELF_COMMUNICATION,
-                    node,
-                    f"role {node.sender} sends to itself in "
-                    f"{node.sender}->{b.receiver}:{b.message}",
-                )
-            pair = (b.receiver, b.message)
-            if pair in seen_pairs:
-                report(
-                    WellFormednessRule.BRANCH_DISTINCTNESS,
-                    node,
-                    f"duplicate branch {node.sender}->{b.receiver}:{b.message}",
-                )
-            seen_pairs.add(pair)
+        node = stack.pop()
+        if node.__class__ is int:
+            node = nodes[node]
+            if isinstance(node, Rec):  # a name no variable below it uses has no bit
+                mask = free[node.body.intern_id] & ~bits.get(node.var, 0)
+            else:
+                mask = 0
+                for b in node.branches:
+                    mask |= free[b.continuation.intern_id]
+            free[node.intern_id] = mask
             continue
-        node, scope = item
-        key = (node.intern_id, scope)
-        if key in visited:
+        if node.intern_id in free:
             continue
-        visited.add(key)
+        at = len(nodes)
+        nodes.append(node)
+        free[node.intern_id] = 0
         if isinstance(node, Choice):
-            pairs: set[tuple[Role, Message]] = set()
+            sender, pairs = node.sender, set()
+            for b in node.branches:
+                if b.receiver == sender:
+                    message = f"role {sender} sends to itself in {sender}->{sender}:{b.message}"
+                    found.append((WellFormednessRule.SELF_COMMUNICATION, at, message))
+                pair = (b.receiver, b.message)
+                if pair in pairs:
+                    message = f"duplicate branch {sender}->{b.receiver}:{b.message}"
+                    found.append((WellFormednessRule.BRANCH_DISTINCTNESS, at, message))
+                pairs.add(pair)
+            stack.append(at)
             for b in reversed(node.branches):
-                stack.append((b.continuation, scope))
-                stack.append((node, b, pairs))
+                stack.append(b.continuation)
         elif isinstance(node, Rec):
-            if binders.setdefault(node.var, node.intern_id) != node.intern_id:
-                report(
-                    WellFormednessRule.DUPLICATE_BINDER,
-                    node,
-                    f"recursion variable {node.var!r} has more than one binder",
-                )
+            if node.var in binders:
+                message = f"recursion variable {node.var!r} has more than one binder"
+                found.append((WellFormednessRule.DUPLICATE_BINDER, at, message))
+            binders.add(node.var)
             spine: GlobalType = node.body
             while isinstance(spine, Rec):
                 spine = spine.body
             if isinstance(spine, Var) and spine.var == node.var:
-                report(
-                    WellFormednessRule.UNGUARDED,
-                    node,
-                    f"recursion variable {node.var!r} is reachable from its "
-                    f"binder without crossing a message exchange",
-                )
-            stack.append((node.body, scope | {node.var}))
+                message = f"recursion variable {node.var!r} is reachable from its binder"
+                message += " without crossing a message exchange"
+                found.append((WellFormednessRule.UNGUARDED, at, message))
+            stack += (at, node.body)
         elif isinstance(node, Var):
-            if node.var not in scope:
-                report(
-                    WellFormednessRule.UNBOUND_VARIABLE,
-                    node,
-                    f"recursion variable {node.var!r} is not bound here",
-                )
-
+            free[node.intern_id] = bits.setdefault(node.var, 1 << len(bits))
+    unbound = free[g.intern_id]
+    for at, node in enumerate(nodes if unbound else ()):
+        if isinstance(node, Var) and bits[node.var] & unbound:
+            message = f"recursion variable {node.var!r} is not bound here"
+            found.append((WellFormednessRule.UNBOUND_VARIABLE, at, message))
     if not found:
         return WellFormednessReport(())
-    position = {n.intern_id: i for i, n in enumerate(_walk(g).nodes)}
-    return WellFormednessReport(
-        tuple(WellFormednessViolation(r, position[n], m) for r, n, m in found)
-    )
+    found = sorted(dict.fromkeys(found), key=lambda v: v[1])  # stable, and no repeats
+    return WellFormednessReport(tuple(WellFormednessViolation(*v) for v in found))
 
 
 # --------------------------------------------------------------------------- #

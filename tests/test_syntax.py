@@ -36,7 +36,7 @@ from gtproj import (
 from gtproj.corpus import entries, load, names
 
 from .reference import reference_parse
-from .strategies import random_global_type, rename_consistently
+from .strategies import MESSAGES, ROLES, random_global_type, rename_consistently
 
 P, Q, R = Role("p"), Role("q"), Role("r")
 
@@ -630,7 +630,11 @@ def _reference_violations(g):
 
     walk(g, frozenset())
     position = {n.intern_id: i for i, n in enumerate(_reference_subterms(g))}
-    return [(rule, position[node], message) for rule, node, message in found]
+    # the order of discovery, stably sorted by location
+    return sorted(
+        ((rule, position[node], message) for rule, node, message in found),
+        key=lambda v: v[1],
+    )
 
 
 def _reference_branch_text(sender, b, indent):
@@ -1008,6 +1012,68 @@ def test_walks_match_the_references():
     _assert_walks_alike(Choice(R, (Branch(P, Message("c"), Var("t")), Branch(Q, Message("d"), loop))))
 
 
+def _replace(g, old, new):
+    """``g`` with every occurrence of ``old`` replaced by ``new``."""
+    if g == old:
+        return new
+    if isinstance(g, Rec):
+        return Rec(g.var, _replace(g.body, old, new))
+    if isinstance(g, Choice):
+        return Choice(
+            g.sender,
+            tuple(
+                Branch(b.receiver, b.message, _replace(b.continuation, old, new))
+                for b in g.branches
+            ),
+        )
+    return g
+
+
+def _api_mutation(g, rng):
+    """``g`` with one subterm ``t`` replaced through the constructors, so
+    that one rule may break: a free variable, a rebinding (a duplicate
+    binder), an unguarded binder, a duplicate branch, a self-send, or ``t``
+    shared under a new binder and outside it."""
+    nodes = subterms(g)
+    t = rng.choice(nodes)
+    names = sorted({n.var for n in nodes if isinstance(n, (Rec, Var))} | {"x"})
+    v, m = rng.choice(names), rng.choice(MESSAGES)
+    kind = rng.randrange(6)
+    if kind == 0:
+        new = Var(v)
+    elif kind == 1:
+        new = Rec(v, t)
+    elif kind == 2:
+        new = Rec(v, Var(v) if rng.random() < 0.5 else Rec("y", Var(v)))
+    elif kind == 3 and isinstance(t, Choice):
+        b = rng.choice(t.branches)
+        new = Choice(t.sender, (*t.branches, Branch(b.receiver, b.message, END)))
+    elif kind == 4:
+        sender = t.sender if isinstance(t, Choice) else rng.choice(ROLES)
+        new = exchange(sender, sender, m, t)
+    else:
+        new = Choice(P, (Branch(Q, m, t), Branch(R, m, Rec(v, exchange(P, Q, m, t)))))
+    return _replace(g, t, new)
+
+
+def test_the_one_pass_matches_the_reference_on_protocols_built_through_the_api():
+    rng, edits = Random(29), Random(31)
+    broken = dict.fromkeys(WellFormednessRule, 0)
+    several = 0
+    for _ in range(1500):
+        g = random_global_type(rng, max_size=12)
+        for _ in range(edits.randint(1, 3)):
+            g = _api_mutation(g, edits)
+            want = _reference_violations(g)
+            assert _violations(g) == want, g
+            for rule, _, _ in want:
+                broken[rule] += 1
+            several += len({location for _, location, _ in want}) > 1
+    # every rule is broken, and reports that span several nodes are common
+    assert min(broken.values()) >= 200, broken
+    assert several >= 300
+
+
 # --------------------------------------------------------------------------- #
 # Deep input under the default recursion limit
 # --------------------------------------------------------------------------- #
@@ -1037,3 +1103,36 @@ def test_front_end_handles_deep_nesting():
     assert pretty_inline(g) == text
     assert repr(g) == f"parse_global_type({text!r})"
     assert parse_global_type(pretty(g)) == g
+
+
+def _shared_tails(n, last):
+    """``n`` nested binders ``t1 .. tn`` that all share one tail of ``n``
+    exchanges ending in ``last``: binder ``ti`` offers ``a``, going on to
+    binder ``t(i+1)`` (the tail after the last), or ``b``, the tail."""
+    tail = last
+    for _ in range(n):
+        tail = exchange(P, Q, Message("c"), tail)
+    g = tail
+    for i in reversed(range(1, n + 1)):
+        g = Rec(f"t{i}", Choice(P, (Branch(Q, Message("a"), g), Branch(Q, Message("b"), tail))))
+    return g
+
+
+def test_well_formedness_of_a_tail_shared_under_many_binders_is_linear():
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    closed, open_ = _shared_tails(n, END), _shared_tails(n, Var(f"t{n}"))
+    start = time.perf_counter()
+    assert validate_well_formedness(closed).ok
+    # t5000 is bound on the path through every binder and free on the
+    # paths that leave earlier, so its one node is reported once
+    report = validate_well_formedness(open_)
+    elapsed = time.perf_counter() - start
+    assert [(v.rule, v.location, v.message) for v in report.violations] == [
+        (
+            WellFormednessRule.UNBOUND_VARIABLE,
+            subterms(open_).index(Var(f"t{n}")),
+            f"recursion variable 't{n}' is not bound here",
+        )
+    ]
+    assert elapsed < 3.0, elapsed
