@@ -26,13 +26,14 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, T
 from .syntax import (
     END,
     GlobalType,
+    IllFormedProtocolError,
     Message,
     Rec,
     Role,
     Var,
     Choice,
-    _walk,
     pretty_inline,
+    validate_well_formedness,
 )
 
 __all__ = [
@@ -359,21 +360,21 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
     and one silent edge from each ``mu`` node to its body and from each
     variable to its binder.
 
-    The one walk of ``g``.  Raises ``ValueError`` for a variable without a
-    binder, and for two binders of one variable (only hand-built ASTs).
+    The one walk of ``g`` is :func:`~gtproj.syntax.validate_well_formedness`,
+    and the automaton is built from its report.  Raises
+    :class:`~gtproj.syntax.IllFormedProtocolError`, with that report, when
+    ``g`` breaks a structural rule.
     """
-    index = _walk(g)
-    bind: dict[str, Rec] = {}
-    for rec in index.binders:
-        if rec.var in bind:
-            raise ValueError(f"duplicate binder for recursion variable {rec.var!r}")
-        bind[rec.var] = rec
-    states = list(index.nodes)
+    report = validate_well_formedness(g)
+    if not report.ok:
+        raise IllFormedProtocolError(report)
+    bind = {rec.var: rec for rec in report.binders}
+    states = list(report.nodes)
     if END not in set(states):
         states.append(END)
     transitions: list[Edge] = []
     variables = 0
-    for i, node in enumerate(index.nodes):
+    for i, node in enumerate(report.nodes):
         if isinstance(node, Choice):
             for b in sorted(node.branches, key=lambda b: (b.receiver.name, b.message.label)):
                 transitions.append(
@@ -382,13 +383,10 @@ def build_gaut(g: GlobalType) -> SyncAutomaton:
         elif isinstance(node, Rec):
             transitions.append((node, None, node.body))
         elif isinstance(node, Var):
-            binder = bind.get(node.var)
-            if binder is None:
-                raise ValueError(f"unbound recursion variable {node.var!r}")
-            transitions.append((node, None, binder))
+            transitions.append((node, None, bind[node.var]))
             variables |= 1 << i
     return SyncAutomaton(
-        states, transitions, g, frozenset((END,)), index.roles, variables
+        states, transitions, g, frozenset((END,)), report.roles, variables
     )
 
 

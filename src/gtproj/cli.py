@@ -32,13 +32,12 @@ from .csm import Csm, explore
 from .oracle import generate_gk
 from .projection import SubsetMachine, build_projections, machine_to_dot
 from .syntax import (
-    GlobalType,
+    IllFormedProtocolError,
     ParseError,
     Role,
     parse_global_type,
     pretty,
     pretty_inline,
-    validate_well_formedness,
 )
 from .validity import (
     InternalError,
@@ -80,13 +79,19 @@ def _read_source(source: str) -> tuple[str, str]:
     is read as text.  A leading byte-order mark, which some editors write,
     is dropped.
     """
+    name = _source_name(source)
     if source == "-":
         buffer = getattr(sys.stdin, "buffer", None)
         if buffer is None:
-            return "stdin", sys.stdin.read().removeprefix("\ufeff")
-        return "stdin", buffer.read().decode("utf-8-sig")
-    path = Path(source)
-    return path.stem, path.read_text(encoding="utf-8-sig")
+            return name, sys.stdin.read().removeprefix("\ufeff")
+        return name, buffer.read().decode("utf-8-sig")
+    return name, Path(source).read_text(encoding="utf-8-sig")
+
+
+def _source_name(source: str) -> str:
+    """The protocol name of ``source``: ``stdin`` for ``-``, else the file's
+    stem.  Diagnostics name the protocol by it."""
+    return "stdin" if source == "-" else Path(source).stem
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
@@ -174,9 +179,9 @@ def _protocol_json(name: str, a: SyncAutomaton) -> dict:
 def _check_payload(
     name: str, text_value: str, all_violations: bool
 ) -> tuple[dict, Verdict]:
-    """Parse, validate and check ``text_value``, timing each stage."""
+    """Parse, project and check ``text_value``, timing each stage."""
     t0 = time.perf_counter()
-    g = _parse_checked(name, text_value)
+    g = parse_global_type(text_value)
     t1 = time.perf_counter()
     projections = build_projections(g)
     t2 = time.perf_counter()
@@ -225,25 +230,6 @@ def _render_check_text(payload: dict, verdict: Verdict, all_violations: bool) ->
 # --------------------------------------------------------------------------- #
 
 
-def _parse_checked(name: str, text_value: str) -> GlobalType:
-    """Parse and validate; raises ParseError or _Diagnostics on failure."""
-    g = parse_global_type(text_value)
-    report = validate_well_formedness(g)
-    if not report.ok:
-        raise _Diagnostics(
-            [f"{name}: {v.rule.value}: {v.message}" for v in report.violations]
-        )
-    return g
-
-
-class _Diagnostics(Exception):
-    """Well-formedness failures to be printed to stderr (exit 2)."""
-
-    def __init__(self, lines: list[str]) -> None:
-        super().__init__("; ".join(lines))
-        self.lines = lines
-
-
 def _cmd_check(cfg: RunConfig) -> int:
     payload, verdict = _check_payload(*_read_source(cfg.source or "-"), cfg.all_violations)
     payload["schema"] = 1
@@ -256,8 +242,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _cmd_project(cfg: RunConfig) -> int:
     name, text_value = _read_source(cfg.source or "-")
-    g = _parse_checked(name, text_value)
-    a, table = build_projections(g)
+    a, table = build_projections(parse_global_type(text_value))
     machines = {role: machine for role, (_, machine) in table.items()}
     roles = sorted(machines, key=lambda r: r.name)
     if cfg.fmt == "dot":
@@ -293,8 +278,7 @@ def _cmd_project(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     name, text_value = _read_source(cfg.source or "-")
-    g = _parse_checked(name, text_value)
-    a, table = build_projections(g)
+    a, table = build_projections(parse_global_type(text_value))
     system = Csm({role: machine for role, (_, machine) in table.items()})
     report = explore(system, channel_bound=cfg.channel_bound, depth=cfg.depth)
     if cfg.fmt == "json":
@@ -408,8 +392,12 @@ def run_command(cfg: RunConfig) -> int:
     except ParseError as exc:
         _error(str(exc))
         return 2
-    except _Diagnostics as exc:
-        _error("protocol is not well-formed", *exc.lines)
+    except IllFormedProtocolError as exc:
+        name = _source_name(cfg.source or "-")
+        _error(
+            "protocol is not well-formed",
+            *(f"{name}: {v.rule.value}: {v.message}" for v in exc.report.violations),
+        )
         return 2
     except OSError as exc:
         _error(str(exc))

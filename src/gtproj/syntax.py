@@ -29,19 +29,20 @@ scanned again (see :func:`parse_global_type`).  When
 the scanner finds no piece the grammar allows, ``_explain`` reads the tokens
 from there to name the wrong one.
 
-One pre-order walk, ``_walk``, reads a protocol's index: distinct nodes,
-roles, messages and ``mu`` binders; ``subterms``, ``roles_of``,
-``messages_of`` and ``measure_size`` read it.  The decision procedure walks
-once, in :func:`~gtproj.automata.build_gaut`; later layers read the
-automaton.  The walks (well-formedness makes its own, once per distinct
-node) and the printers use explicit stacks, so none meets the recursion limit.
+A protocol's one walk, :func:`validate_well_formedness`, checks the
+structural rules and reads the protocol's index: distinct nodes, roles,
+messages and ``mu`` binders, which its report keeps; ``subterms``,
+``roles_of``, ``messages_of`` and ``measure_size`` read it.  The decision
+procedure walks once: :func:`~gtproj.automata.build_gaut` refuses an
+ill-formed protocol and builds from the report; later layers read the
+automaton.  The walk and the printers use explicit stacks, so none meets
+the recursion limit.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 __all__ = [
     "Role",
@@ -242,64 +243,26 @@ def exchange(
 # --------------------------------------------------------------------------- #
 
 
-class _Index(NamedTuple):
-    """A protocol as :func:`_walk` reads it, each part in pre-order."""
-
-    nodes: tuple[GlobalType, ...]
-    roles: tuple[Role, ...]
-    messages: tuple[Message, ...]
-    binders: tuple[Rec, ...]
-
-
-def _walk(g: GlobalType) -> _Index:
-    """The index of ``g`` from one pre-order walk, with an explicit stack:
-    each distinct node once; a choice's sender when the choice is met, and
-    a branch's receiver and message just before its continuation."""
-    seen: set[int] = set()
-    nodes: list[GlobalType] = []
-    roles: dict[Role, None] = {}
-    messages: dict[Message, None] = {}
-    recs: list[Rec] = []
-    stack: list = [g]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is Branch:
-            roles.setdefault(node.receiver)
-            messages.setdefault(node.message)
-            node = node.continuation
-        if node.intern_id in seen:
-            continue
-        seen.add(node.intern_id)
-        nodes.append(node)
-        if isinstance(node, Choice):
-            roles.setdefault(node.sender)
-            stack.extend(reversed(node.branches))
-        elif isinstance(node, Rec):
-            recs.append(node)
-            stack.append(node.body)
-    return _Index(tuple(nodes), tuple(roles), tuple(messages), tuple(recs))
-
-
 def subterms(g: GlobalType) -> tuple[GlobalType, ...]:
     """All distinct subterms of ``g`` in first-occurrence (pre-order) order.
 
     Shared subtrees are listed once; the walk is linear in the number of
     distinct nodes, so heavily shared protocols stay cheap.
     """
-    return _walk(g).nodes
+    return validate_well_formedness(g).nodes
 
 
 def roles_of(g: GlobalType) -> tuple[Role, ...]:
     """Every role of ``g`` in first-occurrence (pre-order) order: each
     choice contributes its sender, then per branch the receiver, read before
     that branch's continuation is walked."""
-    return _walk(g).roles
+    return validate_well_formedness(g).roles
 
 
 def messages_of(g: GlobalType) -> tuple[Message, ...]:
     """Every message label of ``g`` in first-occurrence order: per branch
     the label, read before that branch's continuation is walked."""
-    return _walk(g).messages
+    return validate_well_formedness(g).messages
 
 
 # --------------------------------------------------------------------------- #
@@ -704,13 +667,33 @@ class WellFormednessViolation:
 @dataclass(frozen=True, slots=True)
 class WellFormednessReport:
     """All violations found in one protocol, by location; a choice's in
-    branch order, and a binder's ``DuplicateBinder`` before ``Unguarded``."""
+    branch order, and a binder's ``DuplicateBinder`` before ``Unguarded``.
+
+    It also holds the protocol's index, each part in the pre-order of the
+    walk that made the report: the distinct nodes (:func:`subterms`), the
+    roles (:func:`roles_of`), the messages (:func:`messages_of`) and the
+    ``mu`` binders.  Reports compare and print by their violations alone.
+    """
 
     violations: tuple[WellFormednessViolation, ...]
+    nodes: tuple[GlobalType, ...] = field(compare=False, repr=False)
+    roles: tuple[Role, ...] = field(compare=False, repr=False)
+    messages: tuple[Message, ...] = field(compare=False, repr=False)
+    binders: tuple[Rec, ...] = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+class IllFormedProtocolError(ValueError):
+    """Raised when an operation that requires a well-formed protocol is
+    handed one that is not; carries the full report."""
+
+    def __init__(self, report: WellFormednessReport) -> None:
+        lines = "; ".join(v.message for v in report.violations)
+        super().__init__(f"protocol is not well-formed: {lines}")
+        self.report = report
 
 
 def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
@@ -729,21 +712,28 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
     * ``DuplicateBinder`` — no two distinct ``mu`` nodes bind one variable
       (the parser refuses such text, so only hand-built protocols break it).
 
-    One walk enters each distinct node once, in the pre-order of
-    :func:`subterms` (so a location is a counter), and checks there the four
-    rules that read one node.  Hash-consing makes all occurrences of ``t``
-    one node, unbound somewhere exactly when ``t`` is free in ``g``.  Free
-    variables are int masks, a bit per name, made on leaving a node (a
-    choice ORs its branches' masks, a binder clears its bit), and each
-    ``Var`` whose bit is set in the root's mask is reported: linear in
-    nodes × names/64.
+    The protocol's one walk: it enters each distinct node once, in
+    pre-order (so a location is a counter), records a choice's sender when
+    the choice is entered and a branch's receiver and message just before
+    its continuation, and checks there the four rules that read one node.
+    The report keeps what the walk read (see :class:`WellFormednessReport`).
+    Hash-consing makes all occurrences of ``t`` one node, unbound somewhere
+    exactly when ``t`` is free in ``g``.  Free variables are int masks, a
+    bit per name, made on leaving a node (a choice ORs its branches' masks,
+    a binder clears its bit), and each ``Var`` whose bit is set in the
+    root's mask is reported: linear in nodes × names/64.
     """
     found: list[tuple[WellFormednessRule, int, str]] = []
     nodes: list[GlobalType] = []
+    # roles and messages by name, which hashes without a Python-level call
+    roles: dict[str, Role] = {}
+    messages: dict[str, Message] = {}
+    recs: list[Rec] = []
     free: dict[int, int] = {}  # intern id -> mask, final once the node is left
     bits: dict[str, int] = {}
     binders: set[str] = set()
-    stack: list = [g]  # nodes to enter, and positions of choices and binders to leave
+    # nodes and branches to enter, and positions of choices and binders to leave
+    stack: list = [g]
     while stack:
         node = stack.pop()
         if node.__class__ is int:
@@ -756,6 +746,10 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
                     mask |= free[b.continuation.intern_id]
             free[node.intern_id] = mask
             continue
+        if node.__class__ is Branch:
+            roles.setdefault(node.receiver.name, node.receiver)
+            messages.setdefault(node.message.label, node.message)
+            node = node.continuation
         if node.intern_id in free:
             continue
         at = len(nodes)
@@ -763,23 +757,24 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
         free[node.intern_id] = 0
         if isinstance(node, Choice):
             sender, pairs = node.sender, set()
+            roles.setdefault(sender.name, sender)
             for b in node.branches:
-                if b.receiver == sender:
+                if b.receiver.name == sender.name:
                     message = f"role {sender} sends to itself in {sender}->{sender}:{b.message}"
                     found.append((WellFormednessRule.SELF_COMMUNICATION, at, message))
-                pair = (b.receiver, b.message)
+                pair = (b.receiver.name, b.message.label)
                 if pair in pairs:
                     message = f"duplicate branch {sender}->{b.receiver}:{b.message}"
                     found.append((WellFormednessRule.BRANCH_DISTINCTNESS, at, message))
                 pairs.add(pair)
             stack.append(at)
-            for b in reversed(node.branches):
-                stack.append(b.continuation)
+            stack.extend(reversed(node.branches))
         elif isinstance(node, Rec):
             if node.var in binders:
                 message = f"recursion variable {node.var!r} has more than one binder"
                 found.append((WellFormednessRule.DUPLICATE_BINDER, at, message))
             binders.add(node.var)
+            recs.append(node)
             spine: GlobalType = node.body
             while isinstance(spine, Rec):
                 spine = spine.body
@@ -795,10 +790,14 @@ def validate_well_formedness(g: GlobalType) -> WellFormednessReport:
         if isinstance(node, Var) and bits[node.var] & unbound:
             message = f"recursion variable {node.var!r} is not bound here"
             found.append((WellFormednessRule.UNBOUND_VARIABLE, at, message))
-    if not found:
-        return WellFormednessReport(())
     found = sorted(dict.fromkeys(found), key=lambda v: v[1])  # stable, and no repeats
-    return WellFormednessReport(tuple(WellFormednessViolation(*v) for v in found))
+    return WellFormednessReport(
+        tuple(WellFormednessViolation(*v) for v in found),
+        tuple(nodes),
+        tuple(roles.values()),
+        tuple(messages.values()),
+        tuple(recs),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -814,7 +813,7 @@ def measure_size(g: GlobalType) -> int:
     once) and contributes one transition per choice branch and one silent
     transition per ``mu`` node and per variable occurrence.
     """
-    nodes = _walk(g).nodes
+    nodes = validate_well_formedness(g).nodes
     return len(nodes) + sum(
         len(n.branches) if isinstance(n, Choice) else isinstance(n, (Rec, Var))
         for n in nodes

@@ -60,13 +60,7 @@ from .projection import (
     SubsetState,
     build_projections,
 )
-from .syntax import (
-    GlobalType,
-    Role,
-    pretty_inline,
-    validate_well_formedness,
-    WellFormednessReport,
-)
+from .syntax import GlobalType, IllFormedProtocolError, Role, pretty_inline
 
 __all__ = [
     "MachineTransition",
@@ -95,16 +89,6 @@ MachineTransition = tuple[SubsetState, AsyncEvent, SubsetState]
 class InternalError(RuntimeError):
     """A should-be-impossible situation: an invariant the checks rely on
     failed to hold.  Indicates a bug, never bad user input."""
-
-
-class IllFormedProtocolError(ValueError):
-    """Raised when an operation that requires a well-formed protocol is
-    handed one that is not; carries the full report."""
-
-    def __init__(self, report: WellFormednessReport) -> None:
-        lines = "; ".join(v.message for v in report.violations)
-        super().__init__(f"protocol is not well-formed: {lines}")
-        self.report = report
 
 
 # --------------------------------------------------------------------------- #
@@ -210,12 +194,15 @@ def available_messages(g_root: GlobalType, q: AvailableMessageQuery) -> Availabl
     is not unfolded), which suffices because availability is not increased
     by a second pass through a loop.  The walk follows the automaton's
     edges, so a choice's branches come by (receiver, message) names.
+
+    Raises ``ValueError`` when ``q.subterm`` does not occur in ``g_root``,
+    and :class:`IllFormedProtocolError` when ``g_root`` is ill-formed.
     """
     walks = _AvailableWalks(build_gaut(g_root))
     a = walks.automaton
     i = a.bit.get(q.subterm)
     if i is None:
-        raise InternalError("queried subterm does not occur in the protocol")
+        raise ValueError("queried subterm does not occur in the protocol")
     blocked = sum(1 << n for n, r in enumerate(a.roles) if r in q.blocked)
     step = a.transitions.__getitem__
     witness = {
@@ -397,6 +384,10 @@ def check_no_mixed_choice(m: SubsetMachine) -> bool:
     protocol in the classical, syntactic sense additionally never *shares*
     a state between different peers, but mixedness is the part that matters
     for comparing against classical projection.
+
+    :func:`check_implementability` does not call it, and today accepts some
+    protocols with a mixed machine, such as
+    ``+ { p->q:c . 0, p->s:c . q->r:a . 0 }``, whose role q can deadlock.
     """
     for moves in m.arcs:
         directions = {m.events[r].direction for r, _ in moves}
@@ -426,11 +417,10 @@ class Verdict:
     violations: tuple[ValidityViolation, ...] = ()
 
 
-#: What :func:`build_projections` returns for ``g``.  Passing it as
-#: ``_projections`` says that :func:`validate_well_formedness` has accepted
-#: ``g``: neither :func:`check_implementability` nor
-#: :func:`build_counterexample` validates ``g`` then, so an ill-formed ``g``
-#: raises no :class:`IllFormedProtocolError`.
+#: What :func:`build_projections` returns for ``g``, which it builds only
+#: for a well-formed ``g``.  Passed as ``_projections``, it spares
+#: :func:`check_implementability` and :func:`build_counterexample` building
+#: it again.
 _Projections = tuple[SyncAutomaton, dict[Role, tuple[LocalNfa, SubsetMachine]]]
 
 
@@ -446,13 +436,9 @@ def check_implementability(
     receive validity per role, and stops at the first violation unless
     ``all_violations`` is set.  A violation is returned together with a
     verified counterexample trace.  Raises :class:`IllFormedProtocolError`
-    when ``g`` breaks the structural rules, unless the caller passes
-    ``_projections`` (see :data:`_Projections`).
+    when ``g`` breaks the structural rules: :func:`build_projections`
+    refuses it.
     """
-    if _projections is None:
-        report = validate_well_formedness(g)
-        if not report.ok:
-            raise IllFormedProtocolError(report)
     a, table = _projections if _projections is not None else build_projections(g)
     found: list[ValidityViolation] = []
     for nfa, machine in table.values():
@@ -583,8 +569,8 @@ def build_counterexample(
     (skipping steps of roles that are frozen behind the role under test),
     and then receive the first message ahead of the second.
 
-    ``g`` must be well-formed (see :data:`_Projections`); it is not
-    validated here.
+    Raises :class:`IllFormedProtocolError` when ``g`` breaks the structural
+    rules: :func:`build_projections` refuses it.
     """
     a, table = _projections if _projections is not None else build_projections(g)
     nfa, machine = table[v.role]

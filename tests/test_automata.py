@@ -7,21 +7,27 @@ import pytest
 
 from gtproj import (
     AsyncEvent,
+    AvailableMessageQuery,
     Branch,
     Choice,
     Direction,
     END,
+    IllFormedProtocolError,
     Message,
     Rec,
     Role,
     SyncEvent,
     Var,
+    WellFormednessRule,
+    available_messages,
     build_gaut,
+    build_projections,
     erase,
     erase_label,
     exchange,
     format_trace,
     generate_gk,
+    intersection_witness,
     measure_size,
     nfa_to_dot,
     parse_global_type,
@@ -31,7 +37,9 @@ from gtproj import (
     send,
     split_event,
     split_word,
+    subset_construction,
     sync_to_dot,
+    validate_well_formedness,
 )
 from gtproj.automata import _closures, _select
 from gtproj.corpus import load, names
@@ -153,39 +161,72 @@ def test_gaut_rejects_unbound_variable():
         build_gaut(parse_global_type("p->q:m . t"))
 
 
-def test_gaut_rejects_a_hand_built_unbound_variable():
-    with pytest.raises(ValueError, match=r"^unbound recursion variable 't'$"):
-        build_gaut(exchange(P, Q, M, Var("t")))
-
-
-def test_gaut_rejects_a_hand_built_duplicate_binder():
+def _ill_formed(rule):
+    """A hand-built protocol that breaks ``rule`` and no other rule."""
+    if rule is WellFormednessRule.BRANCH_DISTINCTNESS:
+        return Choice(P, (Branch(Q, M, END), Branch(Q, M, END)))
+    if rule is WellFormednessRule.SELF_COMMUNICATION:
+        return exchange(P, P, M, END)
+    if rule is WellFormednessRule.UNGUARDED:
+        return Rec("t", Rec("u", Var("t")))
+    binder = Rec("t", exchange(P, Q, O, Var("t")))
+    if rule is WellFormednessRule.UNBOUND_VARIABLE:
+        # branch order meets the variable first, outside its binder
+        return Choice(R, (Branch(P, O, Var("t")), Branch(Q, M, binder)))
     # the parser refuses a reused binder name; a hand-built AST can have one
-    first = Rec("t", exchange(P, Q, O, Var("t")))
-    second = Rec("t", exchange(P, Q, M, Var("t")))
-    g = Choice(R, (Branch(P, O, first), Branch(Q, M, second)))
-    with pytest.raises(ValueError) as info:
-        build_gaut(g)
-    assert str(info.value) == "duplicate binder for recursion variable 't'"
+    other = Rec("t", exchange(P, Q, M, Var("t")))
+    return Choice(R, (Branch(P, O, binder), Branch(Q, M, other)))
+
+
+@pytest.mark.parametrize("rule", WellFormednessRule, ids=lambda rule: rule.value)
+def test_every_automaton_builder_refuses_an_ill_formed_protocol(rule):
+    g = _ill_formed(rule)
+    report = validate_well_formedness(g)
+    assert [v.rule for v in report.violations] == [rule]
+    for build in (
+        build_gaut,
+        lambda g: subset_construction(g, P),
+        build_projections,
+        lambda g: intersection_witness(g, ()),
+        lambda g: available_messages(g, AvailableMessageQuery(g, frozenset())),
+    ):
+        with pytest.raises(IllFormedProtocolError) as info:
+            build(g)
+        assert info.value.report == report
+
+
+def test_gaut_rejects_a_hand_built_unbound_variable():
+    with pytest.raises(
+        IllFormedProtocolError,
+        match=r"^protocol is not well-formed: recursion variable 't' is not bound here$",
+    ) as info:
+        build_gaut(exchange(P, Q, M, Var("t")))
+    assert [v.rule for v in info.value.report.violations] == [
+        WellFormednessRule.UNBOUND_VARIABLE
+    ]
 
 
 def test_gaut_links_a_variable_met_before_its_binder():
-    # branch order meets the variable first, outside its binder
+    # branch order meets the variable first, outside its binder: there it is
+    # unbound, so build_gaut refuses the protocol rather than linking the
+    # variable to the binder met later
     var = Var("t")
-    inner = exchange(P, Q, O, var)
-    binder = Rec("t", inner)
+    binder = Rec("t", exchange(P, Q, O, var))
     g = Choice(R, (Branch(P, O, var), Branch(Q, M, binder)))
-    a = build_gaut(g)
-    assert a.states == (g, var, binder, inner, END)
+    with pytest.raises(IllFormedProtocolError) as info:
+        build_gaut(g)
+    (violation,) = info.value.report.violations
+    assert violation.rule is WellFormednessRule.UNBOUND_VARIABLE
+    # the same binder, reached before its variable, is linked
+    a = build_gaut(binder)
+    inner = binder.body
+    assert a.states == (binder, inner, var, END)
     assert a.out(var) == ((var, None, binder),)
-    # source by source in state order, the positions of ``states``
     assert a.transitions == (
-        (g, SyncEvent(R, P, O), var),
-        (g, SyncEvent(R, Q, M), binder),
-        (var, None, binder),
         (binder, None, inner),
         (inner, SyncEvent(P, Q, O), var),
+        (var, None, binder),
     )
-    assert a.edges == ((0, 0, 1), (0, 1, 2), (1, None, 2), (2, None, 3), (3, 2, 1))
 
 
 def test_gaut_out_groups_by_source():

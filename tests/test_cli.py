@@ -22,7 +22,6 @@ from gtproj import (
     generate_gk,
     pretty,
     syntax,
-    validity,
 )
 from gtproj.cli import RunConfig, main, run_command
 from gtproj.corpus import entries, load, names, text
@@ -172,59 +171,61 @@ def test_ill_formed_protocol_exits_2():
     assert result.exit_code == 2
     assert "not well-formed" in result.stderr
     assert "Unguarded" in result.stderr
+    # every violation, one line each, the same from every command that
+    # builds machines
+    for command in ("check", "project", "simulate"):
+        result = runner.invoke(main, [command, "-"], input="+ { p->p:m . t, p->p:m . 0 }\n")
+        assert result.exit_code == 2, command
+        assert result.stdout == "", command
+        assert result.stderr == (
+            "error: protocol is not well-formed\n"
+            "  stdin: SelfCommunication: role p sends to itself in p->p:m\n"
+            "  stdin: BranchDistinctness: duplicate branch p->p:m\n"
+            "  stdin: UnboundVariable: recursion variable 't' is not bound here\n"
+        ), command
 
 
-def test_check_validates_well_formedness_once(tmp_path, monkeypatch):
+@pytest.fixture
+def walks(monkeypatch):
+    """The protocols that the one walk, validate_well_formedness, is called
+    on, counted under every module name bound to it."""
     calls = []
-    original = cli.validate_well_formedness
+    original = syntax.validate_well_formedness
 
     def counted(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(cli, "validate_well_formedness", counted)
-    monkeypatch.setattr(validity, "validate_well_formedness", counted)
-    code = run_command(RunConfig(command="check", source=corpus_path("g_s", tmp_path)))
-    assert code == 1
-    assert len(calls) == 1
-
-
-@pytest.fixture
-def walks(monkeypatch):
-    """Calls of the protocol's index walk and of its well-formedness walk,
-    counted under every module name bound to either function."""
-    calls = {"index": 0, "well-formedness": 0}
-    for key, original in (
-        ("index", syntax._walk),
-        ("well-formedness", syntax.validate_well_formedness),
-    ):
-
-        def counted(*args, _original=original, _key=key):
-            calls[_key] += 1
-            return _original(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name == "gtproj" or name.startswith("gtproj."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+    for name, module in list(sys.modules.items()):
+        if name == "gtproj" or name.startswith("gtproj."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
 
 
 def test_check_walks_each_protocol_once(tmp_path, walks, capsys):
+    # and so do project and simulate
     for name in names():
-        walks.update({"index": 0, "well-formedness": 0})
-        code = run_command(
-            RunConfig(command="check", source=corpus_path(name, tmp_path), fmt="json")
-        )
-        assert code in (0, 1), name
-        assert walks == {"index": 1, "well-formedness": 1}, name
+        for command in ("check", "project", "simulate"):
+            walks.clear()
+            code = run_command(
+                RunConfig(command=command, source=corpus_path(name, tmp_path), fmt="json")
+            )
+            assert code in (0, 1), (name, command)
+            assert len(walks) == 1, (name, command)
+
+
+def test_check_validates_well_formedness_once(tmp_path, walks):
+    code = run_command(RunConfig(command="check", source=corpus_path("g_s", tmp_path)))
+    assert code == 1
+    assert walks == [load("g_s")]
 
 
 def test_a_receive_validity_rejection_walks_the_protocol_once(walks):
     verdict = check_implementability(load("g_r"))
     assert verdict.violation.kind is ViolationKind.RECEIVE_VALIDITY
-    assert walks == {"index": 1, "well-formedness": 1}
+    assert len(walks) == 1
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -15,6 +15,7 @@ from gtproj import (
     Choice,
     END,
     End,
+    IllFormedProtocolError,
     Message,
     ParseError,
     Rec,
@@ -513,25 +514,6 @@ def _reference_subterms(g):
     return tuple(order)
 
 
-def _reference_binders(g):
-    """Each variable's binder in subterm order, or the message of the
-    error the automaton raises: a duplicate binder, else the first
-    self-sent exchange or unbound variable in subterm order."""
-    nodes, bind = _reference_subterms(g), {}
-    for node in nodes:
-        if isinstance(node, Rec):
-            if node.var in bind:
-                return f"duplicate binder for recursion variable {node.var!r}"
-            bind[node.var] = node
-    for node in nodes:
-        if isinstance(node, Choice):
-            if any(b.receiver == node.sender for b in node.branches):
-                return f"role {node.sender} cannot message itself"
-        elif isinstance(node, Var) and node.var not in bind:
-            return f"unbound recursion variable {node.var!r}"
-    return bind
-
-
 def _reference_roles_of(g):
     seen_nodes, order = set(), {}
 
@@ -699,18 +681,28 @@ def _assert_parses_alike(text):
         assert _violations(got) == _reference_violations(want), text
 
 
+def _checked_gaut(g, want):
+    """``build_gaut(g)``, or ``None`` when it raises; it must raise exactly
+    when the reference report ``want`` has violations, and with that report."""
+    try:
+        a = build_gaut(g)
+    except IllFormedProtocolError as exc:
+        assert [(v.rule, v.location, v.message) for v in exc.report.violations] == want, g
+        return None
+    assert not want, g
+    return a
+
+
 def _assert_walks_alike(g):
     assert subterms(g) == _reference_subterms(g)
     assert roles_of(g) == _reference_roles_of(g)
     assert messages_of(g) == _reference_messages_of(g)
-    try:
-        a = build_gaut(g)
-    except ValueError as exc:
-        assert str(exc) == _reference_binders(g)
-    else:
+    want = _reference_violations(g)
+    assert _violations(g) == want
+    a = _checked_gaut(g, want)
+    if a is not None:
         assert a.roles == roles_of(g)
         assert a.size == measure_size(g)
-    assert _violations(g) == _reference_violations(g)
     assert pretty(g) == _reference_pretty(g)
     assert pretty_inline(g) == _reference_pretty_inline(g)
 
@@ -1066,6 +1058,7 @@ def test_the_one_pass_matches_the_reference_on_protocols_built_through_the_api()
             g = _api_mutation(g, edits)
             want = _reference_violations(g)
             assert _violations(g) == want, g
+            _checked_gaut(g, want)
             for rule, _, _ in want:
                 broken[rule] += 1
             several += len({location for _, location, _ in want}) > 1

@@ -320,7 +320,8 @@ def test_available_messages_walks_deeper_than_the_recursion_limit():
 def test_available_messages_rejects_foreign_subterm():
     g = load("g_s")
     other = parse_global_type("p->q:x . 0")
-    with pytest.raises(InternalError):
+    # bad input, not a broken invariant
+    with pytest.raises(ValueError, match="^queried subterm does not occur in the protocol$"):
         ask(g, other, R)
 
 
