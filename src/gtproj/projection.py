@@ -16,7 +16,9 @@ tables.  :func:`determinize` steps each member of a state with at most 8
 members, or with no more members than the view has labels.  A wider state
 takes its moves label by label: a label's successor depends only on the
 members with an edge of that label, so it is computed once per distinct
-such set and reused, which pays in the wide states of large machines.
+such set and reused, which pays in the wide states of large machines.  A
+new set ORs one entry per byte of the label's members from tables made
+once per label, each entry computed the first time it is read.
 A :class:`SubsetState` is a (machine, number) value that reads its members
 off the masks; violations and counterexamples name states with it, and the
 machine's ``states``, ``transitions`` and ``out`` are computed from the
@@ -213,11 +215,14 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     exact because δ_r(M) = δ_r(M ∩ sources_r): members without a rank-``r``
     edge add nothing to the successor.  It pays because wide states share
     keys: of the 20 480 arcs of q in ``generate_gk(12)``, 12 286 repeat an
-    earlier (label, key) pair.  A key not seen before ORs its label's byte
-    parts (:func:`_label_union`).  Either way a state costs
-    O(min(members, labels)).  Ranks are visited in sorted order and
-    successors numbered on discovery on both paths, so the tables do not
-    depend on which path a state took.
+    earlier (label, key) pair.  A key not seen before ORs one entry of each
+    of its label's byte tables (:func:`_byte_union`), made at the label's
+    first new key (:func:`_byte_tables`); an entry is computed the first
+    time it is read and kept.  In q of ``generate_gk(12)``, the 8162 new
+    keys of 3 labels read 10 tables and fill 680 entries.  Either way a
+    state costs O(min(members, labels)).  Ranks are visited in sorted order
+    and successors numbered on discovery on both paths, so the machine does
+    not depend on which path a state took.
     """
     bit, closures = nfa.bit, nfa.closures
     steps: list[list[tuple[int, int]]] = [[] for _ in nfa.states]
@@ -226,8 +231,8 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
             steps[src].append((r, closures[tgt]))
     narrow = max(8, len(nfa.events))  # widest state that steps its members
     # per label, made at the first wider state: (rank, mask of the members
-    # with an edge of that rank, byte parts, arc by key)
-    tables: Optional[list[tuple[int, int, dict, dict]]] = None
+    # with an edge of that rank, arc by key, byte tables from its first new key)
+    tables: Optional[list[tuple[int, int, dict, list]]] = None
     masks = [closures[bit[nfa.initial]]]
     order = {masks[0]: 0}
     arcs: list[tuple[tuple[int, int], ...]] = []
@@ -252,15 +257,17 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
             for src, member_steps in enumerate(steps):
                 for r, _ in member_steps:
                     sources[r] |= 1 << src
-            tables = [(r, s, {}, {}) for r, s in enumerate(sources)]
+            tables = [(r, s, {}, []) for r, s in enumerate(sources)]
         row = []
-        for r, sources_r, parts, memo in tables:
+        for r, sources_r, memo, parts in tables:
             key = mask & sources_r
             if not key:
                 continue
             arc = memo.get(key)
             if arc is None:
-                union = _label_union(steps, r, key, parts)
+                if not parts:  # rank r's first new key
+                    parts += _byte_tables(steps, r, sources_r)
+                union = _byte_union(parts, key)
                 successor = order.get(union)
                 if successor is None:
                     successor = order[union] = len(masks)
@@ -276,29 +283,56 @@ def determinize(nfa: LocalNfa) -> SubsetMachine:
     )
 
 
-def _label_union(
-    steps: list[list[tuple[int, int]]], r: int, key: int, parts: dict[int, int]
-) -> int:
+def _byte_tables(
+    steps: list[list[tuple[int, int]]], r: int, sources_r: int
+) -> list[tuple[int, list[Optional[int]]]]:
+    """Rank ``r``'s byte tables, made at its first new key.  ``sources_r``,
+    the members with a rank-``r`` edge, is cut into bytes that each start
+    at its lowest member not yet covered, and each byte gets a ``(shift,
+    table)`` pair: entry ``b`` of the table is the union of the rank-``r``
+    target closures of the members ``shift + i`` for the bits ``i`` of
+    ``b``.  A byte takes every member in the 8 bits from its start, so for
+    a key within ``sources_r`` the index ``key >> shift & 255`` stays in
+    the table.  Entry 0 and the single-bit entries are set here, the others
+    on first use (:func:`_byte_union`).  A table is only as long as its
+    byte's highest member needs, so a label with few members makes few,
+    short tables."""
+    parts = []
+    rest = sources_r
+    while rest:
+        shift = (rest & -rest).bit_length() - 1
+        byte = rest >> shift & 255
+        rest ^= byte << shift
+        width = byte.bit_length()
+        table: list[Optional[int]] = [None] * (1 << width)
+        table[0] = 0
+        for i, member_steps in enumerate(steps[shift : shift + width]):
+            part = 0
+            for rank, target in member_steps:
+                if rank == r:
+                    part |= target
+            table[1 << i] = part
+        parts.append((shift, table))
+    return parts
+
+
+def _byte_union(parts: list[tuple[int, list[Optional[int]]]], key: int) -> int:
     """The union of the rank-``r`` target closures of the members in
-    ``key``, ORed from ``parts``: rank ``r``'s union for each non-zero byte
-    ``b`` at byte position ``pos`` of ``key``, kept under ``pos << 8 | b``
-    and computed the first time it is needed.  A successor distributes over
-    union, δ_r(A ∪ B) = δ_r(A) ∪ δ_r(B), and keys share bytes: the 8162
-    keys of q's wide states in ``generate_gk(12)`` need 716 parts."""
-    lo = ((key & -key).bit_length() - 1) >> 3  # lowest set byte
-    window = (key >> (lo << 3)).to_bytes((key.bit_length() + 7 >> 3) - lo, "little")
+    ``key``, a subset of ``sources_r``: the OR of one entry of each of rank
+    ``r``'s byte tables (:func:`_byte_tables`).  A successor distributes
+    over union, δ_r(A ∪ B) = δ_r(A) ∪ δ_r(B), so an entry not yet set is
+    the OR of its single-bit entries; it is kept, since keys share bytes."""
     union = 0
-    for pos, b in enumerate(window, lo):
-        if not b:
-            continue
-        part = parts.get(pos << 8 | b)
+    for shift, table in parts:
+        b = key >> shift & 255
+        part = table[b]
         if part is None:
             part = 0
-            for member_steps in _select(steps[pos << 3 : pos + 1 << 3], b):
-                for rank, target in member_steps:
-                    if rank == r:
-                        part |= target
-            parts[pos << 8 | b] = part
+            c = b
+            while c:
+                part |= table[c & -c]
+                c &= c - 1
+            table[b] = part
         union |= part
     return union
 

@@ -18,9 +18,13 @@ machine built by subset construction satisfies two conditions:
   "bubble up" to the front of a subterm while a set of roles stands still;
   :func:`available_messages` asks it about one subterm.
 
-Both checks are sound and complete, so a violation always yields a real
-counterexample trace, verified against the machine semantics before it is
-returned.
+Every rejection comes with a counterexample trace, verified against the
+machine semantics before it is returned.  Acceptance is not yet exact: the
+checks accept some protocols with a mixed machine, one with a state that
+offers both a send and a receive, such as
+``+ { p->q:c . 0, p->s:c . q->r:a . 0 }``, whose role q can deadlock.
+:func:`check_no_mixed_choice` is the test for such a machine;
+:func:`check_implementability` does not call it.
 
 Both are tests on the machine's masks (see
 :class:`~gtproj.projection.SubsetMachine`).  A send x from a state with

@@ -338,6 +338,22 @@ def test_family_blows_up_the_receiver_machine():
         assert sum(map(len, m.states)) == members, k
 
 
+def test_family_machine_sizes_for_every_role():
+    # (states, transitions, final states) of each role's machine: q's is the
+    # blow-up, p's and r's stay linear and constant
+    for k in range(1, 14):
+        _, table = build_projections(generate_gk(k))
+        rows = {
+            role.name: (len(m), len(m.transitions), len(m.finals))
+            for role, (_, m) in table.items()
+        }
+        assert rows == {
+            "p": (2 * k + 7, 4 * k + 8, 1),
+            "q": (2 ** (k + 1) + 2, 5 * 2**k, 1),
+            "r": (3, 4, 1),
+        }, k
+
+
 #: run_prefixes_checked and csm_traces_checked of gk(k), k = 1..6, at depth
 #: 14 and channel bound 4.
 GK_FIDELITY = ((19, 2984), (47, 4100), (111, 5420), (159, 6844), (222, 8252), (284, 9500))

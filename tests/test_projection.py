@@ -409,22 +409,41 @@ def test_wide_states_reuse_the_moves_of_their_bytes(monkeypatch):
     monkeypatch.setattr(projection, "_select", select)
     m = projection.determinize(nfa)
     assert len(m.masks) == 2050
-    # one selection per state read member by member and per distinct (label,
-    # byte position, byte) of the others, where stepping every member makes
-    # one per state
+    # one selection per state read member by member, and none for the
+    # others, which read byte tables; stepping every member makes one per
+    # state
+    narrow = [mask for mask in m.masks if mask.bit_count() <= max(8, len(nfa.events))]
+    assert calls == narrow
     assert len(calls) < len(m.masks) // 2, len(calls)
 
 
 def test_wide_states_compute_each_label_successor_once_per_key(monkeypatch):
     nfa = erase(build_gaut(generate_gk(10)), Q)
-    calls = []
-    label_union_of = projection._label_union
+    byte_tables_of, byte_union_of = projection._byte_tables, projection._byte_union
+    made = []  # the ranks whose tables were made
+    window = {}  # table id -> (rank, shift, table)
+    calls, fills = [], []
 
-    def label_union(steps, r, key, parts):
+    def byte_tables(steps, r, sources_r):
+        parts = byte_tables_of(steps, r, sources_r)
+        made.append(r)
+        for shift, table in parts:
+            window[id(table)] = (r, shift, table)  # keeps the table alive
+        return parts
+
+    def byte_union(parts, key):
+        r = window[id(parts[0][1])][0]
         calls.append((r, key))
-        return label_union_of(steps, r, key, parts)
+        unset = [{b for b, part in enumerate(table) if part is None} for _, table in parts]
+        union = byte_union_of(parts, key)
+        for (shift, table), before in zip(parts, unset):
+            assert window[id(table)][:2] == (r, shift)
+            assert table[key >> shift & 255] is not None  # what was read is kept
+            fills.extend((r, shift, b) for b in before if table[b] is not None)
+        return union
 
-    monkeypatch.setattr(projection, "_label_union", label_union)
+    monkeypatch.setattr(projection, "_byte_tables", byte_tables)
+    monkeypatch.setattr(projection, "_byte_union", byte_union)
     m = projection.determinize(nfa)
     assert sum(map(len, m.arcs)) == 5120
     sources = [0] * len(nfa.events)
@@ -442,3 +461,7 @@ def test_wide_states_compute_each_label_successor_once_per_key(monkeypatch):
     # one union per distinct (label, key), each computed once
     assert len(calls) == len(set(calls)) and set(calls) == keys
     assert len(calls) < 5120 // 2, len(calls)
+    # each label's tables are made once, and no (rank, byte, entry) is
+    # filled twice
+    assert sorted(made) == sorted({r for r, _ in keys})
+    assert fills and len(fills) == len(set(fills)), len(fills)
