@@ -29,15 +29,18 @@ leaves every channel empty between exchanges.  It then steps the machine
 system on its state and channel numbers; one search, keyed by per-role
 views, finds both the inconsistent traces and the deadlocks.  A view is a
 node of a trie of half numbers and a trace a parent link, so the search
-carries ints, and only a product search or a reported witness spells them
-out.  Each trace it reaches extends one it has already shown consistent by
-one event, so it keeps where that trace's run ends and each role's halves
-along it, not the run's edges.  One look at the extending role's next half
-in the run keeps the run, searches on from its end when the run has no
-such half, or else searches the product from the start.  A search on from
-a run's end depends only on (end state, role, new event), so each check
-finds each such tail once and keeps it in a table.  No machine state
-objects are built.
+carries ints, and only a product search from the start or a reported
+witness spells them out.  Each trace it reaches extends one it has already
+shown consistent by one event, so it keeps where that trace's run ends and
+each role's halves along it, not the run's edges.  One look at the
+extending role's next half in the run keeps the run, continues it with a
+tail when the run has no such half, or else searches the product from the
+start.  At a run's end every other role has used up its view, so a tail
+is a breadth-first search over state bits along the edges that have no
+half of the extending role, up to an edge whose half is the new event; it
+spells out no view, depends only on (end state, role, new event), and
+each check finds each such tail once and keeps it in a table.  No machine
+state objects are built.
 """
 from __future__ import annotations
 
@@ -119,6 +122,39 @@ def _run(path: tuple, start: int, roles: int) -> tuple:
     return path[-1][2] if path else start, tuple(halves)
 
 
+def _tail(out: tuple, end: int, j: int, event: int, roles: int) -> Optional[tuple]:
+    """The run (see :func:`_extend`) of a shortest path of ``out`` entries
+    from state bit ``end`` whose only half of role ``j`` is its last edge's,
+    and is ``event``; ``None`` when there is none.
+
+    :func:`_shortest_path` runs over state bits: a node is a bit, or
+    ``~bit`` once ``event`` is taken, and the goal is any negative node.
+    An entry without a half of ``j`` is followed, and one whose half of
+    ``j`` is another event is cut.  This is :func:`_search` from ``end``
+    with every role but ``j`` free and ``j`` one half short, node for node
+    in the same order, with no view spelled out.  The entries out of
+    ``end`` are scanned first, as most tails end at one of them."""
+    for entry in out[end]:
+        for i, half in entry[3]:
+            if i == j:
+                if half == event:
+                    return _run((entry,), end, roles)
+                break
+
+    def successors(state: int) -> Iterator[tuple[tuple, int]]:
+        for entry in out[state]:
+            for i, half in entry[3]:
+                if i == j:
+                    if half == event:
+                        yield entry, ~entry[2]
+                    break
+            else:
+                yield entry, entry[2]
+
+    path = _shortest_path(end, successors, lambda node: node < 0)
+    return None if path is None else _run(path, end, roles)
+
+
 def _grow(run: tuple, tail: tuple) -> tuple:
     """``run`` continued by ``tail``, a run from ``run``'s end."""
     end, extra = tail
@@ -177,26 +213,25 @@ def _extend(
     ``views`` less the last event of role ``j``'s view.
 
     ``views`` holds, per role, a node of ``trie`` whose sequence is that
-    role's view as event numbers; only a search spells the sequences out
-    (``targets``).  A run stands for a path from ``root`` and is ``(end,
-    halves)``: the state bit the path ends at, and per role the event
-    numbers of that role's halves along it.  Being consistent, its halves
-    start with every view, so only role ``j``'s next half can stop it from
-    matching: if that half is the new event, ``run`` still matches; if it
-    is another event, the search starts again from ``root``; if the run
-    has no such half, it is searched on from its end, and from ``root``
-    only when nothing continues it.  ``None`` means that no run is
-    consistent with ``views``.
+    role's view as event numbers; only a search from ``root`` spells the
+    sequences out (``targets``).  A run stands for a path from ``root`` and
+    is ``(end, halves)``: the state bit the path ends at, and per role the
+    event numbers of that role's halves along it.  Being consistent, its
+    halves start with every view, so only role ``j``'s next half can stop
+    it from matching: if that half is the new event, ``run`` still
+    matches; if it is another event, the search starts again from
+    ``root``; if the run has no such half, it is continued by a tail from
+    its end, and searched again from ``root`` only when there is none.
+    ``None`` means that no run is consistent with ``views``.
 
     From a run's end every role but ``j`` has used up its view and is free,
-    so the tail found there depends only on (end bit, ``j``, new event).
-    ``tails`` holds each such tail as a run from that end, or ``None`` when
-    there is none, and is filled by the first search with its key; it
-    serves one ``out`` only."""
+    so the tail found there depends only on (end bit, ``j``, new event),
+    and :func:`_tail` finds it over state bits alone.  ``tails`` holds each
+    such tail as a run from that end, or ``None`` when there is none, and
+    is filled by the first call with its key; it serves one ``out`` only."""
     end, halves = run
     n = trie.size[views[j]] - 1
     event = trie.last[views[j]]
-    targets = None
     if n < len(halves[j]):
         if halves[j][n] == event:
             return run
@@ -205,13 +240,10 @@ def _extend(
         if key in tails:
             tail = tails[key]
         else:
-            targets = tuple(map(trie.path, views))
-            counts = tuple(map(len, targets))
-            path = _search(out, targets, (end, counts[:j] + (n,) + counts[j + 1 :]))
-            tail = tails[key] = None if path is None else _run(path, end, len(targets))
+            tail = tails[key] = _tail(out, end, j, event, len(views))
         if tail is not None:
             return _grow(run, tail)
-    targets = targets or tuple(map(trie.path, views))
+    targets = tuple(map(trie.path, views))
     path = _search(out, targets, root)
     if path is None:
         return None
@@ -289,16 +321,18 @@ def bounded_fidelity_check(
     and 3, and a deadlock is reported only when no trace fails 2.  It
     holds each role's view as a node of one trie of half numbers, made for
     this call, and each trace as a link to the trace it extends; both are
-    spelled out only for a product search or a witness.  For 2, each trace
-    keeps the end state of the run that showed it consistent and each
-    role's halves along that run.  A one-event extension looks up the
-    extending role's next half in that run: the run is kept when that half
-    is the new event, searched on from its end when there is no such half,
-    and otherwise, or when nothing continues it, the search starts from the
-    initial state.  Every other role has used up its view at a run's end,
-    so the tail found there depends only on (end state, role, new event):
-    one table of tails by that key, kept for this call, searches each key
-    once.  Raises ``TypeError`` for a bound that is not an int and
+    spelled out only for a product search from the initial state or a
+    witness.  For 2, each trace keeps the end state of the run that showed
+    it consistent and each role's halves along that run.  A one-event
+    extension looks up the extending role's next half in that run: the run
+    is kept when that half is the new event, continued by a tail when there
+    is no such half, and otherwise, or when no tail continues it, the
+    product is searched from the initial state.  Every other role has used
+    up its view at a run's end, so a tail is a breadth-first search over
+    automaton state bits along the edges with no half of the extending
+    role, ended by an edge whose half is the new event.  It spells out no
+    view and depends only on (end state, role, new event): one table of
+    tails by that key, kept for this call, searches each key once.  Raises ``TypeError`` for a bound that is not an int and
     ``ValueError`` for a ``channel_bound`` below 1 or a negative ``depth``.
     """
     _check_bounds(channel_bound, depth)

@@ -11,6 +11,8 @@ words, for the tests to compare the package's results against:
   to a depth, exactly the words of the role's view?
 * :func:`reference_parse` — the one-scan parser without its reuse of
   repeated choice text: every piece of the text is scanned.
+* :func:`reference_tail` — the fidelity check's tail from a run's end as a
+  product search over (state bit, per-role counts).
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from gtproj import (
     erase,
     project_word,
 )
+from gtproj.oracle import _run, _search
 from gtproj.syntax import (
     _BINDER,
     _CLOSE,
@@ -333,3 +336,13 @@ def reference_parse(text: str) -> GlobalType:
             if m is None or m.lastindex != _EOF:
                 raise _explain(text, pos, "end", scope, bound)
             return node
+
+
+def reference_tail(out: tuple, end: int, j: int, event: int, roles: int) -> Optional[tuple]:
+    """The run from state bit ``end`` that the fidelity check appends when
+    role ``j``'s view grows by ``event`` past a run's end, as a product
+    search: every other role's view is used up, and ``j``'s is one half
+    short of ``event``."""
+    targets = tuple((event,) if i == j else () for i in range(roles))
+    path = _search(out, targets, (end, (0,) * roles))
+    return None if path is None else _run(path, end, roles)

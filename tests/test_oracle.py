@@ -41,7 +41,7 @@ from gtproj import (
 from gtproj.automata import _shortest_path
 from gtproj.corpus import entries, load
 
-from .reference import BudgetExhausted, indistinguishable_finite
+from .reference import BudgetExhausted, indistinguishable_finite, reference_tail
 from .strategies import random_global_type
 
 P, Q, R = Role("p"), Role("q"), Role("r")
@@ -827,14 +827,18 @@ def test_a_run_that_still_matches_is_kept_without_a_search(monkeypatch):
     g = parse_global_type("mu t1 . + { s->q:b . p->q:b . t1, s->q:e . t1, s->q:a . t1 }")
     c = system_for(g)
     searches = 0
-    search = oracle._search
 
-    def counting(*args):
-        nonlocal searches
-        searches += 1
-        return search(*args)
+    def counting(search):
+        def counted(*args):
+            nonlocal searches
+            searches += 1
+            return search(*args)
 
-    monkeypatch.setattr(oracle, "_search", counting)
+        return counted
+
+    # a search from the initial state and a tail from a run's end both count
+    monkeypatch.setattr(oracle, "_search", counting(oracle._search))
+    monkeypatch.setattr(oracle, "_tail", counting(oracle._tail))
     report = bounded_fidelity_check(g, c, 8, channel_bound=4)
     monkeypatch.undo()
     assert searches < report.csm_traces_checked
@@ -846,19 +850,13 @@ def test_each_tail_from_a_runs_end_is_searched_once_per_check(monkeypatch):
     g = parse_global_type("mu t1 . + { s->q:b . p->q:b . t1, s->q:e . t1, s->q:a . t1 }")
     c = system_for(g)
     keys = []
-    search = oracle._search
+    tail = oracle._tail
 
-    def recording(out, targets, start):
-        state, counts = start
-        # a search from a run's end has every view but the extended one's
-        # used up, and that one short by its new event
-        short = [i for i, view in enumerate(targets) if counts[i] < len(view)]
-        if len(short) == 1 and counts[short[0]] == len(targets[short[0]]) - 1:
-            j = short[0]
-            keys.append((state, j, targets[j][-1]))
-        return search(out, targets, start)
+    def recording(out, end, j, event, roles):
+        keys.append((end, j, event))
+        return tail(out, end, j, event, roles)
 
-    monkeypatch.setattr(oracle, "_search", recording)
+    monkeypatch.setattr(oracle, "_tail", recording)
     # the table lasts one check, so the second check searches again
     for _ in range(2):
         keys.clear()
@@ -877,6 +875,71 @@ def test_fidelity_pins_a_deep_recursive_draw():
     )
     report = bounded_fidelity_check(g, system_for(g), 10, channel_bound=3)
     assert report == FidelityReport(True, None, None, 18, 86991)
+
+
+def test_only_a_search_from_the_initial_state_spells_out_views(monkeypatch):
+    # a tail from a run's end follows automaton state bits, so every product
+    # search starts at the initial state with no half taken: on the draw
+    # above, whose traces nearly all extend a run at its end, and on draw
+    # 115 of Random(11), whose runs mostly cannot be kept or continued
+    cases = [
+        ("mu t1 . mu t2 . mu t3 . + { r->p:e . t1, r->s:c . t2, r->q:d . t1 }",
+         10, 3, FidelityReport(True, None, None, 18, 86991)),
+        ("mu t1 . + { s->q:b . p->q:b . t1, s->q:e . t1, s->q:a . t1 }",
+         8, 4, FidelityReport(True, None, None, 9, 3452)),
+    ]
+    starts, tails = [], []
+    search, tail = oracle._search, oracle._tail
+
+    def searching(out, targets, start):
+        starts.append(start)
+        return search(out, targets, start)
+
+    def extending(*args):
+        tails.append(args[1:4])
+        return tail(*args)
+
+    for text, depth, bound, expected in cases:
+        g = parse_global_type(text)
+        a, c = build_gaut(g), system_for(g)
+        starts.clear()
+        tails.clear()
+        monkeypatch.setattr(oracle, "_search", searching)
+        monkeypatch.setattr(oracle, "_tail", extending)
+        report = bounded_fidelity_check(g, c, depth, channel_bound=bound)
+        monkeypatch.undo()
+        assert report == expected, text
+        assert tails, text
+        assert set(starts) <= {(a.bit[a.initial], (0,) * len(a.roles))}, text
+    assert starts
+
+
+def _tail_inputs():
+    """The corpus, gk(1..4) and 1000 random draws."""
+    for entry in entries():
+        yield entry.name, entry.load()
+    for k in range(1, 5):
+        yield f"gk({k})", generate_gk(k)
+    rng = Random(7)
+    for draw in range(1000):
+        yield f"draw {draw}", random_global_type(rng, max_size=25)
+
+
+def test_tails_match_the_product_search_reference():
+    # every (end bit, role, own half) triple: the tail over state bits is
+    # the product search's tail from that end, with only that role short
+    found = missed = 0
+    for name, g in _tail_inputs():
+        a = build_gaut(g)
+        out, roles = a.succ, len(a.roles)
+        for end in range(len(a.states)):
+            for event in range(len(a.events)):
+                j = a.ends[event // 2][event % 2]
+                tail = oracle._tail(out, end, j, event, roles)
+                assert tail == reference_tail(out, end, j, event, roles), (name, end, event)
+                found += tail is not None
+                missed += tail is None
+    assert found and missed
 
 
 def test_exploration_matches_the_object_based_reference():
